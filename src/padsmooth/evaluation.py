@@ -33,16 +33,15 @@ from .partitions import (
     BallCarvingPartition,
     CubePartition,
     ball_assign,
+    cell_anchor,
     certificate_margins,
-    cube_cell_anchor,
-    cube_cells_of,
     cube_margins,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
     wilson_interval,
 )
-from .smoothing import SmoothedClassifier, _sgn, smooth_exact
+from .smoothing import SmoothedClassifier, _cell_keys_of, _sgn, smooth_exact
 from .tasks import (
     SPHERE_MIDDLE,
     BlackBoxClassifier,
@@ -544,21 +543,17 @@ def oblivious_game_simulate(
 
         def refresh():
             part = sample_cube_partition(d, partition_epsilon, rng)
-            cells = cube_cells_of(part, Xp)
-            uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
+            keys, _, _, inverse = _cell_keys_of(part, Xp)
             votes = np.bincount(inverse, weights=f_pool)
-            labels = {
-                tuple(int(v) for v in row): int(_sgn(votes[j])) for j, row in enumerate(uniq)
-            }
             state["part"] = part
-            state["labels"] = labels
+            state["labels"] = {key: 1 if v >= 0 else -1 for key, v in zip(keys, votes.tolist())}
 
         def answer(x: np.ndarray) -> int:
             part = state["part"]
-            key = tuple(int(v) for v in cube_cells_of(part, x[None, :])[0])
+            key = _cell_keys_of(part, x[None, :])[0][0]
             labels = state["labels"]
             if key not in labels:
-                labels[key] = int(f(cube_cell_anchor(part, key)[None, :])[0])
+                labels[key] = int(f(cell_anchor(part, key)[None, :])[0])
             return labels[key]
 
     errors = np.zeros(rounds, dtype=bool)

@@ -639,7 +639,7 @@ def _run_cube_theorem(cfg: dict, seed: int) -> ExperimentOutput:
                             _floats(cfg["eps_list_spheres"]), alpha, c_prime, cfg["n"],
                             cfg["per_cell"], cfg["max_draws"], cfg["attack_trials"],
                             artifacts, save_artifacts=False)
-    return ExperimentOutput(rows, {}, checks)
+    return ExperimentOutput(rows, artifacts, checks)
 
 
 # ---------------------------------------------------------------------------

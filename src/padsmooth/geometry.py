@@ -172,9 +172,9 @@ def estimate_doubling_dimension(
     n = len(pts)
     idx = np.unique(np.linspace(0, n - 1, num=min(max_centers, n)).astype(int))
     worst = 1
+    dist = _distances_to(pts[idx], pts)
     for j in range(radius_scales):
         r = epsilon / (2.0**j)
-        dist = _distances_to(pts[idx], pts)
         for row in range(len(idx)):
             members = pts[dist[row] < r]
             if len(members) == 0:

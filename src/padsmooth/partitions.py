@@ -148,7 +148,9 @@ class BallCarvingPartition:
         if abs(self.net.epsilon - self.epsilon / 4.0) > 1e-9 * self.epsilon:
             raise ValueError("net spacing must equal epsilon/4")
         o = np.asarray(self.order, dtype=np.int64)
-        if sorted(o.tolist()) != list(range(len(self.net))):
+        n = len(self.net)
+        in_range = o.shape == (n,) and (n == 0 or (o.min() >= 0 and o.max() < n))
+        if not (in_range and np.bincount(o, minlength=n).all()):
             raise ValueError("order must be a permutation of the net indices")
         object.__setattr__(self, "order", o)
 
@@ -248,8 +250,8 @@ def ball_cell_member(part: BallCarvingPartition, cell: int, points) -> Array:
     return (~off) & (cells == int(cell))
 
 
-def ball_cell_anchor(part: BallCarvingPartition, cell: int) -> Array:
-    return part.net.centers[int(cell)]
+def ball_cell_anchor(part: BallCarvingPartition, cell) -> Array:
+    return part.net.centers[np.asarray(cell, dtype=np.int64)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,10 @@ def certificate_margins(part, points):
 
 
 def cell_anchor(part, cell):
-    """Deterministic in-cell representative used by fallback labeling."""
+    """Deterministic in-cell representative used by fallback labeling.
+
+    cell is one cell id or an array of cells_of rows; the batch gives the
+    same bits as one call per cell."""
     if isinstance(part, CubePartition):
         return cube_cell_anchor(part, cell)
     if isinstance(part, BallCarvingPartition):

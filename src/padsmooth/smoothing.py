@@ -17,8 +17,9 @@ Estimators:
   of mass >= risk_f / cells receives a logarithmic number of votes.
 * scheme B: votes f on uniform in-cell samples; exact per-coordinate
   sampling for cube cells, hit-and-run for carved cells. Labels are
-  resolved lazily per queried cell from a cell-keyed substream, so the
-  estimate is reproducible regardless of query batching.
+  resolved lazily per queried cell from a cell-keyed substream, so cube
+  labels do not depend on query batching; a carved cell's walks start at
+  the first query seen in the cell, so its label can.
 
 gaussian_smoothing builds the noise-based baselines: plain majority vote
 under N(0, sigma^2 I), or the density-weighted variant that reweights a
@@ -85,31 +86,18 @@ class SmoothedClassifier:
 
     def evaluate(self, points) -> np.ndarray:
         pts = as_points(points)
-        cells = cells_of(self.partition, pts)
-        if isinstance(self.partition, CubePartition):
-            uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-            keys = [tuple(int(v) for v in row) for row in uniq]
-        else:
-            uniq, inverse = np.unique(cells, return_inverse=True)
-            keys = [int(v) for v in uniq]
-        labels = np.zeros(len(keys), dtype=np.int8)
-        missing = []
-        for j, key in enumerate(keys):
-            if key in self.cell_labels:
-                labels[j] = self.cell_labels[key]
-            elif self._lazy_resolver is not None:
-                first = int(np.argmax(inverse == j))
-                labels[j] = self._lazy_resolver(key, pts[first])
-            else:
-                missing.append(j)
-        if missing:
+        keys, cells, first, inverse = _cell_keys_of(self.partition, pts)
+        found = list(map(self.cell_labels.get, keys))
+        missing = [j for j, lab in enumerate(found) if lab is None]
+        if missing and self._lazy_resolver is not None:
+            for j in missing:
+                found[j] = self._lazy_resolver(keys[j], pts[first[j]])
+        elif missing:
             if self.base is None:
                 raise RuntimeError("unseen cells and no base classifier for fallback")
-            anchors = np.stack([cell_anchor(self.partition, keys[j]) for j in missing])
-            fb = self.base(anchors)
-            for j, lab in zip(missing, fb):
-                labels[j] = lab
-        return labels[inverse]
+            for j, lab in zip(missing, self.base(cell_anchor(self.partition, cells[missing]))):
+                found[j] = lab
+        return np.array(found, dtype=np.int8)[inverse]
 
     # -- serialization ------------------------------------------------
 
@@ -162,12 +150,20 @@ class SmoothedClassifier:
 
 
 def _cell_keys_of(part, points):
+    """Distinct cells of a batch: (keys, cells, first, inverse).
+
+    keys are the cell_labels keys (tuples for cubes, ints for carvings),
+    cells the matching rows of cells_of, first the index of the first point
+    in each cell and inverse the cell position of every point.
+    """
     cells = cells_of(part, points)
-    if isinstance(part, CubePartition):
-        uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-        return [tuple(int(v) for v in row) for row in uniq], inverse
-    uniq, inverse = np.unique(cells, return_inverse=True)
-    return [int(v) for v in uniq], inverse
+    if cells.ndim == 2:
+        rows = np.ascontiguousarray(cells).view(np.dtype((np.void, cells.itemsize * cells.shape[1])))
+        _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+        cells = cells[first]
+        return list(map(tuple, cells.tolist())), cells, first, inverse
+    cells, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+    return cells.tolist(), cells, first, inverse
 
 
 def smooth_exact(
@@ -196,15 +192,15 @@ def smooth_exact(
         X, _ = task.sample(rng, m)
         drawn += m
         votes = f(X).astype(np.float64)
-        keys, inverse = _cell_keys_of(part, X)
+        keys, _, _, inverse = _cell_keys_of(part, X)
         vote_sum = np.bincount(inverse, weights=votes)
         vote_cnt = np.bincount(inverse)
-        for j, key in enumerate(keys):
-            sums[key] = sums.get(key, 0.0) + vote_sum[j]
-            counts[key] = counts.get(key, 0) + int(vote_cnt[j])
+        for key, v, c in zip(keys, vote_sum.tolist(), vote_cnt.tolist()):
+            sums[key] = sums.get(key, 0.0) + v
+            counts[key] = counts.get(key, 0) + c
         if min(counts.values()) >= per_cell:
             break
-    labels = {key: int(_sgn(sums[key])) for key in sums}
+    labels = {key: 1 if v >= 0 else -1 for key, v in sums.items()}
     flagged = {key for key, c in counts.items() if c < per_cell}
     return SmoothedClassifier(
         partition=part,
@@ -247,11 +243,11 @@ def scheme_a_estimate(f: BlackBoxClassifier, part, unlabeled) -> SmoothedClassif
     if len(pool) == 0:
         raise ValueError("unlabeled pool is empty")
     votes = f(pool).astype(np.float64)
-    keys, inverse = _cell_keys_of(part, pool)
+    keys, _, _, inverse = _cell_keys_of(part, pool)
     vote_sum = np.bincount(inverse, weights=votes)
     vote_cnt = np.bincount(inverse)
-    labels = {key: int(_sgn(vote_sum[j])) for j, key in enumerate(keys)}
-    counts = {key: int(vote_cnt[j]) for j, key in enumerate(keys)}
+    labels = {key: 1 if v >= 0 else -1 for key, v in zip(keys, vote_sum.tolist())}
+    counts = dict(zip(keys, vote_cnt.tolist()))
     return SmoothedClassifier(
         partition=part,
         cell_labels=labels,
@@ -363,8 +359,9 @@ def scheme_b_estimate(
     Cube cells are boxes, sampled exactly. Carved cells are sampled by s
     independent hit-and-run walks of k steps (default 8 * dim) started at
     the first query point seen in the cell. Labels resolve lazily at query
-    time from a substream keyed by the cell id, so they do not depend on
-    how queries are batched.
+    time from a substream keyed by the cell id, so cube labels do not
+    depend on how queries are batched; carved labels can, through the
+    start point of their walks.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -382,7 +379,7 @@ def scheme_b_estimate(
 
     def resolve(cell, query_point) -> int:
         if isinstance(part, CubePartition):
-            cell_rng = rngmod.stream(base_seed, *[c & 0xFFFFFFFF for c in cell])
+            cell_rng = rngmod.stream(base_seed, *cell)
             lo, hi = _cube_cell_bounds(part, cell)
             pts = lo + cell_rng.random((s, part.dim)) * part.width
         else:

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from padsmooth import experiments
+from padsmooth.cli import EXIT_OK, main
 from padsmooth.experiments import (
     CSV_COLUMNS,
     EXPERIMENTS,
@@ -17,6 +19,8 @@ from padsmooth.experiments import (
     execute,
     rows_to_csv,
 )
+from padsmooth.smoothing import SmoothedClassifier
+from padsmooth.tasks import two_discs_task
 
 
 def test_fmt_is_repr_exact_for_floats():
@@ -98,3 +102,27 @@ def test_execute_writes_replayable_bundle(tmp_path):
     # overrides echoed, untouched defaults echoed too: the echo is complete
     for key in EXPERIMENTS["two_discs"].defaults:
         assert f"{key} = " in echo
+
+
+def test_cube_theorem_writes_replayable_artifacts(tmp_path, monkeypatch):
+    built, smooth_exact = [], experiments.smooth_exact
+
+    def recording_smooth_exact(*args, **kwargs):
+        built.append(smooth_exact(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "smooth_exact", recording_smooth_exact)
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("experiment = cube_theorem\nseed = 5\nspheres_d = 3\ndelta_list = 0\n"
+                   "eps_list_discs = 0.02\neps_list_spheres = 0.001\nn = 400\n"
+                   "per_cell = 3\nmax_draws = 2000\nattack_trials = 1\n")
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert (out / "partition.json").is_file() and (out / "classifier.json").is_file()
+    assert main(["verify", str(out)]) == EXIT_OK
+    task = two_discs_task()
+    saved = built[0]  # the discs block at delta 0 and its first epsilon
+    back = SmoothedClassifier.load(out / "classifier.json", base=task.ground_truth_classifier())
+    assert back.cell_labels == saved.cell_labels
+    X, _ = task.sample(np.random.default_rng(3), 2000)
+    assert np.array_equal(back.evaluate(X), saved.evaluate(X))

@@ -250,6 +250,32 @@ def test_ball_rejects_mismatched_net():
                              order=np.zeros(len(net), dtype=np.int64))
 
 
+@pytest.mark.parametrize("kind, valid", [
+    ("identity", True), ("reversed", True), ("duplicate", False), ("negative", False),
+    ("too_large", False), ("short", False), ("long", False), ("two_d", False),
+])
+def test_ball_order_must_be_a_permutation(kind, valid):
+    rng = stream(14, 0)
+    net = greedy_net(rng.random((200, 2)), 0.1)
+    n = len(net)
+    order = {
+        "identity": np.arange(n),
+        "reversed": np.arange(n)[::-1],
+        "duplicate": np.r_[0, np.arange(n - 1)],
+        "negative": np.r_[-1, np.arange(1, n)],
+        "too_large": np.r_[np.arange(n - 1), n],
+        "short": np.arange(n - 1),
+        "long": np.arange(n + 1),
+        "two_d": np.arange(n)[None, :],
+    }[kind]
+    if valid:
+        part = BallCarvingPartition(net=net, epsilon=0.4, radius=0.15, order=order)
+        assert np.array_equal(np.sort(part.order), np.arange(n))
+    else:
+        with pytest.raises(ValueError):
+            BallCarvingPartition(net=net, epsilon=0.4, radius=0.15, order=order)
+
+
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -334,3 +360,14 @@ def test_cell_anchor_lands_in_cell():
     anchor = ball_cell_anchor(bpart, c)
     # a center is always captured by its own or an earlier ball
     assert np.linalg.norm(anchor - bpart.net.centers[c]) <= bpart.radius + 1e-12
+
+
+def test_cell_anchor_of_a_cell_array_matches_per_cell_bits():
+    part = sample_cube_partition(5, 1.0, stream(19, 0))
+    cells = cells_of(part, 3.0 * stream(19, 1).standard_normal((300, 5)))
+    one_by_one = np.stack([cell_anchor(part, tuple(c)) for c in cells.tolist()])
+    assert cell_anchor(part, cells).tobytes() == one_by_one.tobytes()
+    bpart, _ = _small_carving(19)
+    ids = np.unique(cells_of(bpart, bpart.net.centers))
+    one_by_one = np.stack([cell_anchor(bpart, int(c)) for c in ids])
+    assert cell_anchor(bpart, ids).tobytes() == one_by_one.tobytes()

@@ -17,6 +17,7 @@ from scipy import stats
 from padsmooth.geometry import EpsilonNet, greedy_net
 from padsmooth.partitions import (
     BallCarvingPartition,
+    CubePartition,
     ball_cell_member,
     cell_anchor,
     cells_of,
@@ -157,6 +158,65 @@ def test_unseen_cell_without_base_raises():
     assert g.evaluate(np.array([[0.1, 0.1]]))[0] == 1
     with pytest.raises(RuntimeError):
         g.evaluate(np.array([[50.0, 50.0]]))
+
+
+def recording_classifier(f: BlackBoxClassifier):
+    """f that keeps a copy of every batch it is asked to label."""
+    batches = []
+
+    def predict(pts):
+        batches.append(np.array(pts))
+        return f(pts)
+
+    return BlackBoxClassifier(predict, name=f"recording-{f.name}"), batches
+
+
+def _cells_and_keys(family, rng):
+    X = rng.uniform(-1.0, 1.0, size=(600, 2))
+    if family == "cube":
+        part = sample_cube_partition(2, 0.5, rng)
+    else:
+        part = sample_ball_carving(greedy_net(X, 0.1), 0.4, rng)
+    cells = cells_of(part, X)
+    keys = [tuple(c) for c in cells.tolist()] if cells.ndim == 2 else cells.tolist()
+    return part, X, keys
+
+
+@pytest.mark.parametrize("family", ["cube", "ball"])
+def test_lazy_resolver_gets_first_query_of_each_fresh_cell(family):
+    part, X, keys = _cells_and_keys(family, np.random.default_rng(70))
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    g = SmoothedClassifier(part, cell_labels={keys[0]: -1}, base=None, scheme="B")
+    calls = []
+
+    def resolve(key, x):
+        calls.append((key, x.copy()))
+        return 1
+
+    g._lazy_resolver = resolve
+    labels = g.evaluate(X)
+    assert sorted(key for key, _ in calls) == sorted(set(first) - {keys[0]})
+    for key, x in calls:
+        assert np.array_equal(x, X[first[key]])
+    assert np.array_equal(labels, [-1 if key == keys[0] else 1 for key in keys])
+
+
+@pytest.mark.parametrize("family", ["cube", "ball"])
+def test_fallback_labels_fresh_cells_at_anchors_in_one_call(family):
+    part, X, keys = _cells_and_keys(family, np.random.default_rng(71))
+    f = BlackBoxClassifier(lambda p: np.where(p[:, 0] + 0.3 * p[:, 1] > 0.1, 1, -1).astype(np.int8))
+    base, batches = recording_classifier(f)
+    g = SmoothedClassifier(part, cell_labels={keys[0]: -1}, base=base, scheme="exact")
+    labels = g.evaluate(X)
+    fresh = set(keys) - {keys[0]}
+    assert len(batches) == 1 and len(batches[0]) == len(fresh)
+    want = [-1 if key == keys[0] else int(f(cell_anchor(part, key)[None, :])[0]) for key in keys]
+    assert np.array_equal(labels, want)
+    assert {tuple(a) for a in batches[0].tolist()} == {tuple(cell_anchor(part, k).tolist()) for k in fresh}
+    g.evaluate(X)  # fallback labels are not cached across calls
+    assert base.eval_count == 2 * len(fresh) and g.cell_labels == {keys[0]: -1}
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +423,18 @@ def test_scheme_b_labels_do_not_depend_on_query_batching():
         pieces[i] = b.evaluate(X[i : i + 1])[0]
     assert np.array_equal(one_shot, pieces)
     assert a.cell_labels == b.cell_labels
+
+
+def test_scheme_b_cube_cells_2_32_apart_draw_different_samples():
+    part = CubePartition(epsilon=1.0, dim=1, shift=np.zeros(1))
+    f, batches = recording_classifier(constant_classifier(1))
+    g = scheme_b_estimate(f, part, s=8, k=None, rng=np.random.default_rng(72))
+    k = 3
+    g.evaluate(np.array([[k + 0.5]]))
+    g.evaluate(np.array([[k + 2.0**32 + 0.5]]))
+    offsets_a = batches[0][:, 0] - k
+    offsets_b = batches[1][:, 0] - (k + 2.0**32)
+    assert not np.allclose(offsets_a, offsets_b, atol=1e-5)
 
 
 def test_scheme_b_carved_cells_recover_cell_constant_classifier():
