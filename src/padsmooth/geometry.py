@@ -9,13 +9,62 @@ center.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 Array = np.ndarray
+
+_TREE_MAX_DIM = 4
+"""Largest dimension in which `greedy_net` and `ball_assign` search a KD-tree.
+
+Both kernels only need the neighbours of a point within a small radius (the
+net spacing, or twice the carving radius), and in low dimension a tree finds
+them without scanning every center. Measured on 2 cores with one BLAS
+thread, tree build included, on concentric spheres unless noted:
+
+* `ball_assign`, n=4096 points, dense scan vs tree: d=3 (2866 centers)
+  0.263 vs 0.020 s, d=4 (6167) 0.55 vs 0.035 s, d=5 (7081) 0.67 vs
+  0.11 s, but d=8 (7755) 0.71 vs 1.49 s, a d=8 unit ball whose
+  2R-neighbourhood spans the data (2409) 0.23 vs 1.24 s, d=12 0.32 vs
+  0.59 s and d=20 0.18 vs 0.52 s.
+* `greedy_net`, loop vs cover marking: d=3, 8000 points 0.39 vs 0.076 s;
+  d=4 0.55 vs 0.13 s; d=5 0.74 vs 0.20 s; d=8 1.03 vs 0.29 s; d=8 unit
+  ball 0.19 vs 0.11 s; d=12 0.27 vs 0.23 s; d=20 0.10 vs 0.14 s.
+
+The tree gains most up to d=4 and can lose several-fold on assignment from
+d=8 on (the net builder from d=20 on), so both use it only up to d=4.
+"""
+
+_TREE_MIN_BATCH = 64
+"""Smallest batch `ball_assign` sends down the tree path.
+
+A tree query has a fixed cost of about 100 us, so small batches gain
+little and lose on small nets. Measured in d=2 (2 cores, one thread), dense
+vs tree per call: 49 centers, 1 point 62 vs 107 us and 64 points 113 vs
+271 us; 672 centers, 1 point 86 vs 121 us, 64 points 660 vs 382 us; 3816
+centers, 1 point 206 vs 103 us, 64 points 6.8 ms vs 0.58 ms. The floor
+keeps one-point certificates and Lipschitz probes on the dense path.
+"""
+
+
+def _search_radius(radius: float, *arrays: Array) -> float:
+    """A KD-tree query radius whose result holds every point within `radius`
+    by any direct-difference computation: `radius` widened by 1e-9 of itself
+    and by a few ulps of the largest coordinate magnitude."""
+    scale = max(float(np.abs(a).max()) for a in arrays)
+    return radius * (1.0 + 1e-9) + 4.0 * float(np.spacing(scale))
+
+
+def _check_spacing(epsilon) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"net epsilon must be positive and finite, got {epsilon!r}")
+
 
 _BIN_MAGIC = b"PPTS"
 _BIN_HEADER = struct.Struct("<4sIQ")  # magic, columns, rows (little endian)
@@ -76,8 +125,7 @@ class EpsilonNet:
     source_count: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("net epsilon must be positive")
+        _check_spacing(self.epsilon)
         if len(self.centers) == 0:
             raise ValueError("net must have at least one center")
 
@@ -87,6 +135,12 @@ class EpsilonNet:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """KD-tree over the centers, built once and shared by every carving
+        drawn over this net."""
+        return cKDTree(self.centers)
 
     def nearest(self, points) -> tuple[Array, Array]:
         """Indices and distances of the nearest center for each point."""
@@ -123,11 +177,20 @@ def greedy_net(points, epsilon: float) -> EpsilonNet:
 
     The first point is always a center; each later point becomes a center
     exactly when it is >= epsilon from all existing centers. Deterministic
-    given the input order.
+    given the input order. Up to dimension 4 the centers come from cover
+    marking over a KD-tree, elsewhere from a loop over the points; both
+    decide with the same squared-difference test and give the same center
+    set, bit for bit.
     """
     pts = as_points(points)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_spacing(epsilon)
+    kernel = _greedy_net_tree if pts.shape[1] <= _TREE_MAX_DIM else _greedy_net_loop
+    return EpsilonNet(centers=kernel(pts, epsilon), epsilon=float(epsilon), source_count=len(pts))
+
+
+def _greedy_net_loop(pts: Array, epsilon: float) -> Array:
+    """Centers of the input-order greedy net, checking each point against
+    every center so far."""
     n, d = pts.shape
     buf = np.empty((n, d), dtype=np.float64)
     buf[0] = pts[0]
@@ -138,7 +201,29 @@ def greedy_net(points, epsilon: float) -> EpsilonNet:
         if d2.min() >= epsilon * epsilon:
             buf[k] = pts[i]
             k += 1
-    return EpsilonNet(centers=buf[:k].copy(), epsilon=float(epsilon), source_count=n)
+    return buf[:k].copy()
+
+
+def _greedy_net_tree(pts: Array, epsilon: float) -> Array:
+    """Centers of the input-order greedy net by cover marking.
+
+    A point is a center exactly when no earlier center covered it; each new
+    center marks the points strictly within epsilon of it as covered. The
+    tree only proposes neighbours; the mark is the loop's own test, the
+    squared difference from the center below epsilon**2.
+    """
+    tree = cKDTree(pts)
+    reach = _search_radius(epsilon, pts)
+    covered = np.zeros(len(pts), dtype=bool)
+    keep = []
+    for i in range(len(pts)):
+        if covered[i]:
+            continue
+        keep.append(i)
+        near = np.asarray(tree.query_ball_point(pts[i], reach), dtype=np.intp)
+        diff = pts[i] - pts[near]
+        covered[near[np.einsum("ij,ij->i", diff, diff) < epsilon * epsilon]] = True
+    return pts[keep]
 
 
 def packing_count(net: EpsilonNet, center, t: float) -> int:

@@ -21,6 +21,16 @@ Both certificates are exact for cube cells and sound-but-conservative for
 carved cells (they may say Cut for a ball that is in fact contained, never
 the reverse). Points beyond every R-ball of a carving fall back to the
 nearest center; their certificate status is OffSupport.
+
+Carving assignment has two kernels that assign the same cells. In dimension
+<= 4, batches of at least 64 points go through a KD-tree over the net: only
+centers within 2R of a point can capture it or bind its certificate, and
+their distances are taken by direct coordinate differences. Its margins are
+lowered by an explicit rounding slack of 2 (d + 4) R eps_machine, so they
+never exceed the margin of exact arithmetic. Higher dimensions, one-point
+calls and small batches scan every center with Gram-expansion distances,
+whose margins can exceed the exact ones by rounding (more so far from the
+origin).
 """
 
 from __future__ import annotations
@@ -29,11 +39,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import Array, EpsilonNet, as_points
+from .geometry import _TREE_MAX_DIM, _TREE_MIN_BATCH, Array, EpsilonNet, _search_radius, as_points
 
 CONTAINED = "contained"
 CUT = "cut"
@@ -187,10 +198,22 @@ def ball_assign(part: BallCarvingPartition, points, chunk: int = 4096):
       cells: (n,) int64 center indices (nearest center when off support),
       off_support: (n,) bool, True when no R-ball contains the point,
       margins: (n,) float certificate margins (0.0 off support).
+
+    Batches of at least 64 points in dimension <= 4 go down the KD-tree
+    path (`_ball_assign_tree`), everything else down the dense scan
+    (`_ball_assign_dense`); both assign the same cells.
     """
     pts = as_points(points)
     if pts.shape[1] != part.dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, partition has {part.dim}")
+    if part.dim <= _TREE_MAX_DIM and len(pts) >= _TREE_MIN_BATCH:
+        return _ball_assign_tree(part, pts, chunk)
+    return _ball_assign_dense(part, pts, chunk)
+
+
+def _ball_assign_dense(part: BallCarvingPartition, pts: Array, chunk: int = 4096):
+    """ball_assign over the distance matrix from every point to every center
+    (Gram expansion), columns in carving order."""
     centers = part.net.centers[part.order]  # columns in carving order
     c2 = np.einsum("ij,ij->i", centers, centers)
     n = len(pts)
@@ -217,6 +240,59 @@ def ball_assign(part: BallCarvingPartition, points, chunk: int = 4096):
         cells[i : i + chunk] = cells_blk
         off[i : i + chunk] = ~has
         margins[i : i + chunk] = np.where(has, m, 0.0)
+    return cells, off, margins
+
+
+def _ball_assign_tree(part: BallCarvingPartition, pts: Array, chunk: int = 4096):
+    """ball_assign over the centers within 2R of each point.
+
+    Only those centers can capture a point (d <= R) or bind its margin
+    min(R - d(x, u), d(x, w) - R): a farther earlier center w has
+    d(x, w) - R > R >= R - d(x, u). The net's KD-tree proposes a superset of
+    them; distances are direct coordinate differences and every capture is
+    decided by the dense path's test d <= R. Margins are lowered by
+    2 (d + 4) R eps_machine, the rounding error of these distances and of
+    any other direct-difference evaluation of them, so a margin never
+    exceeds the exact one; they are clipped at 0. Off-support points get
+    their nearest center from the tree.
+    """
+    net, R, order, ranks = part.net, part.radius, part.order, part.ranks
+    count = len(net)
+    reach = _search_radius(2.0 * R, pts, net.centers)
+    slack = 2.0 * (part.dim + 4) * R * np.finfo(np.float64).eps
+    n = len(pts)
+    cells = np.empty(n, dtype=np.int64)
+    off = np.empty(n, dtype=bool)
+    margins = np.empty(n, dtype=np.float64)
+    for i in range(0, n, chunk):
+        blk = pts[i : i + chunk]
+        m = len(blk)
+        near = net.tree.query_ball_point(blk, reach, return_sorted=False)
+        sizes = np.fromiter(map(len, near), dtype=np.intp, count=m)
+        cand = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(sizes.sum()))
+        row = np.repeat(np.arange(m), sizes)  # candidate pairs, grouped by point
+        diff = blk[row] - net.centers[cand]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        rank = ranks[cand]
+        seen = sizes > 0
+        starts = (np.cumsum(sizes) - sizes)[seen]
+        first = np.full(m, count)  # carving position of the capturing center
+        du = np.full(m, np.inf)
+        before = np.full(m, np.inf)  # nearest center ranked before it
+        if starts.size:
+            first[seen] = np.minimum.reduceat(np.where(dist <= R, rank, count), starts)
+            rel = rank - first[row]  # < 0 for centers earlier than the capturing one
+            du[row[rel == 0]] = dist[rel == 0]
+            before[seen] = np.minimum.reduceat(np.where(rel < 0, dist, np.inf), starts)
+        has = first < count
+        cells_blk = order[np.minimum(first, count - 1)]
+        lost = np.flatnonzero(~has)
+        if lost.size:
+            cells_blk[lost] = net.tree.query(blk[lost])[1]
+        cells[i : i + chunk] = cells_blk
+        off[i : i + chunk] = ~has
+        sound = np.maximum(np.minimum(R - du, before - R) - slack, 0.0)
+        margins[i : i + chunk] = np.where(has, sound, 0.0)
     return cells, off, margins
 
 

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padsmooth.geometry import (
     EpsilonNet,
+    _greedy_net_loop,
+    _greedy_net_tree,
     as_points,
     estimate_doubling_dimension,
     greedy_net,
@@ -91,6 +95,40 @@ def test_exact_1d_covering_count():
     net = greedy_net(grid, 1.0)
     assert len(net) == 11
     assert net.covers(grid)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_net_spacing_must_be_positive_and_finite(bad):
+    pts = stream(100, 8).random((50, 2))
+    with pytest.raises(ValueError, match="positive and finite"):
+        greedy_net(pts, bad)
+    with pytest.raises(ValueError, match="positive and finite"):
+        EpsilonNet(centers=pts[:1], epsilon=bad, source_count=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    side=st.integers(2, 6),
+    eps=st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0]),
+    duplicates=st.booleans(),
+    offset=st.sampled_from([0.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_greedy_net_tree_equals_loop(d, side, eps, duplicates, offset, seed):
+    # a shuffled integer lattice at spacing exactly eps puts many pairs at
+    # exactly eps, where a point must still become a center
+    rng = np.random.default_rng(seed)
+    axes = [np.arange(side) * eps] * d
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    if duplicates:
+        pts = np.vstack([pts, pts[rng.integers(0, len(pts), len(pts) // 2)]])
+    pts = pts[rng.permutation(len(pts))] + offset
+    loop = _greedy_net_loop(pts, eps)
+    tree = _greedy_net_tree(pts, eps)
+    assert np.array_equal(tree, loop)
+    if eps != 0.1:  # multiples of a dyadic eps are exact, also offset by 1e6
+        assert len(tree) == side**d  # every lattice point, each once
 
 
 def test_packing_count_1d_enumeration():

@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.spatial.distance import cdist
 
-from padsmooth.geometry import greedy_net
+from padsmooth.geometry import EpsilonNet, greedy_net
 from padsmooth.partitions import (
     CONTAINED,
     CUT,
     OFF_SUPPORT,
     BallCarvingPartition,
     CubePartition,
+    _ball_assign_dense,
+    _ball_assign_tree,
     ball_assign,
     ball_cell_anchor,
     ball_cell_member,
@@ -174,6 +179,107 @@ def test_ball_assign_matches_brute_force():
         assert cells[i] == c
         assert off[i] == o
         assert margins[i] == pytest.approx(brute_margin(part, X[i]), abs=1e-12)
+
+
+def _kernel_case(d, n, seed, one_center, offset=0.0):
+    """A carving of [0, 2)^d (or a one-center net) and n queries, a few of
+    them far off support."""
+    rng = np.random.default_rng(seed)
+    eps = 0.8
+    src = rng.random((300, d)) * 2.0 + offset
+    if one_center:
+        net = EpsilonNet(centers=src[:1], epsilon=eps / 4.0, source_count=1)
+    else:
+        net = greedy_net(src, eps / 4.0)
+    part = sample_ball_carving(net, eps, rng)
+    X = rng.random((n, d)) * 2.4 - 0.2 + offset
+    far = rng.random(n) < 0.05
+    X[far] += rng.standard_normal((int(far.sum()), d)) * 50.0
+    return part, X
+
+
+def _direct(part, X):
+    """(off, margins, ambiguous) from direct differences, cdist style."""
+    D = cdist(X, part.net.centers[part.order])
+    R = part.radius
+    inball = D <= R
+    has = inball.any(axis=1)
+    first = inball.argmax(axis=1)
+    cols = np.arange(D.shape[1])
+    earlier = np.where(cols[None, :] < first[:, None], D, np.inf).min(axis=1)
+    margins = np.where(has, np.minimum(R - D[np.arange(len(X)), first], earlier - R), 0.0)
+    ambiguous = (np.abs(D - R) <= 1e-9).any(axis=1)
+    return ~has, margins, ambiguous
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    n=st.sampled_from([1, 63, 64, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+    one_center=st.booleans(),
+)
+def test_ball_tree_and_dense_kernels_agree(d, n, seed, one_center):
+    part, X = _kernel_case(d, n, seed, one_center)
+    dense = _ball_assign_dense(part, X)
+    tree = _ball_assign_tree(part, X)
+    want_off, want, ambiguous = _direct(part, X)
+    ok = ~ambiguous
+    assert np.array_equal(tree[0][ok], dense[0][ok])  # cells
+    assert np.array_equal(tree[1][ok], dense[1][ok])  # off support
+    assert np.array_equal(tree[1][ok], want_off[ok])
+    on = ok & ~tree[1]
+    assert (tree[2][on] >= 0.0).all() and (tree[2][tree[1]] == 0.0).all()
+    assert np.allclose(tree[2][on], want[on], rtol=0.0, atol=1e-12)
+    chosen = ball_assign(part, X)
+    expect = tree if n >= 64 else dense  # d <= 4 here
+    assert all(np.array_equal(a, b) for a, b in zip(chosen, expect))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    n=st.sampled_from([1, 63, 64, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+    one_center=st.booleans(),
+    offset=st.sampled_from([0.0, 1e2, 1e4, 1e6]),
+)
+def test_ball_tree_margins_never_exceed_direct_margins(d, n, seed, one_center, offset):
+    part, X = _kernel_case(d, n, seed, one_center, offset)
+    _, off, margins = _ball_assign_tree(part, X)
+    want_off, want, ambiguous = _direct(part, X)
+    on = ~ambiguous & ~want_off
+    assert np.array_equal(off[~ambiguous], want_off[~ambiguous])
+    assert (margins[on] <= want[on]).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ball_kernels_capture_points_at_exactly_r(d):
+    # integer centers, R = 0.5 and queries half a unit off a center along an
+    # axis: each query is exactly R from that center and from its neighbour
+    # along the axis (when the grid has one), so both kernels must capture
+    # it (d <= R) by the earlier of the two, with margin 0
+    grid = np.stack(np.meshgrid(*[np.arange(4.0)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    net = EpsilonNet(centers=grid, epsilon=0.25, source_count=len(grid))
+    rng = np.random.default_rng(d)
+    part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=rng.permutation(len(grid)))
+    base = grid[np.arange(64) % len(grid)].astype(np.int64)
+    step = np.eye(d, dtype=np.int64)[rng.integers(0, d, 64)]
+    X = base + 0.5 * step
+    here = np.ravel_multi_index(tuple(base.T), (4,) * d)
+    inside = (base + step < 4).all(axis=1)
+    there = np.ravel_multi_index(tuple(np.minimum(base + step, 3).T), (4,) * d)
+    here_first = ~inside | (part.ranks[here] < part.ranks[there])
+    want = np.where(here_first, here, there)
+    for cells, off, margins in (_ball_assign_tree(part, X), _ball_assign_dense(part, X)):
+        assert not off.any()
+        assert np.array_equal(cells, want)
+        assert (margins == 0.0).all()
+
+
+def test_ball_carvings_share_the_net_tree():
+    part, rng = _small_carving(5)
+    assert resample_ball_carving(part, rng).net.tree is part.net.tree
 
 
 def test_ball_certificate_sound_under_perturbation():
