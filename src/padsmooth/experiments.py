@@ -31,7 +31,6 @@ from .evaluation import (
     competitive_ratio_experiment,
     estimate_risk,
     oblivious_game_simulate,
-    two_proportion_z,
 )
 from .geometry import estimate_doubling_dimension, greedy_net
 from .partitions import (

@@ -278,28 +278,6 @@ def ball_chord(center, radius: float):
     return solve
 
 
-def box_chord(lo_corner, hi_corner):
-    """Chord solver for an axis-aligned box."""
-    lo_c = np.asarray(lo_corner, dtype=np.float64)
-    hi_c = np.asarray(hi_corner, dtype=np.float64)
-
-    def solve(x, v):
-        xx = np.asarray(x, dtype=np.float64)
-        lo, hi = -np.inf, np.inf
-        for i in range(len(xx)):
-            if abs(v[i]) < 1e-15:
-                continue
-            a = (lo_c[i] - xx[i]) / v[i]
-            b = (hi_c[i] - xx[i]) / v[i]
-            if a > b:
-                a, b = b, a
-            lo = max(lo, a)
-            hi = min(hi, b)
-        return lo, hi
-
-    return solve
-
-
 def hit_and_run(
     membership: Callable[[np.ndarray], bool],
     chord_solver,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial.distance import cdist
@@ -16,8 +16,10 @@ from padsmooth.partitions import (
     OFF_SUPPORT,
     BallCarvingPartition,
     CubePartition,
+    _TILE,
     _ball_assign_dense,
     _ball_assign_tree,
+    _root_ceiling,
     ball_assign,
     ball_cell_anchor,
     ball_cell_member,
@@ -253,12 +255,13 @@ def test_ball_tree_margins_never_exceed_direct_margins(d, n, seed, one_center, o
     assert (margins[on] <= want[on]).all()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_ball_kernels_capture_points_at_exactly_r(d):
     # integer centers, R = 0.5 and queries half a unit off a center along an
     # axis: each query is exactly R from that center and from its neighbour
-    # along the axis (when the grid has one), so both kernels must capture
-    # it (d <= R) by the earlier of the two, with margin 0
+    # along the axis (when the grid has one), so both kernels, and the
+    # production dispatch (dense from d = 5 on), must capture it (d <= R) by
+    # the earlier of the two, with margin 0
     grid = np.stack(np.meshgrid(*[np.arange(4.0)] * d, indexing="ij"), axis=-1).reshape(-1, d)
     net = EpsilonNet(centers=grid, epsilon=0.25, source_count=len(grid))
     rng = np.random.default_rng(d)
@@ -271,10 +274,183 @@ def test_ball_kernels_capture_points_at_exactly_r(d):
     there = np.ravel_multi_index(tuple(np.minimum(base + step, 3).T), (4,) * d)
     here_first = ~inside | (part.ranks[here] < part.ranks[there])
     want = np.where(here_first, here, there)
-    for cells, off, margins in (_ball_assign_tree(part, X), _ball_assign_dense(part, X)):
+    for cells, off, margins in (_ball_assign_tree(part, X), _ball_assign_dense(part, X), ball_assign(part, X)):
         assert not off.any()
         assert np.array_equal(cells, want)
         assert (margins == 0.0).all()
+
+
+def _gram_d2(centers, blk):
+    """Squared Gram-expansion distances from blk to centers, clipped at 0."""
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    d2 = np.einsum("ij,ij->i", blk, blk)[:, None] + c2[None, :] - 2.0 * (blk @ centers.T)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _gram_reference(part, X, chunk=4096):
+    """The dense kernel as a full distance-matrix scan over the same
+    per-chunk Gram product: sqrt of every entry, capture by <= R, prefix
+    minima for the margins, argmin over the roots for off-support points."""
+    centers = part.net.centers[part.order]
+    R = part.radius
+    cells, off, margins = [], [], []
+    for i in range(0, len(X), chunk):
+        dr = np.sqrt(_gram_d2(centers, X[i : i + chunk]))
+        inball = dr <= R
+        has = inball.any(axis=1)
+        first = np.argmax(inball, axis=1)
+        rows = np.arange(len(dr))
+        prefix = np.minimum.accumulate(dr, axis=1)
+        before = np.where(first > 0, prefix[rows, np.maximum(first - 1, 0)], np.inf)
+        m = np.minimum(R - dr[rows, first], before - R)
+        cells.append(np.where(has, part.order[first], part.order[np.argmin(dr, axis=1)]))
+        off.append(~has)
+        margins.append(np.where(has, m, 0.0))
+    return np.concatenate(cells), np.concatenate(off), np.concatenate(margins)
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(1, 21),
+    count=st.sampled_from([1, 1500, 1700]),
+    size=st.sampled_from(["1", "2", "tile-1", "tile", "tile+1", "chunk+1", "5000"]),
+    chunk=st.sampled_from([4096, 97]),
+    offset=st.sampled_from([0.0, 1e2, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a one-row last tile: its own Gram product would be a matrix-vector product
+# with other bits than the chunk's
+@example(d=20, count=1500, size="tile+1", chunk=4096, offset=0.0, seed=1)
+@example(d=4, count=1500, size="tile+1", chunk=4096, offset=1e2, seed=0)
+@example(d=7, count=1700, size="tile+1", chunk=97, offset=1e4, seed=2)
+def test_ball_dense_kernel_matches_gram_reference_bits(d, count, size, chunk, offset, seed):
+    # random nets of >= 1500 centers make a tile (_TILE // count rows)
+    # shorter than a chunk; queries sit within about R of a center, a few
+    # of them pushed off support
+    rng = np.random.default_rng(seed)
+    R = 0.25 + (1.0 - rng.random()) * 0.25
+    spread = 2.0 * R * count ** (1.0 / d)
+    centers = rng.random((count, d)) * spread + offset
+    net = EpsilonNet(centers=centers, epsilon=0.25, source_count=count)
+    part = BallCarvingPartition(net=net, epsilon=1.0, radius=R, order=rng.permutation(count))
+    tile = max(1, _TILE // count)
+    n = {"1": 1, "2": 2, "tile-1": max(tile - 1, 1), "tile": tile, "tile+1": tile + 1,
+         "chunk+1": chunk + 1, "5000": 5000}[size]
+    X = centers[rng.integers(0, count, n)] + rng.standard_normal((n, d)) * (R / math.sqrt(d))
+    X[rng.random(n) < 0.1] += 3.0
+    _assert_same_bits(_ball_assign_dense(part, X, chunk), _gram_reference(part, X, chunk))
+
+
+def _axis_ulp_queries(R, d, center):
+    """Points R +- k ulps (k <= 8) from center along each axis, both ways."""
+    radii = [R]
+    for _ in range(8):
+        radii = [math.nextafter(radii[0], 0.0)] + radii + [math.nextafter(radii[-1], math.inf)]
+    steps = np.asarray(radii)[:, None, None] * np.concatenate([np.eye(d), -np.eye(d)])[None]
+    return center + steps.reshape(-1, d)
+
+
+@pytest.mark.parametrize("d", [1, 6])
+@pytest.mark.parametrize("offset", [0.0, 3.0, 1e2])
+def test_ball_dense_kernel_matches_reference_at_radius_ulps(d, offset):
+    # queries R +- k ulps from a center, and (at the origin) Gram squared
+    # distances stepping through every double from R*R - 8 ulps to
+    # R*R + 8 ulps; R is picked so that the capture threshold T lies above
+    # R*R, so some squared distance lies in (R*R, T]: captured, sqrt <= R
+    R = next(r for r in np.linspace(0.3, 0.4, 200).tolist() if _root_ceiling(r) > r * r)
+    S = R * R
+    rng = np.random.default_rng(d)
+    centers = np.zeros((3, d))
+    centers[1:] = rng.standard_normal((2, d)) * 4.0 * R
+    centers += offset
+    net = EpsilonNet(centers=centers, epsilon=R / 2.0, source_count=3)
+    queries = [_axis_ulp_queries(R, d, centers[0])]
+    if d > 1:
+        # (a, b, 0, ...) with a^2 near S and b^2 filling the gap up to j ulps
+        ulp = math.ulp(S)
+        a = [R, math.nextafter(R, 0.0)]
+        gaps = [j * ulp + (S - aa * aa) for aa in a for j in range(-8, 9)]
+        pts = np.zeros((len(gaps), d))
+        pts[:, 0] = np.repeat(a, 17)
+        pts[:, 1] = np.sqrt(np.maximum(gaps, 0.0))
+        queries.append(pts + offset)
+    X = np.concatenate(queries)
+    for order in (np.arange(3), np.array([1, 0, 2]), np.array([2, 1, 0])):
+        part = BallCarvingPartition(net=net, epsilon=2.0 * R, radius=R, order=order)
+        want = _gram_reference(part, X)
+        _assert_same_bits(_ball_assign_dense(part, X), want)
+        _assert_same_bits(_ball_assign_dense(part, X, 7), want)
+    if offset == 0.0 and d == 1:
+        # sqrt(fl(x * x)) == |x|: the center at 0 captures x exactly when |x| <= R
+        alone = EpsilonNet(centers=centers[:1], epsilon=R / 2.0, source_count=1)
+        part = BallCarvingPartition(net=alone, epsilon=2.0 * R, radius=R, order=np.arange(1))
+        assert np.array_equal(~_ball_assign_dense(part, X)[1], np.abs(X[:, 0]) <= R)
+    if offset == 0.0 and d > 1:
+        d2 = _gram_d2(centers[:1], X)[:, 0]
+        assert ((d2 > S) & (d2 <= _root_ceiling(R))).any()  # the window is hit
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_ball_dense_off_support_nearest_keeps_first_index_on_equal_roots(d):
+    # a query at the origin and two centers whose squared norms differ by
+    # one ulp but share a root: the one earlier in carving order has the
+    # larger squared distance and is still the nearest center, as the
+    # first index with the smallest root
+    for L in np.linspace(2.0, 3.0, 500):
+        a = np.zeros(d)
+        a[0] = L
+        b = a.copy()
+        b[1] = math.sqrt(math.ulp(float(L * L)))
+        sq = _gram_d2(np.stack([a, b]), np.zeros((1, d)))[0]
+        if sq[1] > sq[0] and np.sqrt(sq[1]) == np.sqrt(sq[0]):
+            break
+    else:
+        pytest.fail("no pair of centers with equal roots found")
+    net = EpsilonNet(centers=np.stack([a, b]), epsilon=0.25, source_count=2)
+    part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array([1, 0]))
+    X = np.zeros((1, d))
+    cells, off, margins = _ball_assign_dense(part, X)
+    assert off[0] and margins[0] == 0.0
+    assert cells[0] == 1
+    _assert_same_bits((cells, off, margins), _gram_reference(part, X))
+
+
+def _assert_root_ceiling(R):
+    T = _root_ceiling(R)
+    assert math.sqrt(T) <= R < math.sqrt(math.nextafter(T, math.inf))
+
+
+def test_root_ceiling_at_catalog_radii():
+    # the catalog's carving epsilons (spheres_bounds at d = 20 and 3, the
+    # 0.2 of the circle experiments, lipschitz_curves' 1.6); for each, the
+    # top of (eps/4, eps/2] and draws from sample_ball_carving's law
+    eps_parts = [20 * e / 0.1 for e in (0.002, 0.004, 0.008, 0.016, 0.032)]
+    eps_parts += [3 * e / 0.1 for e in (0.007, 0.009)] + [0.2, 1.6]
+    rng = np.random.default_rng(0)
+    for e in eps_parts:
+        for u in [0.0, *rng.random(50)]:
+            _assert_root_ceiling(e / 4.0 + (1.0 - u) * (e / 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False))
+def test_root_ceiling_at_random_radii(r):
+    _assert_root_ceiling(r)
+
+
+def test_ball_assign_rejects_nonpositive_chunk():
+    for d in (2, 6):
+        part, X = _kernel_case(d, 100, d, one_center=False)
+        for chunk in (0, -1, -4096):
+            with pytest.raises(ValueError, match="chunk"):
+                ball_assign(part, X, chunk=chunk)
+        _assert_same_bits(ball_assign(part, X, chunk=1), ball_assign(part, X))
 
 
 def test_ball_carvings_share_the_net_tree():

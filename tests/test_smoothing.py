@@ -27,7 +27,6 @@ from padsmooth.partitions import (
 from padsmooth.smoothing import (
     SmoothedClassifier,
     ball_chord,
-    box_chord,
     gaussian_smoothing,
     hit_and_run,
     scheme_a_estimate,
@@ -321,28 +320,6 @@ def test_ball_chord_endpoints_on_sphere():
             assert np.linalg.norm(x + end * v - center) == pytest.approx(radius, abs=1e-9)
         mid = x + 0.5 * (lo + hi) * v
         assert np.linalg.norm(mid - center) < radius
-
-
-def test_box_chord_endpoints_on_faces():
-    rng = np.random.default_rng(28)
-    for _ in range(50):
-        d = int(rng.integers(1, 6))
-        lo_c = rng.normal(size=d)
-        hi_c = lo_c + rng.uniform(0.2, 2.0, size=d)
-        x = lo_c + rng.uniform(0.05, 0.95, size=d) * (hi_c - lo_c)
-        v = _unit(rng, d)
-        lo, hi = box_chord(lo_c, hi_c)(x, v)
-        assert lo < 0.0 < hi
-        for end in (lo, hi):
-            y = x + end * v
-            assert np.all(y >= lo_c - 1e-9) and np.all(y <= hi_c + 1e-9)
-            assert np.min(np.minimum(y - lo_c, hi_c - y)) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_box_chord_axis_direction():
-    solve = box_chord([0.0, 0.0], [1.0, 2.0])
-    lo, hi = solve(np.array([0.25, 1.0]), np.array([1.0, 0.0]))
-    assert (lo, hi) == pytest.approx((-0.25, 0.75))
 
 
 def _unit(rng, d):
