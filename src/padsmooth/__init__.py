@@ -22,13 +22,12 @@ from .evaluation import (
     estimate_risk,
     oblivious_game_simulate,
 )
-from .geometry import EpsilonNet, estimate_doubling_dimension, greedy_net, packing_count
+from .geometry import EpsilonNet, estimate_doubling_dimension, greedy_net
 from .partitions import (
     BallCarvingPartition,
     CubePartition,
     LipschitzCurve,
     PaddednessEstimate,
-    cell_of,
     cells_of,
     certificate_margins,
     estimate_lipschitz_constant,
@@ -36,7 +35,6 @@ from .partitions import (
     load_partition,
     padding_certificate,
     partition_from_dict,
-    partition_to_dict,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
@@ -87,7 +85,6 @@ __all__ = [
     "SmoothedClassifier",
     "Task",
     "adversarial_risk_curve",
-    "cell_of",
     "cells_of",
     "central_blindspot_classifier",
     "certificate_margins",
@@ -108,10 +105,8 @@ __all__ = [
     "load_partition",
     "oblivious_game_simulate",
     "optimal_robust_classifier",
-    "packing_count",
     "padding_certificate",
     "partition_from_dict",
-    "partition_to_dict",
     "plant_error_classifier",
     "resample_ball_carving",
     "sample_ball_carving",

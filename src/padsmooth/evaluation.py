@@ -28,14 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _distances_to, greedy_net
+from .geometry import _distances_to, _unit_rows, greedy_net
 from .partitions import (
-    BallCarvingPartition,
-    CubePartition,
-    ball_assign,
-    cell_anchor,
     certificate_margins,
-    cube_margins,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
@@ -99,24 +94,11 @@ class RobustnessReport:
     attack_trials: int
 
 
-def _unit_rows(V: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(V, axis=1, keepdims=True)
-    dead = nrm[:, 0] < 1e-12
-    if dead.any():
-        V = V.copy()
-        V[dead] = 0.0
-        V[dead, 0] = 1.0
-        nrm = np.linalg.norm(V, axis=1, keepdims=True)
-    return V / nrm
-
-
 def _attack_directions(part, attack_trials: int, rng: np.random.Generator):
     """Per-round direction generators for the probe attack.
 
     attack_trials random rounds, two radial rounds, and the partition's
-    guided rounds: cubes push along the coordinate with the smallest face
-    margin, carvings push out of the assigned ball and toward the
-    second-nearest center.
+    guided rounds (part.guided_directions; none without a partition).
     """
     fns = []
 
@@ -126,35 +108,8 @@ def _attack_directions(part, attack_trials: int, rng: np.random.Generator):
     fns.extend([rand] * attack_trials)
     fns.append(lambda X: _unit_rows(X.copy()))
     fns.append(lambda X: -_unit_rows(X.copy()))
-    if isinstance(part, CubePartition):
-
-        def guided(X):
-            u = (X - part.shift) % part.width
-            two_sided = np.minimum(u, part.width - u)
-            j = np.argmin(two_sided, axis=1)
-            rows = np.arange(len(X))
-            sign = np.where(u[rows, j] <= part.width - u[rows, j], -1.0, 1.0)
-            D = np.zeros_like(X)
-            D[rows, j] = sign
-            return D
-
-        fns.append(guided)
-    elif isinstance(part, BallCarvingPartition):
-        centers = part.net.centers
-
-        def away(X):
-            cells = ball_assign(part, X)[0]
-            return _unit_rows(X - centers[cells])
-
-        def toward_second(X):
-            D = _distances_to(X, centers)
-            if D.shape[1] >= 2:
-                j = np.argpartition(D, 1, axis=1)[:, 1]
-            else:
-                j = np.zeros(len(X), dtype=np.intp)
-            return _unit_rows(centers[j] - X)
-
-        fns.extend([away, toward_second])
+    if part is not None:
+        fns.extend(part.guided_directions())
     return fns
 
 
@@ -251,16 +206,6 @@ def estimate_adversarial_risk(
     return adversarial_risk_curve(clf, task, [epsilon], n, rng, attack_trials=attack_trials)[0]
 
 
-def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> float:
-    """Pooled two-sample z statistic for proportions."""
-    p1, p2 = k1 / n1, k2 / n2
-    p = (k1 + k2) / (n1 + n2)
-    var = p * (1.0 - p) * (1.0 / n1 + 1.0 / n2)
-    if var <= 0:
-        return 0.0
-    return (p1 - p2) / math.sqrt(var)
-
-
 # ---------------------------------------------------------------------------
 # competitive radius: largest certified-attack radius vs the optimal scale
 
@@ -326,7 +271,7 @@ def competitive_ratio_experiment(
     g = smooth_exact(f, part, task, per_cell, rng, max_draws=max_draws)
     X, y = task.sample(rng, n)
     mis = g.evaluate(X) != y
-    margins = cube_margins(part, X)
+    margins, _ = part.margins(X)
     risk_hat = float(mis.mean())
 
     def ar_upper(eps: float) -> float:
@@ -350,7 +295,7 @@ def competitive_ratio_experiment(
     eps_alg = lo
     X2, y2 = task.sample(rng, n)
     mis2 = g.evaluate(X2) != y2
-    margins2 = cube_margins(part, X2)
+    margins2, _ = part.margins(X2)
     ar_fresh = float(np.mean(mis2 | (margins2 < eps_alg)))
     if delta > 0:
         eps_opt = (2.0 * eta / delta) ** (1.0 / d) - 1.0
@@ -527,15 +472,7 @@ def oblivious_game_simulate(
             state["labels"] = labels.astype(np.int8)
 
         def answer(x: np.ndarray) -> int:
-            part = state["part"]
-            dr = np.linalg.norm(net.centers - x, axis=1)
-            inball = dr <= part.radius
-            if inball.any():
-                r = np.where(inball, part.ranks, nc + 1)
-                cell = int(part.order[int(r.min())])
-            else:
-                cell = int(np.argmin(dr))
-            return int(state["labels"][cell])
+            return int(state["labels"][state["part"].cells(x[None])[0]])
 
     else:
         d = Xp.shape[1]
@@ -553,7 +490,7 @@ def oblivious_game_simulate(
             key = _cell_keys_of(part, x[None, :])[0][0]
             labels = state["labels"]
             if key not in labels:
-                labels[key] = int(f(cell_anchor(part, key)[None, :])[0])
+                labels[key] = int(f(part.anchor(key)[None, :])[0])
             return labels[key]
 
     errors = np.zeros(rounds, dtype=bool)

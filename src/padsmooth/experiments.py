@@ -37,7 +37,6 @@ from .partitions import (
     certificate_margins,
     estimate_lipschitz_constant,
     estimate_paddedness,
-    partition_to_dict,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
@@ -183,7 +182,7 @@ def _run_two_discs(cfg: dict, seed: int) -> ExperimentOutput:
                      bound=0.01, ok=_verdict(ok2)))
 
     artifacts = {
-        "partition.json": partition_to_dict(part),
+        "partition.json": part.to_dict(),
         "classifier.json": g_part.to_dict(),
     }
     return ExperimentOutput(rows, artifacts, checks)
@@ -258,7 +257,7 @@ def _run_hard_distribution(cfg: dict, seed: int) -> ExperimentOutput:
                      epsilon=eps_part, sigma=sigma, n=n, lo=rp.lo, hi=rp.hi,
                      bound=part_bound, ok=_verdict(okp)))
 
-    artifacts = {"partition.json": partition_to_dict(part)}
+    artifacts = {"partition.json": part.to_dict()}
     return ExperimentOutput(rows, artifacts, checks)
 
 
@@ -298,7 +297,7 @@ def _spheres_bound_block(rows, checks, seed, d, delta, eps_list, alpha, c_prime,
         rows.append(_row("risk", rep.risk, task=task.name, partition="ball", scheme="exact",
                          d=d, epsilon=eps, delta=delta, n=n, lo=rep.risk_lo, hi=rep.risk_hi))
         if save_artifacts and j == len(eps_list) - 1:
-            artifacts["partition.json"] = partition_to_dict(part)
+            artifacts["partition.json"] = part.to_dict()
             artifacts["classifier.json"] = g.to_dict()
 
 
@@ -619,7 +618,7 @@ def _cube_theorem_block(rows, checks, seed, task_name, task, d, delta, eps_list,
                          partition="cube", scheme="exact", d=d, epsilon=eps, delta=delta, n=n,
                          lo=rep.certified_lo, hi=rep.certified_hi))
         if save_artifacts and j == 0:
-            artifacts["partition.json"] = partition_to_dict(part)
+            artifacts["partition.json"] = part.to_dict()
             artifacts["classifier.json"] = g.to_dict()
 
 

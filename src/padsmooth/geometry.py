@@ -1,5 +1,5 @@
-"""Metric primitives: l2 distances, greedy nets, packing counts, doubling
-dimension estimates, and point-set IO (CSV and a compact binary format).
+"""Metric primitives: greedy nets, doubling-dimension estimates and the
+distance helpers the partition code shares.
 
 All point sets are float64 arrays of shape (n, d). A net with parameter
 ``eps`` satisfies two properties over its source points: centers are
@@ -10,10 +10,8 @@ center.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -66,10 +64,6 @@ def _check_spacing(epsilon) -> None:
         raise ValueError(f"net epsilon must be positive and finite, got {epsilon!r}")
 
 
-_BIN_MAGIC = b"PPTS"
-_BIN_HEADER = struct.Struct("<4sIQ")  # magic, columns, rows (little endian)
-
-
 def as_points(data) -> Array:
     """Coerce to a finite float64 (n, d) array; reject NaN/Inf and d == 0."""
     pts = np.asarray(data, dtype=np.float64)
@@ -80,35 +74,6 @@ def as_points(data) -> Array:
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite (no NaN/Inf)")
     return pts
-
-
-def l2_distance(a, b) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise ValueError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    if not (np.isfinite(av).all() and np.isfinite(bv).all()):
-        raise ValueError("points must be finite")
-    return float(np.linalg.norm(av - bv))
-
-
-def pairwise_min_distance(points: Array) -> float:
-    """Smallest pairwise distance in a point set (inf for a single point)."""
-    pts = as_points(points)
-    n = len(pts)
-    if n < 2:
-        return float("inf")
-    best = float("inf")
-    # chunked to keep memory flat for large sets
-    step = max(1, int(4e6) // max(n, 1))
-    for i in range(0, n, step):
-        block = pts[i : i + step]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        for r in range(len(block)):
-            d2[r, i + r] = np.inf
-        best = min(best, float(np.sqrt(d2.min())))
-    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,20 +107,12 @@ class EpsilonNet:
         drawn over this net."""
         return cKDTree(self.centers)
 
-    def nearest(self, points) -> tuple[Array, Array]:
-        """Indices and distances of the nearest center for each point."""
-        pts = as_points(points)
-        d = _distances_to(pts, self.centers)
-        idx = np.argmin(d, axis=1)
-        return idx, d[np.arange(len(pts)), idx]
-
-    def covers(self, points) -> bool:
-        """True when every point lies strictly within epsilon of a center."""
-        _, dist = self.nearest(points)
-        return bool((dist < self.epsilon).all())
-
-    def min_spacing(self) -> float:
-        return pairwise_min_distance(self.centers)
+    @cached_property
+    def sq_norms(self) -> Array:
+        """Squared norms of the centers, one einsum row each, so reordering
+        this array gives the bits of the einsum over reordered centers.
+        Shared, like the tree, by every carving drawn over this net."""
+        return np.einsum("ij,ij->i", self.centers, self.centers)
 
 
 def _distances_to(points: Array, centers: Array, chunk: int = 8192) -> Array:
@@ -170,6 +127,18 @@ def _distances_to(points: Array, centers: Array, chunk: int = 8192) -> Array:
         np.maximum(d2, 0.0, out=d2)
         out[i : i + chunk] = np.sqrt(d2)
     return out
+
+
+def _unit_rows(V: Array) -> Array:
+    """Rows scaled to unit length; a row shorter than 1e-12 becomes e_1."""
+    nrm = np.linalg.norm(V, axis=1, keepdims=True)
+    dead = nrm[:, 0] < 1e-12
+    if dead.any():
+        V = V.copy()
+        V[dead] = 0.0
+        V[dead, 0] = 1.0
+        nrm = np.linalg.norm(V, axis=1, keepdims=True)
+    return V / nrm
 
 
 def greedy_net(points, epsilon: float) -> EpsilonNet:
@@ -226,17 +195,6 @@ def _greedy_net_tree(pts: Array, epsilon: float) -> Array:
     return pts[keep]
 
 
-def packing_count(net: EpsilonNet, center, t: float) -> int:
-    """Number of net centers strictly inside the open ball B_t(center)."""
-    if t <= 0:
-        return 0
-    c = np.asarray(center, dtype=np.float64)
-    if c.shape != (net.dim,):
-        raise ValueError(f"center has dimension {c.shape}, net has {net.dim}")
-    dist = np.linalg.norm(net.centers - c, axis=1)
-    return int(np.sum(dist < t))
-
-
 def estimate_doubling_dimension(
     points,
     epsilon: float,
@@ -267,62 +225,3 @@ def estimate_doubling_dimension(
             cover = greedy_net(members, r / 2.0)
             worst = max(worst, len(cover))
     return float(np.log2(worst))
-
-
-# ---------------------------------------------------------------------------
-# point-set IO
-
-
-def save_points_csv(path, points, labels=None) -> None:
-    """Write points one row per point, comma separated, labels as a trailing
-    column when given. Floats are rendered with repr so reload is bit-exact."""
-    pts = as_points(points)
-    rows = []
-    for i in range(len(pts)):
-        cells = [repr(float(v)) for v in pts[i]]
-        if labels is not None:
-            cells.append(str(int(labels[i])))
-        rows.append(",".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n")
-
-
-def load_points_csv(path, labeled: bool = False):
-    """Read a CSV written by save_points_csv. Returns (points,) or (points, labels)."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    if labeled:
-        if raw.shape[1] < 2:
-            raise ValueError("labeled CSV needs at least 2 columns")
-        return raw[:, :-1], raw[:, -1].astype(np.int8)
-    return (raw,)
-
-
-def save_points_bin(path, points, labels=None) -> None:
-    """Compact binary dump: header (magic, columns, rows), then row-major
-    little-endian float64. Labels, when given, are stored as a trailing column."""
-    pts = as_points(points)
-    mat = pts
-    if labels is not None:
-        mat = np.hstack([pts, np.asarray(labels, dtype=np.float64)[:, None]])
-    cols = mat.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(_BIN_MAGIC, cols, len(mat)))
-        fh.write(mat.astype("<f8").tobytes(order="C"))
-
-
-def load_points_bin(path, labeled: bool = False):
-    """Read a binary dump written by save_points_bin."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _BIN_HEADER.size:
-        raise ValueError("truncated point file")
-    magic, cols, rows = _BIN_HEADER.unpack_from(blob)
-    if magic != _BIN_MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    expect = _BIN_HEADER.size + 8 * cols * rows
-    if len(blob) != expect:
-        raise ValueError(f"size mismatch: expected {expect} bytes, got {len(blob)}")
-    mat = np.frombuffer(blob, dtype="<f8", offset=_BIN_HEADER.size).reshape(rows, cols).copy()
-    if labeled:
-        if cols < 2:
-            raise ValueError("labeled binary needs at least 2 columns")
-        return mat[:, :-1], mat[:, -1].astype(np.int8)
-    return (mat,)

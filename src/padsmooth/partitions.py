@@ -17,7 +17,13 @@ Two families:
   d(x, u) <= R - t and d(x, w) >= R + t for every earlier w: then every
   point of the ball is captured by u and by no earlier center.
 
-Both certificates are exact for cube cells and sound-but-conservative for
+Both classes answer the same calls: cells(points), margins(points) ->
+(margins, off_support), anchor(cells), to_dict(), the text form of a cell
+key (key_to_text / key_from_text) and guided_directions() for the probe
+attack. The module functions cells_of, certificate_margins and
+padding_certificate forward to them for either family.
+
+The certificate is exact for cube cells and sound-but-conservative for
 carved cells (they may say Cut for a ball that is in fact contained, never
 the reverse). Points beyond every R-ball of a carving fall back to the
 nearest center; their certificate status is OffSupport.
@@ -46,13 +52,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import _TREE_MAX_DIM, _TREE_MIN_BATCH, Array, EpsilonNet, _search_radius, as_points
+from .geometry import (
+    _TREE_MAX_DIM,
+    _TREE_MIN_BATCH,
+    Array,
+    EpsilonNet,
+    _distances_to,
+    _search_radius,
+    _unit_rows,
+    as_points,
+)
 
 CONTAINED = "contained"
 CUT = "cut"
 OFF_SUPPORT = "off_support"
-
-CellId = "tuple[int, ...] | int"
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,11 @@ class PaddingCertificate:
 
 @dataclass(frozen=True, eq=False)
 class CubePartition:
-    """Shifted half-open cube lattice with cell diameter <= epsilon."""
+    """Shifted half-open cube lattice with cell diameter <= epsilon.
+
+    Cells are (d,) int64 lattice coordinates; cell_labels keys are their
+    tuples.
+    """
 
     epsilon: float
     dim: int
@@ -93,6 +110,67 @@ class CubePartition:
     def width(self) -> float:
         return self.epsilon / math.sqrt(self.dim)
 
+    def cells(self, points) -> Array:
+        """(n, d) int64 lattice coordinates; half-open cells, floor convention."""
+        pts = _points_of(self, points)
+        return np.floor((pts - self.shift) / self.width).astype(np.int64)
+
+    def margins(self, points) -> tuple[Array, Array]:
+        """(margins, off_support): each point's distance to the nearest cell
+        face, its exact containment radius: B_t(x) is inside the cell iff
+        every coordinate margin is >= t. The lattice covers space, so no
+        point is off support."""
+        pts = _points_of(self, points)
+        u = np.mod(pts - self.shift, self.width)
+        m = np.minimum(u, self.width - u).min(axis=1)
+        return m, np.zeros(len(m), dtype=bool)
+
+    def anchor(self, cells) -> Array:
+        """Cell centers, for one cell or an array of `cells` rows (the same
+        bits either way)."""
+        return self.shift + (np.asarray(cells, dtype=np.float64) + 0.5) * self.width
+
+    def to_dict(self) -> dict:
+        return {
+            "family": "cube",
+            "epsilon": self.epsilon,
+            "dim": self.dim,
+            "shift": self.shift.tolist(),
+            "seed": self.seed,
+        }
+
+    @staticmethod
+    def key_to_text(key) -> str:
+        """Text form of a cell_labels key in classifier.json: "i,j,..."."""
+        return ",".join(str(v) for v in key)
+
+    @staticmethod
+    def key_from_text(text: str) -> tuple[int, ...]:
+        return tuple(int(v) for v in text.split(","))
+
+    def guided_directions(self) -> list:
+        """Certificate-guided attack rounds: one push along the axis of each
+        point's nearest cell face, toward that face."""
+
+        def nearest_face(X):
+            u = (X - self.shift) % self.width
+            two_sided = np.minimum(u, self.width - u)
+            j = np.argmin(two_sided, axis=1)
+            rows = np.arange(len(X))
+            sign = np.where(u[rows, j] <= self.width - u[rows, j], -1.0, 1.0)
+            D = np.zeros_like(X)
+            D[rows, j] = sign
+            return D
+
+        return [nearest_face]
+
+
+def _points_of(part, points) -> Array:
+    pts = as_points(points)
+    if pts.shape[1] != part.dim:
+        raise ValueError(f"points have dimension {pts.shape[1]}, partition has {part.dim}")
+    return pts
+
 
 def sample_cube_partition(dim: int, epsilon: float, rng: np.random.Generator) -> CubePartition:
     """Draw the lattice shift uniformly from [0, width)^d."""
@@ -104,47 +182,12 @@ def sample_cube_partition(dim: int, epsilon: float, rng: np.random.Generator) ->
     return CubePartition(epsilon=float(epsilon), dim=int(dim), shift=rng.random(dim) * width)
 
 
-def cube_cells_of(part: CubePartition, points) -> Array:
-    """(n, d) int64 lattice coordinates; half-open cells, floor convention."""
-    pts = as_points(points)
-    if pts.shape[1] != part.dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, partition has {part.dim}")
-    return np.floor((pts - part.shift) / part.width).astype(np.int64)
-
-
-def cube_cell_of(part: CubePartition, x) -> tuple[int, ...]:
-    return tuple(int(v) for v in cube_cells_of(part, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
-def cube_margins(part: CubePartition, points) -> Array:
-    """Per-point distance to the nearest cell face (exact containment radius)."""
-    pts = as_points(points)
-    if pts.shape[1] != part.dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, partition has {part.dim}")
-    u = np.mod(pts - part.shift, part.width)
-    return np.minimum(u, part.width - u).min(axis=1)
-
-
-def cube_padding_certificate(part: CubePartition, x, t: float) -> PaddingCertificate:
-    """Exact certificate: B_t(x) is inside the cell iff every coordinate
-    margin is >= t."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    m = float(cube_margins(part, np.asarray(x, dtype=np.float64)[None, :])[0])
-    return PaddingCertificate(status=CONTAINED if m >= t else CUT, margin=m)
-
-
-def cube_cell_anchor(part: CubePartition, cell) -> Array:
-    """Deterministic representative point of a cube cell (its center)."""
-    idx = np.asarray(cell, dtype=np.float64)
-    return part.shift + (idx + 0.5) * part.width
-
-
 @dataclass(frozen=True, eq=False)
 class BallCarvingPartition:
     """Carved balls over a net: shared radius, random center order.
 
-    order[k] is the index of the k-th center in the carving sequence.
+    order[k] is the index of the k-th center in the carving sequence. Cells
+    are center indices; cell_labels keys are ints.
     """
 
     net: EpsilonNet
@@ -178,6 +221,65 @@ class BallCarvingPartition:
         r[self.order] = np.arange(len(self.net))
         return r
 
+    def cells(self, points) -> Array:
+        """(n,) int64 center indices: the first center in carving order whose
+        R-ball holds the point, the nearest center when none does."""
+        return ball_assign(self, points)[0]
+
+    def margins(self, points) -> tuple[Array, Array]:
+        """(margins, off_support) of ball_assign. Sound, conservative: a
+        margin >= t demands d(x, u) <= R - t for the assigned center u and
+        d(x, w) >= R + t for every earlier w; a smaller one does not prove a
+        cut. Off-support points get margin 0."""
+        _, off, m = ball_assign(self, points)
+        return m, off
+
+    def anchor(self, cells) -> Array:
+        """Net centers of the cells, for one cell or an array of them."""
+        return self.net.centers[np.asarray(cells, dtype=np.int64)]
+
+    def to_dict(self) -> dict:
+        return {
+            "family": "ball_carving",
+            "epsilon": self.epsilon,
+            "dim": self.dim,
+            "radius": self.radius,
+            "order": self.order.tolist(),
+            "seed": self.seed,
+            "net": {
+                "epsilon": self.net.epsilon,
+                "source_count": self.net.source_count,
+                "centers": self.net.centers.tolist(),
+            },
+        }
+
+    @staticmethod
+    def key_to_text(key) -> str:
+        """Text form of a cell_labels key in classifier.json: the index."""
+        return str(int(key))
+
+    @staticmethod
+    def key_from_text(text: str) -> int:
+        return int(text)
+
+    def guided_directions(self) -> list:
+        """Certificate-guided attack rounds: out of the assigned ball, then
+        toward the second-nearest center."""
+        centers = self.net.centers
+
+        def away(X):
+            return _unit_rows(X - centers[self.cells(X)])
+
+        def toward_second(X):
+            D = _distances_to(X, centers)
+            if D.shape[1] >= 2:
+                j = np.argpartition(D, 1, axis=1)[:, 1]
+            else:
+                j = np.zeros(len(X), dtype=np.intp)
+            return _unit_rows(centers[j] - X)
+
+        return [away, toward_second]
+
 
 def sample_ball_carving(net: EpsilonNet, epsilon: float, rng: np.random.Generator) -> BallCarvingPartition:
     """Draw radius uniform on (epsilon/4, epsilon/2] and a uniform center order."""
@@ -208,9 +310,7 @@ def ball_assign(part: BallCarvingPartition, points, chunk: int = 4096):
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk!r}")
-    pts = as_points(points)
-    if pts.shape[1] != part.dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, partition has {part.dim}")
+    pts = _points_of(part, points)
     if part.dim <= _TREE_MAX_DIM and len(pts) >= _TREE_MIN_BATCH:
         return _ball_assign_tree(part, pts, chunk)
     return _ball_assign_dense(part, pts, chunk)
@@ -261,8 +361,8 @@ def _ball_assign_dense(part: BallCarvingPartition, pts: Array, chunk: int = 4096
     bits in BLAS), walked in row tiles of about _TILE entries.
     """
     order = part.order
-    centers = part.net.centers[order]  # columns in carving order
-    c2 = np.einsum("ij,ij->i", centers, centers)
+    centers = np.take(part.net.centers, order, axis=0)  # columns in carving order
+    c2 = part.net.sq_norms[order]
     count, n = len(centers), len(pts)
     cells = np.empty(n, dtype=np.int64)
     off = np.empty(n, dtype=bool)
@@ -365,92 +465,36 @@ def _ball_assign_tree(part: BallCarvingPartition, pts: Array, chunk: int = 4096)
     return cells, off, margins
 
 
-def ball_cell_of(part: BallCarvingPartition, x) -> int:
-    """Index of the first center in carving order whose R-ball holds x;
-    nearest center when none does (off-support fallback)."""
-    cells, _, _ = ball_assign(part, np.asarray(x, dtype=np.float64)[None, :])
-    return int(cells[0])
-
-
-def ball_padding_certificate(part: BallCarvingPartition, x, t: float) -> PaddingCertificate:
-    """Sound certificate for carved cells.
-
-    Contained requires the assigned center to hold the whole ball
-    (d(x,u) <= R - t) and every earlier center to miss it entirely
-    (d(x,w) >= R + t). Conservative: a Cut verdict does not prove an
-    actual cut.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    _, off, margins = ball_assign(part, np.asarray(x, dtype=np.float64)[None, :])
-    if off[0]:
-        return PaddingCertificate(status=OFF_SUPPORT, margin=0.0)
-    m = float(margins[0])
-    return PaddingCertificate(status=CONTAINED if m >= t else CUT, margin=m)
-
-
 def ball_cell_member(part: BallCarvingPartition, cell: int, points) -> Array:
     """Exact cell membership test (no fallback): first capturing center == cell."""
     cells, off, _ = ball_assign(part, points)
     return (~off) & (cells == int(cell))
 
 
-def ball_cell_anchor(part: BallCarvingPartition, cell) -> Array:
-    return part.net.centers[np.asarray(cell, dtype=np.int64)]
-
-
 # ---------------------------------------------------------------------------
-# generic dispatch
-
-Partition = "CubePartition | BallCarvingPartition"
+# family-free entry points
 
 
 def cells_of(part, points):
     """Batch cell assignment. Cube: (n, d) int lattice coords. Ball: (n,) indices."""
-    if isinstance(part, CubePartition):
-        return cube_cells_of(part, points)
-    if isinstance(part, BallCarvingPartition):
-        return ball_assign(part, points)[0]
-    raise TypeError(f"unknown partition type {type(part)!r}")
-
-
-def cell_of(part, x):
-    if isinstance(part, CubePartition):
-        return cube_cell_of(part, x)
-    if isinstance(part, BallCarvingPartition):
-        return ball_cell_of(part, x)
-    raise TypeError(f"unknown partition type {type(part)!r}")
-
-
-def padding_certificate(part, x, t: float) -> PaddingCertificate:
-    if isinstance(part, CubePartition):
-        return cube_padding_certificate(part, x, t)
-    if isinstance(part, BallCarvingPartition):
-        return ball_padding_certificate(part, x, t)
-    raise TypeError(f"unknown partition type {type(part)!r}")
+    return part.cells(points)
 
 
 def certificate_margins(part, points):
-    """Batch (margins, off_support) for either family. Cube is never off support."""
-    if isinstance(part, CubePartition):
-        m = cube_margins(part, points)
-        return m, np.zeros(len(m), dtype=bool)
-    if isinstance(part, BallCarvingPartition):
-        _, off, m = ball_assign(part, points)
-        return m, off
-    raise TypeError(f"unknown partition type {type(part)!r}")
+    """Batch (margins, off_support). Cube is never off support."""
+    return part.margins(points)
 
 
-def cell_anchor(part, cell):
-    """Deterministic in-cell representative used by fallback labeling.
-
-    cell is one cell id or an array of cells_of rows; the batch gives the
-    same bits as one call per cell."""
-    if isinstance(part, CubePartition):
-        return cube_cell_anchor(part, cell)
-    if isinstance(part, BallCarvingPartition):
-        return ball_cell_anchor(part, cell)
-    raise TypeError(f"unknown partition type {type(part)!r}")
+def padding_certificate(part, x, t: float) -> PaddingCertificate:
+    """Certificate for the open ball B_t(x): exact for cubes, sound for
+    carvings (contained is never wrong, cut may be)."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    margins, off = part.margins(np.asarray(x, dtype=np.float64)[None, :])
+    if off[0]:
+        return PaddingCertificate(status=OFF_SUPPORT, margin=0.0)
+    m = float(margins[0])
+    return PaddingCertificate(status=CONTAINED if m >= t else CUT, margin=m)
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +582,9 @@ def estimate_lipschitz_constant(
         for _ in range(trials):
             part = family(rng)
             a, b = pair_sampler(rng, float(dist))
-            ca = cell_of(part, np.asarray(a, dtype=np.float64))
-            cb = cell_of(part, np.asarray(b, dtype=np.float64))
-            if ca != cb:
+            ca = part.cells(np.asarray(a, dtype=np.float64)[None])
+            cb = part.cells(np.asarray(b, dtype=np.float64)[None])
+            if not np.array_equal(ca, cb):
                 hits += 1
         lo, hi = wilson_interval(hits, trials)
         p = hits / trials
@@ -556,32 +600,6 @@ def estimate_lipschitz_constant(
 
 # ---------------------------------------------------------------------------
 # serialization (floats round-trip exactly through repr/json)
-
-
-def partition_to_dict(part) -> dict:
-    if isinstance(part, CubePartition):
-        return {
-            "family": "cube",
-            "epsilon": part.epsilon,
-            "dim": part.dim,
-            "shift": part.shift.tolist(),
-            "seed": part.seed,
-        }
-    if isinstance(part, BallCarvingPartition):
-        return {
-            "family": "ball_carving",
-            "epsilon": part.epsilon,
-            "dim": part.dim,
-            "radius": part.radius,
-            "order": part.order.tolist(),
-            "seed": part.seed,
-            "net": {
-                "epsilon": part.net.epsilon,
-                "source_count": part.net.source_count,
-                "centers": part.net.centers.tolist(),
-            },
-        }
-    raise TypeError(f"unknown partition type {type(part)!r}")
 
 
 def partition_from_dict(payload: dict):
@@ -610,7 +628,7 @@ def partition_from_dict(payload: dict):
 
 
 def save_partition(path, part) -> None:
-    Path(path).write_text(json.dumps(partition_to_dict(part), indent=1, sort_keys=True))
+    Path(path).write_text(json.dumps(part.to_dict(), indent=1, sort_keys=True))
 
 
 def load_partition(path):

@@ -5,8 +5,12 @@ The smoothed classifier g assigns every partition cell the sign of the
 conditional mean of f over the data distribution restricted to that cell,
 so g is constant on cells by construction. Cells that never receive a
 conditional sample fall back to the base classifier evaluated at a
-deterministic in-cell anchor (cube center or net center), which keeps g
-total and still piecewise constant.
+deterministic anchor, which keeps g total and still piecewise constant. A
+cube's anchor is its center, inside the cell. A carved cell's anchor is
+its net center, which lies outside the cell whenever an earlier ball
+captures it: in 26% of the occupied cells of a d=2 circles carving and
+35% of a d=3 spheres carving. There the fallback label is f at a point of
+another cell.
 
 Estimators:
 
@@ -37,15 +41,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .geometry import as_points
-from .partitions import (
-    BallCarvingPartition,
-    CubePartition,
-    ball_cell_member,
-    cell_anchor,
-    cells_of,
-    partition_from_dict,
-    partition_to_dict,
-)
+from .partitions import CubePartition, ball_cell_member, partition_from_dict
 from .tasks import BlackBoxClassifier, Task
 
 
@@ -95,26 +91,19 @@ class SmoothedClassifier:
         elif missing:
             if self.base is None:
                 raise RuntimeError("unseen cells and no base classifier for fallback")
-            for j, lab in zip(missing, self.base(cell_anchor(self.partition, cells[missing]))):
+            for j, lab in zip(missing, self.base(self.partition.anchor(cells[missing]))):
                 found[j] = lab
         return np.array(found, dtype=np.int8)[inverse]
 
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
-        if isinstance(self.partition, CubePartition):
-            enc = {",".join(str(v) for v in k): int(v) for k, v in self.cell_labels.items()}
-            counts = {",".join(str(v) for v in k): int(v) for k, v in self.sample_counts.items()}
-            flagged = [",".join(str(v) for v in k) for k in sorted(self.flagged_cells)]
-        else:
-            enc = {str(int(k)): int(v) for k, v in self.cell_labels.items()}
-            counts = {str(int(k)): int(v) for k, v in self.sample_counts.items()}
-            flagged = [str(int(k)) for k in sorted(self.flagged_cells)]
+        text = self.partition.key_to_text
         return {
-            "partition": partition_to_dict(self.partition),
-            "cell_labels": enc,
-            "sample_counts": counts,
-            "flagged_cells": flagged,
+            "partition": self.partition.to_dict(),
+            "cell_labels": {text(k): int(v) for k, v in self.cell_labels.items()},
+            "sample_counts": {text(k): int(v) for k, v in self.sample_counts.items()},
+            "flagged_cells": [text(k) for k in sorted(self.flagged_cells)],
             "scheme": self.scheme,
             "fallback": "base_at_anchor",
             "provenance": self.provenance,
@@ -123,21 +112,14 @@ class SmoothedClassifier:
     @classmethod
     def from_dict(cls, payload: dict, base: BlackBoxClassifier | None = None) -> "SmoothedClassifier":
         part = partition_from_dict(payload["partition"])
-        if isinstance(part, CubePartition):
-            dec = {tuple(int(v) for v in k.split(",")): int(lab) for k, lab in payload["cell_labels"].items()}
-            counts = {tuple(int(v) for v in k.split(",")): int(c) for k, c in payload.get("sample_counts", {}).items()}
-            flagged = {tuple(int(v) for v in k.split(",")) for k in payload.get("flagged_cells", [])}
-        else:
-            dec = {int(k): int(lab) for k, lab in payload["cell_labels"].items()}
-            counts = {int(k): int(c) for k, c in payload.get("sample_counts", {}).items()}
-            flagged = {int(k) for k in payload.get("flagged_cells", [])}
+        key = part.key_from_text
         return cls(
             partition=part,
-            cell_labels=dec,
+            cell_labels={key(k): int(lab) for k, lab in payload["cell_labels"].items()},
             base=base,
             scheme=payload.get("scheme", "exact"),
-            sample_counts=counts,
-            flagged_cells=flagged,
+            sample_counts={key(k): int(c) for k, c in payload.get("sample_counts", {}).items()},
+            flagged_cells={key(k) for k in payload.get("flagged_cells", [])},
             provenance=payload.get("provenance", {}),
         )
 
@@ -153,10 +135,10 @@ def _cell_keys_of(part, points):
     """Distinct cells of a batch: (keys, cells, first, inverse).
 
     keys are the cell_labels keys (tuples for cubes, ints for carvings),
-    cells the matching rows of cells_of, first the index of the first point
+    cells the matching rows of part.cells, first the index of the first point
     in each cell and inverse the cell position of every point.
     """
-    cells = cells_of(part, points)
+    cells = part.cells(points)
     if cells.ndim == 2:
         rows = np.ascontiguousarray(cells).view(np.dtype((np.void, cells.itemsize * cells.shape[1])))
         _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
@@ -319,12 +301,6 @@ def hit_and_run(
     return x, flagged
 
 
-def _cube_cell_bounds(part: CubePartition, cell):
-    idx = np.asarray(cell, dtype=np.float64)
-    lo = part.shift + idx * part.width
-    return lo, lo + part.width
-
-
 def scheme_b_estimate(
     f: BlackBoxClassifier,
     part,
@@ -358,7 +334,7 @@ def scheme_b_estimate(
     def resolve(cell, query_point) -> int:
         if isinstance(part, CubePartition):
             cell_rng = rngmod.stream(base_seed, *cell)
-            lo, hi = _cube_cell_bounds(part, cell)
+            lo = part.shift + np.asarray(cell, dtype=np.float64) * part.width
             pts = lo + cell_rng.random((s, part.dim)) * part.width
         else:
             cell_rng = rngmod.stream(base_seed, int(cell))

@@ -22,9 +22,8 @@ from padsmooth.evaluation import (
     estimate_adversarial_risk,
     estimate_risk,
     oblivious_game_simulate,
-    two_proportion_z,
 )
-from padsmooth.partitions import cube_margins, sample_cube_partition
+from padsmooth.partitions import sample_cube_partition
 from padsmooth.smoothing import smooth_exact
 from padsmooth.tasks import (
     BlackBoxClassifier,
@@ -102,7 +101,7 @@ def test_certified_points_cannot_be_flipped():
     part = g.partition
     X, _ = task.sample(np.random.default_rng(15), 300)
     eps = 0.15
-    margins = cube_margins(part, X)
+    margins, _ = part.margins(X)
     keep = X[margins > eps]
     base = g.evaluate(keep)
     rng = np.random.default_rng(16)
@@ -140,19 +139,6 @@ def test_curve_validation():
         adversarial_risk_curve(g, task, [0.1], 0, np.random.default_rng(21))
     with pytest.raises(ValueError):
         adversarial_risk_curve(g, task, [-0.1], 100, np.random.default_rng(22))
-
-
-# ---------------------------------------------------------------------------
-# two-proportion z
-
-
-def test_two_proportion_z_hand_values():
-    z = two_proportion_z(60, 100, 40, 100)
-    assert z == pytest.approx(0.2 / math.sqrt(0.5 * 0.5 * 0.02))
-    assert two_proportion_z(50, 100, 50, 100) == 0.0
-    assert two_proportion_z(0, 100, 0, 100) == 0.0  # degenerate pooled variance
-    assert two_proportion_z(100, 100, 100, 100) == 0.0
-    assert two_proportion_z(40, 100, 60, 100) == -z
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,7 @@ def test_execute_writes_replayable_bundle(tmp_path):
     assert summary["failed"] == []
     assert summary["rows"] >= 3 and summary["checks"] >= 2
     report = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert set(report) == {"experiment", "seed", "config", "checks", "rows"}  # no timing
     assert len(report["rows"]) == summary["rows"]
     assert all(c["name"] for c in report["checks"])
     echo = (tmp_path / "r" / "config.txt").read_text()

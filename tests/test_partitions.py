@@ -21,19 +21,14 @@ from padsmooth.partitions import (
     _ball_assign_tree,
     _root_ceiling,
     ball_assign,
-    ball_cell_anchor,
     ball_cell_member,
-    cell_anchor,
-    cell_of,
     cells_of,
     certificate_margins,
-    cube_margins,
     estimate_lipschitz_constant,
     estimate_paddedness,
     load_partition,
     padding_certificate,
     partition_from_dict,
-    partition_to_dict,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
@@ -64,10 +59,10 @@ def test_cube_width_gives_cell_diameter_epsilon():
 def test_cube_cells_floor_convention():
     part = CubePartition(epsilon=math.sqrt(2.0), dim=2, shift=np.array([0.25, 0.5]))
     assert part.width == pytest.approx(1.0)
-    assert cell_of(part, np.array([0.25, 0.5])) == (0, 0)
-    assert cell_of(part, np.array([1.2499999, 0.5])) == (0, 0)
-    assert cell_of(part, np.array([1.25, 0.5])) == (1, 0)
-    assert cell_of(part, np.array([-0.75, 0.4])) == (-1, -1)
+    pts = np.array([[0.25, 0.5], [1.2499999, 0.5], [1.25, 0.5], [-0.75, 0.4]])
+    assert part.cells(pts).tolist() == [[0, 0], [0, 0], [1, 0], [-1, -1]]
+    for x, want in zip(pts, part.cells(pts)):
+        assert np.array_equal(part.cells(x[None]), want[None])  # one-row calls agree
 
 
 def test_cube_margin_matches_hand_computation():
@@ -75,7 +70,8 @@ def test_cube_margin_matches_hand_computation():
     pts = np.array([[0.3, 0.6], [0.95, 0.5]])
     # offsets u are the coordinates themselves; margin = min(u, 1-u) over axes
     expect = [min(0.3, 0.7, 0.6, 0.4), min(0.95, 0.05, 0.5, 0.5)]
-    got = cube_margins(part, pts)
+    got, off = part.margins(pts)
+    assert not off.any()
     assert got == pytest.approx(expect)
 
 
@@ -90,17 +86,17 @@ def test_cube_certificate_exact_both_directions():
         cert = padding_certificate(part, X[i], m)
         assert cert.status == CONTAINED  # containment holds at the margin itself
         assert padding_certificate(part, X[i], m + 1e-9).status == CUT
-        home = cell_of(part, X[i])
+        home = part.cells(X[i][None])
         # random perturbations strictly inside the certified radius stay home
         probes = X[i] + _rand_ball(rng, 200, 3, m * 0.999)
-        assert all(cell_of(part, p) == home for p in probes)
+        assert (part.cells(probes) == home).all()
         # and pushing past the tightest face escapes
         u = (X[i] - part.shift) % part.width
         j = int(np.argmin(np.minimum(u, part.width - u)))
         step = -(u[j] + 1e-6) if u[j] <= part.width - u[j] else (part.width - u[j]) + 1e-6
         out = X[i].copy()
         out[j] += step
-        assert cell_of(part, out) != home
+        assert not np.array_equal(part.cells(out[None]), home)
 
 
 def test_cube_paddedness_matches_closed_form():
@@ -616,7 +612,7 @@ def test_partition_roundtrip(family, tmp_path):
     else:
         part, _ = _small_carving(17)
         X = rng.random((100, 2)) * 2.0
-    back = partition_from_dict(partition_to_dict(part))
+    back = partition_from_dict(part.to_dict())
     assert np.array_equal(cells_of(part, X), cells_of(back, X))
     m1, o1 = certificate_margins(part, X)
     m2, o2 = certificate_margins(back, X)
@@ -635,21 +631,34 @@ def test_partition_from_dict_rejects_unknown():
 def test_cell_anchor_lands_in_cell():
     part = sample_cube_partition(2, 1.0, stream(18, 0))
     x = np.array([0.7, -0.3])
-    cell = cell_of(part, x)
-    assert cell_of(part, cell_anchor(part, cell)) == cell
+    cell = part.cells(x[None])[0]
+    assert np.array_equal(part.cells(part.anchor(cell)[None])[0], cell)
     bpart, _ = _small_carving(18)
-    c = cell_of(bpart, bpart.net.centers[3])
-    anchor = ball_cell_anchor(bpart, c)
+    c = bpart.cells(bpart.net.centers[3][None])[0]
+    anchor = bpart.anchor(c)
     # a center is always captured by its own or an earlier ball
     assert np.linalg.norm(anchor - bpart.net.centers[c]) <= bpart.radius + 1e-12
+
+
+def test_carving_anchor_can_lie_outside_its_cell():
+    # a carved cell's anchor is its net center, which an earlier ball can
+    # capture; every cube anchor (the cell center) is inside its cell
+    bpart, _ = _small_carving(18)
+    ids = np.arange(len(bpart.net))
+    inside = np.array([ball_cell_member(bpart, c, bpart.anchor(c)[None])[0] for c in ids])
+    assert inside.any() and not inside.all()
+    assert np.array_equal(inside, bpart.cells(bpart.anchor(ids)) == ids)
+    part = sample_cube_partition(3, 1.0, stream(18, 1))
+    cells = part.cells(3.0 * stream(18, 2).standard_normal((200, 3)))
+    assert np.array_equal(part.cells(part.anchor(cells)), cells)
 
 
 def test_cell_anchor_of_a_cell_array_matches_per_cell_bits():
     part = sample_cube_partition(5, 1.0, stream(19, 0))
     cells = cells_of(part, 3.0 * stream(19, 1).standard_normal((300, 5)))
-    one_by_one = np.stack([cell_anchor(part, tuple(c)) for c in cells.tolist()])
-    assert cell_anchor(part, cells).tobytes() == one_by_one.tobytes()
+    one_by_one = np.stack([part.anchor(tuple(c)) for c in cells.tolist()])
+    assert part.anchor(cells).tobytes() == one_by_one.tobytes()
     bpart, _ = _small_carving(19)
     ids = np.unique(cells_of(bpart, bpart.net.centers))
-    one_by_one = np.stack([cell_anchor(bpart, int(c)) for c in ids])
-    assert cell_anchor(bpart, ids).tobytes() == one_by_one.tobytes()
+    one_by_one = np.stack([bpart.anchor(int(c)) for c in ids])
+    assert bpart.anchor(ids).tobytes() == one_by_one.tobytes()

@@ -9,6 +9,7 @@ Oracles used here:
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from padsmooth.partitions import (
     BallCarvingPartition,
     CubePartition,
     ball_cell_member,
-    cell_anchor,
     cells_of,
     sample_ball_carving,
     sample_cube_partition,
@@ -39,6 +39,9 @@ from padsmooth.tasks import (
     intersecting_circles_task,
     two_discs_task,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def constant_classifier(value: int) -> BlackBoxClassifier:
@@ -82,7 +85,7 @@ def test_smooth_exact_recovers_cell_constant_classifier():
     f = cell_parity_classifier(part)
     g = smooth_exact(f, part, task, per_cell=3, rng=np.random.default_rng(4))
     for cell, label in g.cell_labels.items():
-        assert label == int(f(cell_anchor(part, cell)[None, :])[0])
+        assert label == int(f(part.anchor(cell)[None, :])[0])
 
 
 def test_smooth_exact_is_piecewise_constant():
@@ -211,9 +214,9 @@ def test_fallback_labels_fresh_cells_at_anchors_in_one_call(family):
     labels = g.evaluate(X)
     fresh = set(keys) - {keys[0]}
     assert len(batches) == 1 and len(batches[0]) == len(fresh)
-    want = [-1 if key == keys[0] else int(f(cell_anchor(part, key)[None, :])[0]) for key in keys]
+    want = [-1 if key == keys[0] else int(f(part.anchor(key)[None, :])[0]) for key in keys]
     assert np.array_equal(labels, want)
-    assert {tuple(a) for a in batches[0].tolist()} == {tuple(cell_anchor(part, k).tolist()) for k in fresh}
+    assert {tuple(a) for a in batches[0].tolist()} == {tuple(part.anchor(k).tolist()) for k in fresh}
     g.evaluate(X)  # fallback labels are not cached across calls
     assert base.eval_count == 2 * len(fresh) and g.cell_labels == {keys[0]: -1}
 
@@ -269,7 +272,7 @@ def test_scheme_a_exact_on_cell_constant_classifier():
     assert g.scheme == "A"
     assert sum(g.sample_counts.values()) == 3000
     for cell, label in g.cell_labels.items():
-        assert label == int(f(cell_anchor(part, cell)[None, :])[0])
+        assert label == int(f(part.anchor(cell)[None, :])[0])
 
 
 def test_scheme_a_agrees_with_exact_on_confident_cells():
@@ -532,12 +535,31 @@ def test_smoothed_roundtrip_carving(tmp_path):
     assert np.array_equal(back.evaluate(X), g.evaluate(X))
 
 
+@pytest.mark.parametrize("name, make_task, box, key_type, labels", [
+    ("cube", two_discs_task, (-2.5, 2.5), tuple,
+     "-++++--++-+--+-+-++++---+++++--+-+-++-+-+-+-----++++++--+-+-+--+"),
+    ("carving", lambda: intersecting_circles_task(2), (-1.2, 2.2), int,
+     "-++++--++-+-++-+--++-+---++++--+-+--++-++-+-+---+++-++--+-+-+-++"),
+], ids=["cube", "carving"])
+def test_saved_classifier_files_load_and_resave_byte_for_byte(name, make_task, box, key_type, labels, tmp_path):
+    # files written by an earlier release: the cell-key text form must not move
+    saved = DATA / f"{name}_classifier.json"
+    task = make_task()
+    g = SmoothedClassifier.load(saved, base=task.ground_truth_classifier())
+    keys = [*g.cell_labels, *g.sample_counts, *g.flagged_cells]
+    assert g.flagged_cells and all(type(k) is key_type for k in keys)
+    X = np.random.default_rng(75).uniform(*box, (64, 2))
+    assert "".join("+" if v > 0 else "-" for v in g.evaluate(X)) == labels
+    g.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == saved.read_bytes()
+
+
 def test_loaded_without_base_serves_known_cells_only():
     task = two_discs_task()
     part = sample_cube_partition(2, 1.0, np.random.default_rng(61))
     g = smooth_exact(task.ground_truth_classifier(), part, task, per_cell=5, rng=np.random.default_rng(62))
     back = SmoothedClassifier.from_dict(g.to_dict(), base=None)
-    known = cell_anchor(part, next(iter(g.cell_labels)))
+    known = part.anchor(next(iter(g.cell_labels)))
     assert back.evaluate(known[None, :])[0] == g.cell_labels[next(iter(g.cell_labels))]
     with pytest.raises(RuntimeError):
         back.evaluate(np.array([[300.0, 300.0]]))
