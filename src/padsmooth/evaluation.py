@@ -30,6 +30,7 @@ import numpy as np
 
 from .geometry import _distances_to, _unit_rows, greedy_net
 from .partitions import (
+    _least_rank,
     certificate_margins,
     resample_ball_carving,
     sample_ball_carving,
@@ -408,6 +409,36 @@ class ReplayAdversary(BoundarySeekAdversary):
         self.memory.clear()
 
 
+def _pool_candidates(D, reach: float):
+    """The carving-free part of a game's pool geometry, from the (pool, nc)
+    distance matrix D: (cand, dist, nearest).
+
+    cand and dist hold each pool point's candidate centers, those with
+    D <= reach (in net order), and their distances, padded to a common width
+    by center 0 at distance inf; a carving of radius <= reach captures a
+    pool point only by a candidate. nearest is each point's nearest center
+    (first index on ties), its cell when no ball captures it.
+    """
+    rows, cols = np.nonzero(D <= reach)
+    sizes = np.bincount(rows, minlength=len(D))
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cand = np.zeros((len(D), int(sizes.max(initial=0))), dtype=np.intp)
+    dist = np.full(cand.shape, np.inf)
+    cand[rows, slot] = cols
+    dist[rows, slot] = D[rows, cols]
+    return cand, dist, np.argmin(D, axis=1)
+
+
+def _pool_cells(cand, dist, nearest, part):
+    """Pool cells under carving part: the first center in carving order
+    whose R-ball holds the point, by a segmented rank minimum over the
+    candidates, else the nearest center. Reads the same distances as, and
+    so equals, that rule over the full distance matrix."""
+    nc = len(part.net)
+    first = _least_rank(dist, part.ranks[cand], part.radius, nc)
+    return np.where(first < nc, part.order[np.minimum(first, nc - 1)], nearest)
+
+
 @dataclass(frozen=True)
 class GameResult:
     rounds: int
@@ -442,6 +473,12 @@ def oblivious_game_simulate(
 
     An out-of-ball proposal is a fault: the round is answered on the clean
     point and the fault is counted.
+
+    Every random draw (pool, net source, carvings or lattices, rounds) keeps
+    its order. For the ball family the pool's distances to the net and each
+    pool point's candidate centers (within partition_epsilon / 2, the
+    largest carving radius) are computed once per game, so a refresh only
+    takes a rank minimum over the candidates inside its radius.
     """
     if rounds < 1 or refresh_every < 1:
         raise ValueError("rounds and refresh_every must be >= 1")
@@ -454,17 +491,14 @@ def oblivious_game_simulate(
         src, _ = task.sample(rng, net_source)
         net = greedy_net(src, partition_epsilon / 4.0)
         base = sample_ball_carving(net, partition_epsilon, rng)
-        D_pool = _distances_to(Xp, net.centers)
+        cand, dist, nearest = _pool_candidates(_distances_to(Xp, net.centers), partition_epsilon / 2.0)
         f_centers = f(net.centers).astype(np.float64)
         nc = len(net.centers)
         state: dict = {}
 
         def refresh():
             part = resample_ball_carving(base, rng)
-            ranks = part.ranks
-            masked = np.where(D_pool <= part.radius, ranks[None, :], nc + 1)
-            best = masked.min(axis=1)
-            cells = np.where(best <= nc, part.order[np.minimum(best, nc - 1)], np.argmin(D_pool, axis=1))
+            cells = _pool_cells(cand, dist, nearest, part)
             votes = np.bincount(cells, weights=f_pool, minlength=nc)
             counts = np.bincount(cells, minlength=nc)
             labels = np.where(counts > 0, _sgn(votes), _sgn(f_centers))

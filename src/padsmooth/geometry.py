@@ -19,24 +19,34 @@ from scipy.spatial import cKDTree
 Array = np.ndarray
 
 _TREE_MAX_DIM = 4
-"""Largest dimension in which `greedy_net` and `ball_assign` search a KD-tree.
+"""Largest dimension in which `ball_assign` searches a KD-tree.
 
-Both kernels only need the neighbours of a point within a small radius (the
-net spacing, or twice the carving radius), and in low dimension a tree finds
-them without scanning every center. Measured on 2 cores with one BLAS
-thread, tree build included, on concentric spheres unless noted:
+Assignment only needs the centers within twice the carving radius of a
+point, and in low dimension a tree finds them without scanning every
+center. Measured on 2 cores with one BLAS thread, tree build included, on
+concentric spheres unless noted, `ball_assign` with n=4096 points, dense
+scan vs tree: d=3 (2866 centers) 0.263 vs 0.020 s, d=4 (6167) 0.55 vs
+0.035 s, d=5 (7081) 0.67 vs 0.11 s, but d=8 (7755) 0.71 vs 1.49 s, a d=8
+unit ball whose 2R-neighbourhood spans the data (2409) 0.23 vs 1.24 s,
+d=12 0.32 vs 0.59 s and d=20 0.18 vs 0.52 s. The tree gains most up to
+d=4 and can lose several-fold from d=8 on. `greedy_net` has its own
+crossover, `_NET_TREE_MAX_DIM`.
+"""
 
-* `ball_assign`, n=4096 points, dense scan vs tree: d=3 (2866 centers)
-  0.263 vs 0.020 s, d=4 (6167) 0.55 vs 0.035 s, d=5 (7081) 0.67 vs
-  0.11 s, but d=8 (7755) 0.71 vs 1.49 s, a d=8 unit ball whose
-  2R-neighbourhood spans the data (2409) 0.23 vs 1.24 s, d=12 0.32 vs
-  0.59 s and d=20 0.18 vs 0.52 s.
-* `greedy_net`, loop vs cover marking: d=3, 8000 points 0.39 vs 0.076 s;
-  d=4 0.55 vs 0.13 s; d=5 0.74 vs 0.20 s; d=8 1.03 vs 0.29 s; d=8 unit
-  ball 0.19 vs 0.11 s; d=12 0.27 vs 0.23 s; d=20 0.10 vs 0.14 s.
+_NET_TREE_MAX_DIM = 8
+"""Largest dimension in which `greedy_net` builds its net by cover marking
+over a KD-tree; above it, the loop over the points.
 
-The tree gains most up to d=4 and can lose several-fold on assignment from
-d=8 on (the net builder from d=20 on), so both use it only up to d=4.
+A net point only marks the points within the net spacing, a smaller reach
+than assignment's 2R, so the tree pays off up to a higher dimension.
+Measured on 2 cores with one BLAS thread, loop vs cover marking, best of 5,
+the same centers bit for bit: unit-ball points at spacing 0.4, 4000 points,
+d=5 (383 centers) 0.046 vs 0.013 s, d=6 (823) 0.060 vs 0.022 s, d=8 (2429)
+0.147 vs 0.089 s, d=10 (3606) 0.166 vs 0.164 s, d=12 (3927) 0.233 vs
+0.225 s, and 2048 points in d=20 (2048) 0.075 vs 0.170 s; concentric
+spheres, 8000 points: d=3 0.39 vs 0.076 s, d=4 0.55 vs 0.13 s, d=5 0.74 vs
+0.20 s, d=8 1.03 vs 0.29 s. The tree's gain fades by d=10 to 12 and turns
+into a loss by d=20, so it stops at d=8.
 """
 
 _TREE_MIN_BATCH = 64
@@ -116,16 +126,20 @@ class EpsilonNet:
 
 
 def _distances_to(points: Array, centers: Array, chunk: int = 8192) -> Array:
-    """(n, k) euclidean distance matrix, chunked over rows."""
+    """(n, k) euclidean distance matrix, chunked over rows: the roots of
+    (x2 + c2) - 2G clipped at 0, formed in the output in place, so a chunk
+    holds one temporary, its Gram product G."""
     n = len(points)
     out = np.empty((n, len(centers)), dtype=np.float64)
     c2 = np.einsum("ij,ij->i", centers, centers)
     for i in range(0, n, chunk):
         blk = points[i : i + chunk]
+        d2 = np.add.outer(np.einsum("ij,ij->i", blk, blk), c2, out=out[i : i + chunk])
         g = blk @ centers.T
-        d2 = np.einsum("ij,ij->i", blk, blk)[:, None] + c2[None, :] - 2.0 * g
+        g *= 2.0
+        d2 -= g
         np.maximum(d2, 0.0, out=d2)
-        out[i : i + chunk] = np.sqrt(d2)
+        np.sqrt(d2, out=d2)
     return out
 
 
@@ -146,14 +160,14 @@ def greedy_net(points, epsilon: float) -> EpsilonNet:
 
     The first point is always a center; each later point becomes a center
     exactly when it is >= epsilon from all existing centers. Deterministic
-    given the input order. Up to dimension 4 the centers come from cover
+    given the input order. Up to dimension 8 the centers come from cover
     marking over a KD-tree, elsewhere from a loop over the points; both
     decide with the same squared-difference test and give the same center
     set, bit for bit.
     """
     pts = as_points(points)
     _check_spacing(epsilon)
-    kernel = _greedy_net_tree if pts.shape[1] <= _TREE_MAX_DIM else _greedy_net_loop
+    kernel = _greedy_net_tree if pts.shape[1] <= _NET_TREE_MAX_DIM else _greedy_net_loop
     return EpsilonNet(centers=kernel(pts, epsilon), epsilon=float(epsilon), source_count=len(pts))
 
 

@@ -17,14 +17,22 @@ from padsmooth.evaluation import (
     BracketingError,
     IdentityAdversary,
     ReplayAdversary,
+    _pool_candidates,
+    _pool_cells,
     adversarial_risk_curve,
     competitive_ratio_experiment,
     estimate_adversarial_risk,
     estimate_risk,
     oblivious_game_simulate,
 )
-from padsmooth.partitions import sample_cube_partition
-from padsmooth.smoothing import smooth_exact
+from padsmooth.geometry import _distances_to, greedy_net
+from padsmooth.partitions import (
+    BallCarvingPartition,
+    resample_ball_carving,
+    sample_ball_carving,
+    sample_cube_partition,
+)
+from padsmooth.smoothing import _sgn, smooth_exact
 from padsmooth.tasks import (
     BlackBoxClassifier,
     concentric_spheres_task,
@@ -220,6 +228,43 @@ def test_game_counts_faults_and_answers_clean():
     )
     assert res.faults == 200
     assert res.error_rate <= 0.15  # faulted rounds are answered on the clean point
+
+
+def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
+    # the candidate-list refresh against the full-matrix one it replaced,
+    # over 120 carvings; every third has radius exactly epsilon / 2, and a
+    # tenth of the pool lies farther than epsilon / 2 from every center
+    task = intersecting_circles_task(2)
+    rng = np.random.default_rng(33)
+    eps = 0.2
+    net = greedy_net(task.sample(rng, 4000)[0], eps / 4.0)
+    Xp = task.sample(rng, 2000)[0]
+    Xp[::10] += 5.0
+    f_pool = np.where(rng.random(len(Xp)) < 0.5, 1.0, -1.0)
+    f_centers = np.where(rng.random(len(net)) < 0.5, 1.0, -1.0)
+    D = _distances_to(Xp, net.centers)
+    assert (D[::10] > eps / 2).all()
+    cand, dist, nearest = _pool_candidates(D, eps / 2)
+    nc = len(net)
+
+    def labels(cells):
+        votes = np.bincount(cells, weights=f_pool, minlength=nc)
+        return np.where(np.bincount(cells, minlength=nc) > 0, _sgn(votes), _sgn(f_centers))
+
+    base = sample_ball_carving(net, eps, rng)
+    at_edge = 0
+    for i in range(120):
+        part = resample_ball_carving(base, rng)
+        if i % 3 == 0:
+            part = BallCarvingPartition(net=net, epsilon=eps, radius=eps / 2, order=part.order)
+        masked = np.where(D <= part.radius, part.ranks[None, :], nc + 1)
+        best = masked.min(axis=1)
+        want = np.where(best <= nc, part.order[np.minimum(best, nc - 1)], np.argmin(D, axis=1))
+        got = _pool_cells(cand, dist, nearest, part)
+        assert np.array_equal(got, want)
+        assert np.array_equal(labels(got), labels(want))
+        at_edge += int(np.count_nonzero((D > eps / 2 * 0.98) & (D <= part.radius)))
+    assert at_edge > 0  # some captures come from the outermost candidates
 
 
 def test_game_cube_family_and_validation():

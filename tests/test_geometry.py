@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from padsmooth.geometry import (
     EpsilonNet,
+    _distances_to,
     _greedy_net_loop,
     _greedy_net_tree,
     as_points,
@@ -75,9 +76,9 @@ def test_net_spacing_must_be_positive_and_finite(bad):
         EpsilonNet(centers=pts[:1], epsilon=bad, source_count=1)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    d=st.integers(1, 4),
+    d=st.integers(1, 8),
     side=st.integers(2, 6),
     eps=st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0]),
     duplicates=st.booleans(),
@@ -88,6 +89,7 @@ def test_greedy_net_tree_equals_loop(d, side, eps, duplicates, offset, seed):
     # a shuffled integer lattice at spacing exactly eps puts many pairs at
     # exactly eps, where a point must still become a center
     rng = np.random.default_rng(seed)
+    side = min(side, int(round(2000 ** (1.0 / d))))  # at most 2000 lattice points
     axes = [np.arange(side) * eps] * d
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     if duplicates:
@@ -98,6 +100,31 @@ def test_greedy_net_tree_equals_loop(d, side, eps, duplicates, offset, seed):
     assert np.array_equal(tree, loop)
     if eps != 0.1:  # multiples of a dyadic eps are exact, also offset by 1e6
         assert len(tree) == side**d  # every lattice point, each once
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_greedy_net_tree_equals_loop_in_unit_balls(d):
+    # greedy_net builds nets by cover marking up to d = 8
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((1500, d))
+    pts *= rng.random((1500, 1)) ** (1.0 / d) / np.linalg.norm(pts, axis=1, keepdims=True)
+    for eps in (0.3, 0.6):
+        loop = _greedy_net_loop(pts, eps)
+        assert np.array_equal(_greedy_net_tree(pts, eps), loop)
+        assert np.array_equal(greedy_net(pts, eps).centers, loop)
+
+
+@pytest.mark.parametrize("chunk", [8192, 7, 1])
+def test_distances_to_equals_the_expression_bits(chunk):
+    # formed in place, with the bits of the plain expression per chunk
+    rng = np.random.default_rng(3)
+    P, C = rng.random((300, 5)) * 4.0 + 1e3, rng.random((40, 5)) * 4.0 + 1e3
+    want = np.empty((300, 40))
+    for i in range(0, 300, chunk):
+        blk = P[i : i + chunk]
+        d2 = np.einsum("ij,ij->i", blk, blk)[:, None] + np.einsum("ij,ij->i", C, C)[None, :] - 2.0 * (blk @ C.T)
+        want[i : i + chunk] = np.sqrt(np.maximum(d2, 0.0))
+    assert _distances_to(P, C, chunk).tobytes() == want.tobytes()
 
 
 def test_doubling_dimension_line_vs_plane():

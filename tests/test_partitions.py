@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial.distance import cdist
 
+from padsmooth import partitions
 from padsmooth.geometry import EpsilonNet, greedy_net
 from padsmooth.partitions import (
     CONTAINED,
@@ -73,6 +74,35 @@ def test_cube_margin_matches_hand_computation():
     got, off = part.margins(pts)
     assert not off.any()
     assert got == pytest.approx(expect)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.sampled_from([1, 4, 16]),
+    eps_bits=st.tuples(st.integers(1, 64), st.integers(0, 10)),
+    data=st.data(),
+)
+def test_cube_floor_cells_agree_with_mod_margins_at_faces(dim, eps_bits, data):
+    # dyadic epsilon, shift and points, so every coordinate below is exact:
+    # x_j = shift_j + (i_j + f_j) * width with f_j = 0 on a face
+    width = eps_bits[0] * 2.0 ** -eps_bits[1] / math.sqrt(dim)
+    ints = st.lists(st.integers(-1000, 1000), min_size=dim, max_size=dim)
+    fracs = st.lists(st.integers(0, 1023), min_size=dim, max_size=dim)
+    shift = np.array(data.draw(fracs)) / 1024.0 * width
+    cell = np.array(data.draw(ints))
+    face = np.array(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    f = np.where(face, 0, np.array(data.draw(fracs)) % 1023 + 1) / 1024.0
+    part = CubePartition(epsilon=width * math.sqrt(dim), dim=dim, shift=shift)
+    x = shift + (cell + f) * width
+    margins, off = part.margins(x[None])
+    # a point on a face is in the cell above it (floor convention) with
+    # margin 0; off the faces, the margin is the nearest face's distance
+    assert np.array_equal(part.cells(x[None])[0], cell)
+    want = 0.0 if face.any() else float(np.minimum(f, 1.0 - f).min() * width)
+    assert margins[0] == want and not off[0]
+    assert padding_certificate(part, x, 0.0).status == CONTAINED
+    if face.any():
+        assert padding_certificate(part, x, 1e-300).status == CUT
 
 
 def test_cube_certificate_exact_both_directions():
@@ -392,12 +422,9 @@ def test_ball_dense_kernel_matches_reference_at_radius_ulps(d, offset):
         assert ((d2 > S) & (d2 <= _root_ceiling(R))).any()  # the window is hit
 
 
-@pytest.mark.parametrize("d", [2, 6])
-def test_ball_dense_off_support_nearest_keeps_first_index_on_equal_roots(d):
-    # a query at the origin and two centers whose squared norms differ by
-    # one ulp but share a root: the one earlier in carving order has the
-    # larger squared distance and is still the nearest center, as the
-    # first index with the smallest root
+def _equal_root_centers(d):
+    """Two centers whose squared norms differ by one ulp, the second's
+    larger, but share a root."""
     for L in np.linspace(2.0, 3.0, 500):
         a = np.zeros(d)
         a[0] = L
@@ -405,9 +432,16 @@ def test_ball_dense_off_support_nearest_keeps_first_index_on_equal_roots(d):
         b[1] = math.sqrt(math.ulp(float(L * L)))
         sq = _gram_d2(np.stack([a, b]), np.zeros((1, d)))[0]
         if sq[1] > sq[0] and np.sqrt(sq[1]) == np.sqrt(sq[0]):
-            break
-    else:
-        pytest.fail("no pair of centers with equal roots found")
+            return a, b
+    pytest.fail("no pair of centers with equal roots found")
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_ball_dense_off_support_nearest_keeps_first_index_on_equal_roots(d):
+    # a query at the origin and two centers that share a root: the one
+    # earlier in carving order has the larger squared distance and is still
+    # the nearest center, as the first index with the smallest root
+    a, b = _equal_root_centers(d)
     net = EpsilonNet(centers=np.stack([a, b]), epsilon=0.25, source_count=2)
     part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array([1, 0]))
     X = np.zeros((1, d))
@@ -576,6 +610,149 @@ def test_estimate_paddedness_validation():
         estimate_paddedness(family, data, -0.1, 10, stream(15, 0))
     with pytest.raises(ValueError):
         estimate_paddedness(family, data, 0.1, 0, stream(15, 0))
+
+
+@pytest.mark.parametrize("eps, dists", [
+    (1.0, []), (1.0, [0.1, -0.1]), (1.0, [0.1, float("nan")]), (1.0, [float("inf")]),
+    (0.0, [0.1]), (-1.0, [0.1]), (float("nan"), [0.1]),
+], ids=["empty", "negative", "nan", "inf", "eps_zero", "eps_negative", "eps_nan"])
+def test_estimate_lipschitz_constant_rejects_bad_inputs(eps, dists):
+    # the pair ignores its distance, so only the checks can reject these
+    family = lambda r: sample_cube_partition(1, 1.0, r)
+    pair = lambda r, dist: (np.array([0.3]), np.array([0.6]))
+    with pytest.raises(ValueError):
+        estimate_lipschitz_constant(family, pair, dists, 10, stream(15, 1), epsilon=eps)
+
+
+# batched estimators against per-trial references over recorded draws
+
+
+def _recorded_draws(kind):
+    """A partition family of the given kind over [0, 2)^2 and a point
+    sampler, both keeping their draws: cube lattices, carvings over one
+    net, or carvings alternating between two nets. About one point in ten
+    lies far off support."""
+    eps = 0.8
+    rng = stream(41, 0)
+    bases = [sample_ball_carving(greedy_net(rng.random((400, 2)) * 2.0, eps / 4.0), eps, rng)
+             for _ in range(2)]
+    parts, points = [], []
+
+    def family(r):
+        if kind == "cube":
+            part = sample_cube_partition(2, eps, r)
+        else:
+            part = resample_ball_carving(bases[len(parts) % 2 if kind == "two_nets" else 0], r)
+        parts.append(part)
+        return part
+
+    def data(r):
+        x = r.random(2) * 2.4 - 0.2 + (50.0 if r.random() < 0.1 else 0.0)
+        points.append(x)
+        return x
+
+    def pair(r, dist):
+        x = data(r)
+        v = r.standard_normal(2)
+        return x, x + dist * v / np.linalg.norm(v)
+
+    return family, data, pair, parts, points
+
+
+@pytest.fixture(params=["default", "one_trial", "budget-1", "budget", "budget+1"])
+def block_setting(request, monkeypatch):
+    """(trials, block sizes seen, set_budget): the default budget, a single
+    trial, and budgets of 4 trials' rows less one row, exactly, and plus
+    one row. set_budget(p, columns), for trials of p points over
+    partitions of `columns` columns, sets the budget and returns the block
+    sizes in trials that one estimate over `trials` trials must make."""
+    sizes = []
+    assign = partitions._assign_block
+
+    def spy(block):
+        sizes.append(len(block))
+        return assign(block)
+
+    monkeypatch.setattr(partitions, "_assign_block", spy)
+    delta = {"budget-1": -1, "budget": 0, "budget+1": 1}.get(request.param)
+    trials = 1 if request.param == "one_trial" else 41
+
+    def set_budget(p, columns):
+        if delta is None:
+            return None
+        monkeypatch.setattr(partitions, "_BLOCK", (4 * p + delta) * columns)
+        size = (4 * p + delta) // p
+        return [size] * (trials // size) + [trials % size] * (trials % size > 0)
+
+    return trials, sizes, set_budget
+
+
+@pytest.mark.parametrize("kind", ["cube", "one_net", "two_nets"])
+def test_batched_paddedness_equals_per_trial_certificates(kind, block_setting):
+    trials, sizes, set_budget = block_setting
+    family, data, _, parts, points = _recorded_draws(kind)
+    want = set_budget(1, family(stream(42, 0))._columns)
+    parts.clear()
+    t = 0.05
+    est = estimate_paddedness(family, data, t, trials, stream(42, 1))
+    assert len(parts) == len(points) == trials
+    bad = sum(padding_certificate(q, x, t).status != CONTAINED for q, x in zip(parts, points))
+    assert est.value == bad / trials
+    if want is not None and kind != "two_nets":  # two nets differ in size
+        assert sizes == want
+
+
+@pytest.mark.parametrize("kind", ["cube", "one_net", "two_nets"])
+def test_batched_lipschitz_equals_per_trial_cells(kind, block_setting):
+    trials, sizes, set_budget = block_setting
+    family, _, pair, parts, _ = _recorded_draws(kind)
+    want = set_budget(2, family(stream(43, 0))._columns)
+    parts.clear()
+    pairs = []
+    recorded = lambda r, dist: pairs.append(pair(r, dist)) or pairs[-1]
+    curve = estimate_lipschitz_constant(family, recorded, [0.05, 0.2], trials, stream(43, 1),
+                                        epsilon=0.8)
+    assert len(parts) == len(pairs) == 2 * trials
+    split = [not np.array_equal(q.cells(a[None]), q.cells(b[None])) for q, (a, b) in zip(parts, pairs)]
+    for j, (_, p, _, _) in enumerate(curve.points):
+        assert p == sum(split[j * trials : (j + 1) * trials]) / trials
+    if want is not None and kind != "two_nets":
+        assert sizes == want * 2
+
+
+@pytest.mark.parametrize("kind", ["cube", "one_net"])
+def test_batched_trial_kernel_matches_per_trial_calls(kind):
+    # three points per trial, some far off support: cells and off-support
+    # flags equal, margins equal up to the rounding of the batched Gram
+    # product (for lattices, the same bits)
+    family, _, _, parts, _ = _recorded_draws(kind)
+    rng = stream(44, 0)
+    for _ in range(60):
+        family(rng)
+    pts = rng.random((60, 3, 2)) * 2.4 - 0.2
+    pts[rng.random((60, 3)) < 0.1] += 50.0
+    cells, off, margins = parts[0]._assign_trials(parts, pts)
+    assert off.any() == (kind != "cube")
+    for q, x, c, o, m in zip(parts, pts, cells, off, margins):
+        want_m, want_o = q.margins(x)
+        assert np.array_equal(c, q.cells(x)) and np.array_equal(o, want_o)
+        if kind == "cube":
+            assert m.tobytes() == want_m.tobytes()
+        else:
+            assert np.allclose(m, want_m, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 6])
+def test_batched_trial_kernel_keeps_carving_order_on_equal_roots(d):
+    # the batched kernel's off-support tie rule is the dense kernel's: of
+    # two centers with equal roots, the earlier in carving order
+    net = EpsilonNet(centers=np.stack(_equal_root_centers(d)), epsilon=0.25, source_count=2)
+    parts = [BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array(o))
+             for o in ([1, 0], [0, 1])]
+    cells, off, margins = parts[0]._assign_trials(parts, np.zeros((2, 1, d)))
+    assert cells[:, 0].tolist() == [1, 0] and off.all() and not margins.any()
+    for q, c in zip(parts, cells):
+        assert np.array_equal(q.cells(np.zeros((1, d))), c)
 
 
 def test_wilson_interval_coverage():
