@@ -514,7 +514,7 @@ def oblivious_game_simulate(
 
         def refresh():
             part = sample_cube_partition(d, partition_epsilon, rng)
-            keys, _, _, inverse = _cell_keys_of(part, Xp)
+            keys, _, inverse = _cell_keys_of(part, Xp)
             votes = np.bincount(inverse, weights=f_pool)
             state["part"] = part
             state["labels"] = {key: 1 if v >= 0 else -1 for key, v in zip(keys, votes.tolist())}

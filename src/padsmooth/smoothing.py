@@ -20,10 +20,14 @@ Estimators:
   cell. scheme_a_sample_size gives the pool budget under which every cell
   of mass >= risk_f / cells receives a logarithmic number of votes.
 * scheme B: votes f on uniform in-cell samples; exact per-coordinate
-  sampling for cube cells, hit-and-run for carved cells. Labels are
-  resolved lazily per queried cell from a cell-keyed substream, so cube
-  labels do not depend on query batching; a carved cell's walks start at
-  the first query seen in the cell, so its label can.
+  sampling for cube cells (a counter-based hash of the cell), hit-and-run
+  for carved cells (walks that start at uniform draws from the cell's
+  ball that fall in the cell, from a cell-keyed stream). Labels are
+  resolved when a query first reaches a cell, all fresh cells of an
+  evaluate call with one base call, and depend only on the base seed and
+  the cell: neither query order nor batching changes them, for either
+  family. A carved cell that no start draw hits is flagged and gets the
+  fallback label, f at its anchor.
 
 gaussian_smoothing builds the noise-based baselines: plain majority vote
 under N(0, sigma^2 I), or the density-weighted variant that reweights a
@@ -40,8 +44,8 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .geometry import as_points
-from .partitions import CubePartition, ball_cell_member, partition_from_dict
+from .geometry import _search_radius, as_points
+from .partitions import CubePartition, partition_from_dict
 from .tasks import BlackBoxClassifier, Task
 
 
@@ -55,7 +59,8 @@ class SmoothedClassifier:
 
     cell_labels maps cell ids (int for carvings, tuple of ints for cubes)
     to labels. sample_counts records the votes behind each label; cells in
-    flagged_cells missed their vote quota. Unknown cells are labeled by the
+    flagged_cells missed their vote quota (scheme B: a stuck walk, or no
+    start found and the anchor fallback). Unknown cells are labeled by the
     base classifier at the cell anchor.
     """
 
@@ -82,12 +87,12 @@ class SmoothedClassifier:
 
     def evaluate(self, points) -> np.ndarray:
         pts = as_points(points)
-        keys, cells, first, inverse = _cell_keys_of(self.partition, pts)
+        keys, cells, inverse = _cell_keys_of(self.partition, pts)
         found = list(map(self.cell_labels.get, keys))
         missing = [j for j, lab in enumerate(found) if lab is None]
         if missing and self._lazy_resolver is not None:
-            for j in missing:
-                found[j] = self._lazy_resolver(keys[j], pts[first[j]])
+            for j, lab in zip(missing, self._lazy_resolver([keys[j] for j in missing], cells[missing])):
+                found[j] = lab
         elif missing:
             if self.base is None:
                 raise RuntimeError("unseen cells and no base classifier for fallback")
@@ -132,20 +137,20 @@ class SmoothedClassifier:
 
 
 def _cell_keys_of(part, points):
-    """Distinct cells of a batch: (keys, cells, first, inverse).
+    """Distinct cells of a batch: (keys, cells, inverse).
 
     keys are the cell_labels keys (tuples for cubes, ints for carvings),
-    cells the matching rows of part.cells, first the index of the first point
-    in each cell and inverse the cell position of every point.
+    cells the matching rows of part.cells and inverse the cell position of
+    every point.
     """
     cells = part.cells(points)
     if cells.ndim == 2:
         rows = np.ascontiguousarray(cells).view(np.dtype((np.void, cells.itemsize * cells.shape[1])))
         _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
         cells = cells[first]
-        return list(map(tuple, cells.tolist())), cells, first, inverse
-    cells, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
-    return cells.tolist(), cells, first, inverse
+        return list(map(tuple, cells.tolist())), cells, inverse
+    cells, inverse = np.unique(cells, return_inverse=True)
+    return cells.tolist(), cells, inverse
 
 
 def smooth_exact(
@@ -174,7 +179,7 @@ def smooth_exact(
         X, _ = task.sample(rng, m)
         drawn += m
         votes = f(X).astype(np.float64)
-        keys, _, _, inverse = _cell_keys_of(part, X)
+        keys, _, inverse = _cell_keys_of(part, X)
         vote_sum = np.bincount(inverse, weights=votes)
         vote_cnt = np.bincount(inverse)
         for key, v, c in zip(keys, vote_sum.tolist(), vote_cnt.tolist()):
@@ -225,7 +230,7 @@ def scheme_a_estimate(f: BlackBoxClassifier, part, unlabeled) -> SmoothedClassif
     if len(pool) == 0:
         raise ValueError("unlabeled pool is empty")
     votes = f(pool).astype(np.float64)
-    keys, _, _, inverse = _cell_keys_of(part, pool)
+    keys, _, inverse = _cell_keys_of(part, pool)
     vote_sum = np.bincount(inverse, weights=votes)
     vote_cnt = np.bincount(inverse)
     labels = {key: 1 if v >= 0 else -1 for key, v in zip(keys, vote_sum.tolist())}
@@ -246,18 +251,56 @@ def scheme_a_estimate(f: BlackBoxClassifier, part, unlabeled) -> SmoothedClassif
 
 def ball_chord(center, radius: float):
     """Chord solver for an enclosing ball: returns (lo, hi) with
-    x + theta * v inside the ball exactly for theta in [lo, hi]."""
+    x + theta * v inside the ball exactly for theta in [lo, hi]. Takes one
+    point and direction, or rows of them and returns arrays."""
     c = np.asarray(center, dtype=np.float64)
 
     def solve(x, v):
         rel = np.asarray(x, dtype=np.float64) - c
-        b = float(v @ rel)
-        c0 = float(rel @ rel) - radius * radius
-        disc = max(b * b - c0, 0.0)
-        root = math.sqrt(disc)
+        b = (v * rel).sum(axis=-1)
+        c0 = (rel * rel).sum(axis=-1) - radius * radius
+        root = np.sqrt(np.maximum(b * b - c0, 0.0))
         return -b - root, -b + root
 
     return solve
+
+
+def _walk(member, chord, X, k: int, rng: np.random.Generator, *, max_retries: int = 64, block: int = 1):
+    """k hit-and-run steps of the walks X, (w, d), advanced together.
+
+    member(Y) tests the rows of Y for membership in the cell; chord(X, V)
+    gives arrays (lo, hi) with X + theta V in the enclosing region for
+    theta in [lo, hi]. The walks draw their k uniform directions up front.
+    Per step each walk proposes positions uniform on its chord, `block` at
+    a time and at most max_retries in all, and moves to the first one
+    inside the cell: i.i.d. proposals with the first success taken, the law
+    of one-at-a-time retries. A walk whose proposals all miss keeps its
+    point and is marked in the returned stuck flags.
+    """
+    X = np.array(X, dtype=np.float64)
+    w, d = X.shape
+    V = rng.standard_normal((k, w, d))
+    V /= np.sqrt(np.einsum("...i,...i->...", V, V))[..., None]
+    stuck = np.zeros(w, dtype=bool)
+    rows = np.arange(w)
+    for v in V:
+        lo, hi = chord(X, v)
+        todo, lo, span, x, u = rows, lo[:, None], (hi - lo)[:, None], X[:, None, :], v[:, None, :]
+        step = np.zeros(w)  # accepted chord position, 0 while none
+        for tried in range(0, max_retries, block):
+            theta = lo + span * rng.random((len(todo), min(block, max_retries - tried)))
+            inside = member((x + theta[..., None] * u).reshape(-1, d)).reshape(theta.shape)
+            first = inside.argmax(axis=1)
+            hit = inside[rows[: len(todo)], first]
+            step[todo[hit]] = theta[hit, first[hit]]
+            if hit.all():
+                break
+            miss = ~hit
+            todo, lo, span, x, u = todo[miss], lo[miss], span[miss], x[miss], u[miss]
+        else:
+            stuck[todo] = True
+        X += step[:, None] * v  # the bits of the accepted proposal
+    return X, stuck
 
 
 def hit_and_run(
@@ -275,30 +318,150 @@ def hit_and_run(
     enclosing region via chord_solver, draw the step position uniformly on
     the chord, and re-check membership (the true cell may be smaller than
     the chord region). A step whose retries are exhausted keeps the current
-    point; the returned flag records whether that ever happened.
+    point; the returned flag records whether that ever happened. One walk
+    of the batched core that scheme B runs, with one-point membership and
+    chord callables.
     """
     x = np.array(start, dtype=np.float64)
     if not membership(x):
         raise ValueError("start point is not in the cell")
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = len(x)
-    flagged = False
-    for _ in range(k):
-        v = rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        lo, hi = chord_solver(x, v)
-        moved = False
-        for _ in range(max_retries):
-            theta = rng.uniform(lo, hi)
-            y = x + theta * v
-            if membership(y):
-                x = y
-                moved = True
-                break
-        if not moved:
-            flagged = True
-    return x, flagged
+
+    def member(Y):
+        return np.fromiter(map(membership, Y), dtype=bool, count=len(Y))
+
+    def chord(X, V):
+        lo, hi = chord_solver(X[0], V[0])
+        return np.array([lo]), np.array([hi])
+
+    X, stuck = _walk(member, chord, x[None, :], k, rng, max_retries=max_retries)
+    return X[0], bool(stuck[0])
+
+
+_PROPOSALS = 8
+"""Chord positions a scheme-B walk proposes at a time, of its 64 retries.
+
+Larger blocks make fewer numpy calls per step but test more points that
+are then thrown away. Sampling the 37 carved cells of the benchmark's
+scheme-B square (s=3, k=16, one thread, three sets of five rounds) took
+160-200, 107-126, 76-95, 66-80 and 68-75 ms with blocks of 1, 2, 4, 8 and
+16; past 8 the gain is gone.
+"""
+
+_START_BLOCK = 64
+"""Points drawn uniformly in B_R(u) per round when looking for the starts
+of a carved cell's walks."""
+
+_START_ROUNDS = 16
+"""Rounds of _START_BLOCK draws after which a carved cell that none of them
+hit gets the fallback label. A cell filling a share p of its ball is
+missed by all 1024 draws with probability (1 - p)^1024: 36% at p = 1/1000,
+0.003% at p = 1/100."""
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64 increment, 2^64 / golden ratio
+
+
+def _mix64(z):
+    """splitmix64's output function on a uint64 array, wrapping."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def _cube_samples(part, cells, s: int, base_seed: int) -> np.ndarray:
+    """s uniform points in each cube cell, (len(cells) * s, d), cell-major.
+
+    Counter-based: a cell's key is a splitmix64 hash of the base seed and
+    its int64 coordinates, and coordinate j of sample i is the top 53 bits
+    of splitmix64 output i * d + j of the stream seeded with that key. Every
+    draw is a function of (base seed, cell, i, j) alone.
+    """
+    coords = np.ascontiguousarray(cells, dtype=np.int64).view(np.uint64)
+    n, d = coords.shape
+    key = _mix64(np.full(n, base_seed, dtype=np.uint64) + _GAMMA)
+    for j in range(d):
+        key = _mix64(key ^ _mix64(coords[:, j] + _GAMMA))
+    steps = np.arange(1, s * d + 1, dtype=np.uint64) * _GAMMA
+    unit = (_mix64(key[:, None] + steps) >> 11).astype(np.float64) * 2.0**-53
+    lo = part.shift + np.asarray(cells, dtype=np.float64) * part.width
+    return (lo[:, None, :] + unit.reshape(n, s, d) * part.width).reshape(n * s, d)
+
+
+def _blockers(part, cells) -> list:
+    """For each carved cell u, the centers before u in carving order that lie
+    within 2R of it (by the tree path's superset radius): the only ones
+    that can take a point of B_R(u) away from u."""
+    net, ranks = part.net, part.ranks
+    centers = net.centers[cells]
+    reach = _search_radius(2.0 * part.radius, net.centers, np.abs(centers) + part.radius)
+    near = net.tree.query_ball_point(centers, reach)
+    return [np.array(ws, dtype=np.intp)[ranks[ws] < ranks[u]] for u, ws in zip(cells.tolist(), near)]
+
+
+def _cell_member(part, cell: int, blockers):
+    """Membership test of carved cell `cell` for rows of points: d(y, u) <= R
+    and d(y, w) > R for every blocker w, by the direct differences and the
+    `<= R` comparison of the tree kernel, so decisions match it bit for
+    bit."""
+    centers = part.net.centers[np.concatenate(([cell], blockers))]
+    R = part.radius
+
+    def member(Y):
+        diff = (Y[:, None, :] - centers).reshape(-1, Y.shape[1])
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(Y), -1)
+        return (dist[:, 0] <= R) & ~(dist[:, 1:] <= R).any(axis=1)
+
+    return member
+
+
+def _carved_starts(part, cell: int, member, s: int, rng: np.random.Generator):
+    """s walk starts in a carved cell, (s, d), or None when _START_ROUNDS
+    rounds miss it: the first s hits among rounds of _START_BLOCK points
+    drawn uniformly in B_R(u), so each start is uniform in the cell; with
+    fewer than s hits they are reused in turn."""
+    d, R = part.dim, part.radius
+    center = part.net.centers[cell]
+    hits = []
+    found = 0
+    for _ in range(_START_ROUNDS):
+        V = rng.standard_normal((_START_BLOCK, d))
+        V *= (R * rng.random(_START_BLOCK) ** (1.0 / d) / np.linalg.norm(V, axis=1))[:, None]
+        Y = center + V
+        Y = Y[member(Y)]
+        hits.append(Y)
+        found += len(Y)
+        if found >= s:
+            break
+    if not found:
+        return None
+    hits = np.concatenate(hits)
+    return hits[np.arange(s) % found]
+
+
+def _carved_samples(part, cells, s: int, steps: int, base_seed: int):
+    """s in-cell points for each carved cell, from walks keyed by the cell.
+
+    Returns (points, hit, stuck): points of the cells with starts,
+    (hit.sum() * s, d) cell-major, and per cell whether any start was found
+    and whether a walk got stuck. A cell's points depend only on (base
+    seed, cell).
+    """
+    d, R = part.dim, part.radius
+    hit = np.zeros(len(cells), dtype=bool)
+    stuck = np.zeros(len(cells), dtype=bool)
+    pts = []
+    for j, (cell, near) in enumerate(zip(cells.tolist(), _blockers(part, cells))):
+        cell_rng = rngmod.stream(base_seed, cell)
+        member = _cell_member(part, cell, near)
+        starts = _carved_starts(part, cell, member, s, cell_rng)
+        if starts is None:
+            continue
+        chord = ball_chord(part.net.centers[cell], R)
+        X, bad = _walk(member, chord, starts, steps, cell_rng, block=_PROPOSALS)
+        hit[j], stuck[j] = True, bad.any()
+        pts.append(X)
+    return (np.concatenate(pts) if pts else np.empty((0, d))), hit, stuck
 
 
 def scheme_b_estimate(
@@ -310,12 +473,20 @@ def scheme_b_estimate(
 ) -> SmoothedClassifier:
     """Smoothing from uniform in-cell samples instead of data draws.
 
-    Cube cells are boxes, sampled exactly. Carved cells are sampled by s
-    independent hit-and-run walks of k steps (default 8 * dim) started at
-    the first query point seen in the cell. Labels resolve lazily at query
-    time from a substream keyed by the cell id, so cube labels do not
-    depend on how queries are batched; carved labels can, through the
-    start point of their walks.
+    A cell's label is the sign of the mean vote of f over s uniform points
+    in the cell, resolved when a query first reaches the cell and drawn as
+    a function of (base seed, cell) alone, so neither query order nor
+    batching can change it. Cube cells are boxes, sampled exactly from a
+    counter-based hash of the cell coordinates. A carved cell runs s
+    hit-and-run walks of k steps (default 8 * dim); each starts at a point
+    drawn uniformly in B_R(u) that falls inside the cell, from a stream
+    keyed by the cell, and the walks never see the query. A carved cell
+    that _START_ROUNDS * _START_BLOCK such draws all miss (a sliver, or
+    the empty cell that an off-support query maps to) is flagged and
+    labelled by f at its anchor, the net center, as SmoothedClassifier
+    labels unseen cells, with a sample count of 0. Cells with a stuck walk
+    are flagged too. Each evaluate call makes one base call for all its
+    fresh cells.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -331,31 +502,21 @@ def scheme_b_estimate(
         provenance={"s": s, "k": steps, "base_seed": base_seed},
     )
 
-    def resolve(cell, query_point) -> int:
+    def resolve(keys, cells) -> np.ndarray:
         if isinstance(part, CubePartition):
-            cell_rng = rngmod.stream(base_seed, *cell)
-            lo = part.shift + np.asarray(cell, dtype=np.float64) * part.width
-            pts = lo + cell_rng.random((s, part.dim)) * part.width
+            pts = _cube_samples(part, cells, s, base_seed)
+            hit, stuck = np.ones(len(keys), dtype=bool), np.zeros(len(keys), dtype=bool)
         else:
-            cell_rng = rngmod.stream(base_seed, int(cell))
-            center = part.net.centers[int(cell)]
-            chord = ball_chord(center, part.radius)
-
-            def member(y):
-                return bool(ball_cell_member(part, int(cell), y[None, :])[0])
-
-            pts = np.empty((s, part.dim))
-            ok = True
-            for i in range(s):
-                pts[i], bad = hit_and_run(member, chord, query_point, steps, cell_rng)
-                ok = ok and not bad
-            if not ok:
-                clf.flagged_cells.add(cell)
-        votes = f(pts)
-        label = int(_sgn(votes.astype(np.float64).mean()))
-        clf.cell_labels[cell] = label
-        clf.sample_counts[cell] = s
-        return label
+            pts, hit, stuck = _carved_samples(part, cells, s, steps, base_seed)
+        votes = f(np.concatenate((pts, part.anchor(cells[~hit]))))
+        labels = np.empty(len(keys), dtype=np.int8)
+        labels[hit] = _sgn(votes[: len(pts)].astype(np.float64).reshape(-1, s).sum(axis=1))
+        labels[~hit] = votes[len(pts) :]
+        for key, label, sampled in zip(keys, labels.tolist(), hit.tolist()):
+            clf.cell_labels[key] = label
+            clf.sample_counts[key] = s if sampled else 0
+        clf.flagged_cells.update(key for key, bad in zip(keys, (stuck | ~hit).tolist()) if bad)
+        return labels
 
     clf._lazy_resolver = resolve
     return clf

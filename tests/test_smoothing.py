@@ -5,7 +5,8 @@ Oracles used here:
     majority vote exact, so labels can be checked cell by cell;
   * the scheme A budget is recomputed from its closed form inside the test;
   * chord solvers are checked against the geometric endpoint conditions;
-  * hit-and-run inside a full ball must reproduce the radial law F(r) = (r/R)^d.
+  * hit-and-run inside a full ball must reproduce the radial law F(r) = (r/R)^d;
+  * carved-cell membership is checked against the tree kernel of ball_assign.
 """
 
 import math
@@ -19,13 +20,21 @@ from padsmooth.geometry import EpsilonNet, greedy_net
 from padsmooth.partitions import (
     BallCarvingPartition,
     CubePartition,
+    ball_assign,
     ball_cell_member,
     cells_of,
     sample_ball_carving,
     sample_cube_partition,
 )
 from padsmooth.smoothing import (
+    _PROPOSALS,
     SmoothedClassifier,
+    _blockers,
+    _carved_samples,
+    _carved_starts,
+    _cell_member,
+    _cube_samples,
+    _walk,
     ball_chord,
     gaussian_smoothing,
     hit_and_run,
@@ -185,23 +194,22 @@ def _cells_and_keys(family, rng):
 
 
 @pytest.mark.parametrize("family", ["cube", "ball"])
-def test_lazy_resolver_gets_first_query_of_each_fresh_cell(family):
+def test_lazy_resolver_gets_every_fresh_cell_once_in_one_call(family):
     part, X, keys = _cells_and_keys(family, np.random.default_rng(70))
-    first = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
     g = SmoothedClassifier(part, cell_labels={keys[0]: -1}, base=None, scheme="B")
     calls = []
 
-    def resolve(key, x):
-        calls.append((key, x.copy()))
-        return 1
+    def resolve(fresh, cells):
+        calls.append((list(fresh), np.array(cells)))
+        return np.ones(len(fresh), dtype=np.int8)
 
     g._lazy_resolver = resolve
     labels = g.evaluate(X)
-    assert sorted(key for key, _ in calls) == sorted(set(first) - {keys[0]})
-    for key, x in calls:
-        assert np.array_equal(x, X[first[key]])
+    assert len(calls) == 1
+    fresh, cells = calls[0]
+    assert len(fresh) == len(set(fresh)) and set(fresh) == set(keys) - {keys[0]}
+    want = [tuple(row) for row in cells.tolist()] if cells.ndim == 2 else cells.tolist()
+    assert fresh == want
     assert np.array_equal(labels, [-1 if key == keys[0] else 1 for key in keys])
 
 
@@ -429,6 +437,145 @@ def test_scheme_b_carved_cells_recover_cell_constant_classifier():
     cells = cells_of(part, queries)
     for cell, lab in zip(cells, labels):
         assert lab == (1 if int(cell) % 2 == 0 else -1)
+
+
+def _square_carving(d: int, seed: int, eps: float = 0.6):
+    rng = np.random.default_rng(seed)
+    X = rng.random((1500, d))
+    part = sample_ball_carving(greedy_net(X, eps / 4.0), eps, rng)
+    return part, X
+
+
+def _halfspace(d: int) -> BlackBoxClassifier:
+    normal = np.linspace(1.0, 0.4, d)
+    return BlackBoxClassifier(lambda X: np.where(X @ normal >= 0.5 * normal.sum(), 1, -1).astype(np.int8))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scheme_b_carved_labels_do_not_depend_on_query_order(d, seed):
+    part, _ = _square_carving(d, 80 + seed)
+    f = _halfspace(d)
+    queries = np.random.default_rng(90 + seed).random((300, d))
+    a = scheme_b_estimate(f, part, s=3, k=None, rng=np.random.default_rng(100 + seed))
+    one_shot = a.evaluate(queries)
+    b = scheme_b_estimate(f, part, s=3, k=None, rng=np.random.default_rng(100 + seed))
+    pieces = np.empty(len(queries), dtype=np.int8)
+    for i in np.random.default_rng(110 + seed).permutation(len(queries)):
+        pieces[i] = b.evaluate(queries[i : i + 1])[0]
+    assert np.array_equal(one_shot, pieces)
+    assert a.cell_labels == b.cell_labels and a.sample_counts == b.sample_counts
+    assert a.flagged_cells == b.flagged_cells
+
+
+def test_scheme_b_off_support_query_on_carving_gets_its_cell_label():
+    part, X = _square_carving(2, 120)
+    f = _halfspace(2)
+    far = np.array([[3.0, 3.0]])
+    cell = int(part.cells(far)[0])
+    g = scheme_b_estimate(f, part, s=4, k=None, rng=np.random.default_rng(121))
+    label = g.evaluate(far)[0]
+    assert g.cell_labels[cell] == label
+    if g.sample_counts[cell] == 0:
+        assert cell in g.flagged_cells and label == f(part.anchor(cell)[None, :])[0]
+    inside = X[part.cells(X) == cell]
+    h = scheme_b_estimate(f, part, s=4, k=None, rng=np.random.default_rng(121))
+    assert np.all(h.evaluate(inside) == label) and h.cell_labels[cell] == label
+
+
+def test_scheme_b_cell_no_draw_hits_gets_flagged_anchor_fallback():
+    # 1-D carving whose middle center's ball lies inside the two earlier balls
+    net = EpsilonNet(centers=np.array([[0.0], [0.25], [0.5]]), epsilon=0.25, source_count=3)
+    part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array([0, 2, 1]))
+    f, batches = recording_classifier(
+        BlackBoxClassifier(lambda X: np.where(X[:, 0] > 0.3, 1, -1).astype(np.int8)))
+    g = scheme_b_estimate(f, part, s=5, k=None, rng=np.random.default_rng(122))
+    labels = g._lazy_resolver([1, 2], np.array([1, 2]))
+    assert len(batches) == 1 and len(batches[0]) == 5 + 1  # s votes for cell 2, the anchor of cell 1
+    assert np.array_equal(batches[0][-1], [0.25])
+    assert labels[0] == -1 and g.cell_labels[1] == -1 and g.sample_counts == {1: 0, 2: 5}
+    assert 1 in g.flagged_cells
+
+
+def test_scheme_b_one_base_call_per_evaluate_with_fresh_cells():
+    part, _ = _square_carving(2, 123)
+    f, batches = recording_classifier(_halfspace(2))
+    g = scheme_b_estimate(f, part, s=3, k=None, rng=np.random.default_rng(124))
+    queries = np.random.default_rng(125).random((200, 2))
+    g.evaluate(queries[:100])
+    g.evaluate(queries[:100])  # nothing fresh: no base call
+    g.evaluate(queries)
+    counts = g.sample_counts.values()
+    assert len(batches) == 2 and f.eval_count == sum(c if c else 1 for c in counts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_blocker_membership_equals_ball_cell_member(d):
+    rng = np.random.default_rng(130 + d)
+    for _ in range(3):
+        X = rng.random((400, d)) * rng.uniform(0.5, 3.0)
+        part = sample_ball_carving(greedy_net(X, 0.15), 0.6, rng)
+        R = part.radius
+        cells = rng.choice(len(part.net), size=min(12, len(part.net)), replace=False)
+        for cell, near in zip(cells, _blockers(part, cells)):
+            c = part.net.centers[cell]
+            axis = np.eye(d)[rng.integers(d, size=64)] * rng.choice([-1.0, 1.0], size=(64, 1))
+            Y = np.concatenate([
+                c + rng.uniform(-1.2 * R, 1.2 * R, size=(192, d)),
+                c + R * axis,  # on the sphere of the cell's own ball, up to rounding
+                part.net.centers[near] + R * axis[: len(near)],
+            ])
+            assert len(Y) >= 64
+            assert np.array_equal(_cell_member(part, int(cell), near)(Y), ball_cell_member(part, int(cell), Y))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_carved_walk_starts_and_endpoints_lie_in_their_cell(d):
+    part, _ = _square_carving(d, 140 + d)
+    cells = np.arange(len(part.net))
+    s, steps = 4, 8 * d
+    starts, owners = [], []
+    for cell, near in zip(cells.tolist(), _blockers(part, cells)):
+        got = _carved_starts(part, cell, _cell_member(part, cell, near), s, np.random.default_rng(cell))
+        if got is not None:
+            starts.append(got)
+            owners += [cell] * s
+    pts, hit, _ = _carved_samples(part, cells, s, steps, 150)
+    for P, want in ((np.concatenate(starts), np.array(owners)), (pts, np.repeat(cells[hit], s))):
+        got, off, _ = ball_assign(part, P)
+        assert len(P) >= 64 and not off.any() and np.array_equal(got, want)
+    assert hit.sum() >= len(cells) // 2
+
+
+def test_batched_walk_core_radial_law_in_full_ball():
+    d, radius, walks = 3, 1.0, 2000
+    part = _full_ball_partition(d, radius)
+    member = _cell_member(part, 0, np.empty(0, dtype=np.intp))
+    X, stuck = _walk(member, ball_chord(np.zeros(d), radius), np.zeros((walks, d)), 8 * d,
+                     np.random.default_rng(160), block=_PROPOSALS)
+    assert not stuck.any() and member(X).all()
+    stat = stats.kstest(np.linalg.norm(X, axis=1), lambda r: np.clip(r / radius, 0.0, 1.0) ** d).statistic
+    assert stat < 0.05
+
+
+def test_cube_samples_uniform_in_box_and_repeatable():
+    part = CubePartition(epsilon=1.5, dim=3, shift=np.array([0.1, 0.2, 0.3]))
+    rng = np.random.default_rng(170)
+    small = rng.integers(-50, 50, size=(30, 3))
+    cells = np.concatenate([small, rng.integers(-(2**40), 2**40, size=(9, 3)), [[-1, 2**32, -(2**62)]]])
+    s = 200
+    pts = _cube_samples(part, cells, s, 171)
+    n = len(small)
+    lo = part.shift + small.astype(np.float64) * part.width
+    unit = (pts[: n * s].reshape(n, s, 3) - lo[:, None, :]) / part.width
+    assert np.all((unit >= 0.0) & (unit < 1.0))
+    for j in range(3):
+        assert stats.kstest(unit[..., j].ravel(), "uniform").pvalue > 1e-3
+    assert np.array_equal(cells_of(part, pts[: n * s]), np.repeat(small, s, axis=0))
+    assert np.array_equal(pts, _cube_samples(part, cells, s, 171))
+    backwards = _cube_samples(part, cells[::-1], s, 171).reshape(len(cells), s, 3)[::-1]
+    assert np.array_equal(backwards.reshape(-1, 3), pts)
+    assert not np.array_equal(pts, _cube_samples(part, cells, s, 172))
 
 
 def test_scheme_b_validation():
