@@ -30,7 +30,8 @@ import numpy as np
 
 from .geometry import _distances_to, _unit_rows, greedy_net
 from .partitions import (
-    _least_rank,
+    _contained,
+    _first_capture,
     certificate_margins,
     resample_ball_carving,
     sample_ball_carving,
@@ -131,7 +132,7 @@ def adversarial_risk_curve(
     if n < 1:
         raise ValueError("n must be >= 1")
     eps_list = [float(e) for e in epsilons]
-    if any(e < 0 for e in eps_list):
+    if not all(e >= 0 for e in eps_list):
         raise ValueError("epsilons must be >= 0")
     X, y = task.sample(rng, n)
     pred = predict_labels(clf, X)
@@ -143,7 +144,7 @@ def adversarial_risk_curve(
     reports = []
     for eps in eps_list:
         if part is not None:
-            contained = (~off) & (margins >= eps)
+            contained = _contained(off, margins, eps)
         else:
             contained = None
         target = ~mis if contained is None else (~mis) & (~contained)
@@ -272,11 +273,11 @@ def competitive_ratio_experiment(
     g = smooth_exact(f, part, task, per_cell, rng, max_draws=max_draws)
     X, y = task.sample(rng, n)
     mis = g.evaluate(X) != y
-    margins, _ = part.margins(X)
+    margins, off = part.margins(X)
     risk_hat = float(mis.mean())
 
     def ar_upper(eps: float) -> float:
-        return float(np.mean(mis | (margins < eps)))
+        return float(np.mean(mis | ~_contained(off, margins, eps)))
 
     if risk_hat > eta:
         grid = np.linspace(0, part.width / 2, 9)
@@ -296,8 +297,8 @@ def competitive_ratio_experiment(
     eps_alg = lo
     X2, y2 = task.sample(rng, n)
     mis2 = g.evaluate(X2) != y2
-    margins2, _ = part.margins(X2)
-    ar_fresh = float(np.mean(mis2 | (margins2 < eps_alg)))
+    margins2, off2 = part.margins(X2)
+    ar_fresh = float(np.mean(mis2 | ~_contained(off2, margins2, eps_alg)))
     if delta > 0:
         eps_opt = (2.0 * eta / delta) ** (1.0 / d) - 1.0
         ratio = eps_opt / eps_alg if eps_alg > 0 else math.inf
@@ -409,34 +410,26 @@ class ReplayAdversary(BoundarySeekAdversary):
         self.memory.clear()
 
 
-def _pool_candidates(D, reach: float):
-    """The carving-free part of a game's pool geometry, from the (pool, nc)
-    distance matrix D: (cand, dist, nearest).
-
-    cand and dist hold each pool point's candidate centers, those with
-    D <= reach (in net order), and their distances, padded to a common width
-    by center 0 at distance inf; a carving of radius <= reach captures a
-    pool point only by a candidate. nearest is each point's nearest center
-    (first index on ties), its cell when no ball captures it.
-    """
+def _pool_carver(D, reach: float):
+    """cells(part) of the game's pool under carvings of radius <= reach,
+    from its (pool, nc) distance matrix D: the first center in carving order
+    whose R-ball holds a point, else its nearest center (first on ties).
+    Only pairs with D <= reach can capture; np.nonzero lists them grouped by
+    row for `_first_capture`, which reads the same distances as, and so
+    equals, that rule over the full matrix."""
     rows, cols = np.nonzero(D <= reach)
     sizes = np.bincount(rows, minlength=len(D))
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    cand = np.zeros((len(D), int(sizes.max(initial=0))), dtype=np.intp)
-    dist = np.full(cand.shape, np.inf)
-    cand[rows, slot] = cols
-    dist[rows, slot] = D[rows, cols]
-    return cand, dist, np.argmin(D, axis=1)
+    seen = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[seen]
+    dist = D[rows, cols]
+    nearest = np.argmin(D, axis=1)
 
+    def cells(part):
+        nc = len(part.net)
+        first = _first_capture(dist, part.ranks[cols], part.radius, seen, starts, nc)
+        return np.where(first < nc, part.order[np.minimum(first, nc - 1)], nearest)
 
-def _pool_cells(cand, dist, nearest, part):
-    """Pool cells under carving part: the first center in carving order
-    whose R-ball holds the point, by a segmented rank minimum over the
-    candidates, else the nearest center. Reads the same distances as, and
-    so equals, that rule over the full distance matrix."""
-    nc = len(part.net)
-    first = _least_rank(dist, part.ranks[cand], part.radius, nc)
-    return np.where(first < nc, part.order[np.minimum(first, nc - 1)], nearest)
+    return cells
 
 
 @dataclass(frozen=True)
@@ -478,7 +471,7 @@ def oblivious_game_simulate(
     its order. For the ball family the pool's distances to the net and each
     pool point's candidate centers (within partition_epsilon / 2, the
     largest carving radius) are computed once per game, so a refresh only
-    takes a rank minimum over the candidates inside its radius.
+    takes one segmented minimum of carving positions over those candidates.
     """
     if rounds < 1 or refresh_every < 1:
         raise ValueError("rounds and refresh_every must be >= 1")
@@ -491,14 +484,14 @@ def oblivious_game_simulate(
         src, _ = task.sample(rng, net_source)
         net = greedy_net(src, partition_epsilon / 4.0)
         base = sample_ball_carving(net, partition_epsilon, rng)
-        cand, dist, nearest = _pool_candidates(_distances_to(Xp, net.centers), partition_epsilon / 2.0)
+        pool_cells = _pool_carver(_distances_to(Xp, net.centers), partition_epsilon / 2.0)
         f_centers = f(net.centers).astype(np.float64)
         nc = len(net.centers)
         state: dict = {}
 
         def refresh():
             part = resample_ball_carving(base, rng)
-            cells = _pool_cells(cand, dist, nearest, part)
+            cells = pool_cells(part)
             votes = np.bincount(cells, weights=f_pool, minlength=nc)
             counts = np.bincount(cells, minlength=nc)
             labels = np.where(counts > 0, _sgn(votes), _sgn(f_centers))

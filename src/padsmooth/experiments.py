@@ -34,6 +34,7 @@ from .evaluation import (
 )
 from .geometry import estimate_doubling_dimension, greedy_net
 from .partitions import (
+    _contained,
     certificate_margins,
     estimate_lipschitz_constant,
     estimate_paddedness,
@@ -385,7 +386,7 @@ def _run_circles_manifold(cfg: dict, seed: int) -> ExperimentOutput:
             X, y = task.sample(rngmod.stream(seed, rngmod.EVAL_STREAM, d, rep_i), n_each)
             mis = g.evaluate(X) != y
             margins, off = certificate_margins(part, X)
-            upper = mis | off | (margins < eps)
+            upper = mis | ~_contained(off, margins, eps)
             events += int(upper.sum())
             vals.append(float(upper.mean()))
         vals_arr = np.asarray(vals)

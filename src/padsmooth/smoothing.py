@@ -542,7 +542,7 @@ def gaussian_smoothing(
     sigma^2)). Queries whose weights all underflow fall back to f(x) and
     are counted on the returned classifier's fallback_queries.
     """
-    if sigma <= 0:
+    if not (sigma > 0):
         raise ValueError("sigma must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -17,8 +17,7 @@ from padsmooth.evaluation import (
     BracketingError,
     IdentityAdversary,
     ReplayAdversary,
-    _pool_candidates,
-    _pool_cells,
+    _pool_carver,
     adversarial_risk_curve,
     competitive_ratio_experiment,
     estimate_adversarial_risk,
@@ -149,6 +148,12 @@ def test_curve_validation():
         adversarial_risk_curve(g, task, [-0.1], 100, np.random.default_rng(22))
 
 
+def test_curve_rejects_nan_radius():
+    task, g = make_smoothed(20)
+    with pytest.raises(ValueError):
+        adversarial_risk_curve(g, task, [0.1, float("nan")], 100, np.random.default_rng(22))
+
+
 # ---------------------------------------------------------------------------
 # competitive radius
 
@@ -231,7 +236,7 @@ def test_game_counts_faults_and_answers_clean():
 
 
 def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
-    # the candidate-list refresh against the full-matrix one it replaced,
+    # the pool's candidate-pair refresh against the full-matrix formula,
     # over 120 carvings; every third has radius exactly epsilon / 2, and a
     # tenth of the pool lies farther than epsilon / 2 from every center
     task = intersecting_circles_task(2)
@@ -244,7 +249,7 @@ def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
     f_centers = np.where(rng.random(len(net)) < 0.5, 1.0, -1.0)
     D = _distances_to(Xp, net.centers)
     assert (D[::10] > eps / 2).all()
-    cand, dist, nearest = _pool_candidates(D, eps / 2)
+    pool_cells = _pool_carver(D, eps / 2)
     nc = len(net)
 
     def labels(cells):
@@ -260,7 +265,7 @@ def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
         masked = np.where(D <= part.radius, part.ranks[None, :], nc + 1)
         best = masked.min(axis=1)
         want = np.where(best <= nc, part.order[np.minimum(best, nc - 1)], np.argmin(D, axis=1))
-        got = _pool_cells(cand, dist, nearest, part)
+        got = pool_cells(part)
         assert np.array_equal(got, want)
         assert np.array_equal(labels(got), labels(want))
         at_edge += int(np.count_nonzero((D > eps / 2 * 0.98) & (D <= part.radius)))

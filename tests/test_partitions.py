@@ -20,6 +20,7 @@ from padsmooth.partitions import (
     _TILE,
     _ball_assign_dense,
     _ball_assign_tree,
+    _carving_scan,
     _root_ceiling,
     ball_assign,
     ball_cell_member,
@@ -451,6 +452,85 @@ def test_ball_dense_off_support_nearest_keeps_first_index_on_equal_roots(d):
     _assert_same_bits((cells, off, margins), _gram_reference(part, X))
 
 
+def _scan_reference(d2, T, R):
+    """`_carving_scan` written out plainly: sqrt of every clipped entry,
+    capture by root <= R, a prefix minimum of the roots for the earlier
+    centers, argmin of the roots off support."""
+    roots = np.sqrt(np.maximum(d2, 0.0))
+    R = np.broadcast_to(R, len(d2))
+    inball = roots <= R[:, None]
+    has = inball.any(axis=1)
+    first = np.argmax(inball, axis=1)
+    rows = np.arange(len(d2))
+    prefix = np.minimum.accumulate(roots, axis=1)
+    before = np.where(first > 0, prefix[rows, np.maximum(first - 1, 0)], np.inf)
+    m = np.minimum(R - roots[rows, first], before - R)
+    return np.where(has, first, np.argmin(roots, axis=1)), ~has, np.where(has, m, 0.0)
+
+
+# radii whose capture threshold T lies above R*R, so some squared distances
+# in (R*R, T] are captured; scaling by powers of two keeps that window
+_WINDOW_RADII = [r * 2.0**j for r in np.linspace(0.3, 0.4, 200).tolist() if _root_ceiling(r) > r * r
+                 for j in (-3, 0, 3)]
+
+
+def _equal_root_pair(v):
+    """v and the next double above it, which share a root."""
+    while math.sqrt(math.nextafter(v, math.inf)) != math.sqrt(v):
+        v = math.nextafter(v, math.inf)
+    return v, math.nextafter(v, math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    radii=st.lists(st.sampled_from(_WINDOW_RADII), min_size=1, max_size=6),
+    per_row=st.booleans(),
+    count=st.integers(2, 7),
+    kinds=st.lists(st.sampled_from(["in", "window", "T", "above_T", "far", "tie_lo", "tie_hi",
+                                    "negative", "zero"]), min_size=42, max_size=42),
+    spare=st.integers(0, 3),
+)
+def test_carving_scan_matches_plain_reference_bits(radii, per_row, count, kinds, spare):
+    # every draw starts with three fixed rows: a capture at column 0, a row
+    # with no capture whose least root is tied between two columns, and a
+    # capture in (R*R, T] after a far column; drawn rows follow
+    k = len(radii) + 3
+    R = np.resize(radii, k) if per_row else np.full(k, radii[0])
+    T = np.array([_root_ceiling(r) for r in R])
+    values = {
+        "in": lambda r, t: 0.37 * r * r,
+        "window": lambda r, t: t,
+        "T": lambda r, t: t,
+        "above_T": lambda r, t: math.nextafter(t, math.inf),
+        "far": lambda r, t: 9.0 * r * r,
+        "tie_lo": lambda r, t: _equal_root_pair(4.0 * r * r)[0],
+        "tie_hi": lambda r, t: _equal_root_pair(4.0 * r * r)[1],
+        "negative": lambda r, t: -1e-17 * r * r,
+        "zero": lambda r, t: 0.0,
+    }
+    d2 = np.empty((k, count))
+    for i, (r, t) in enumerate(zip(R.tolist(), T.tolist())):
+        lo, hi = _equal_root_pair(4.0 * r * r)
+        fixed = [[0.5 * r * r] + [9.0 * r * r] * (count - 1),
+                 [9.0 * r * r] * (count - 2) + [hi, lo],
+                 [9.0 * r * r, t] + [0.0] * (count - 2)]
+        if i < 3:
+            d2[i] = fixed[i]
+        else:
+            d2[i] = [values[kind](r, t) for kind in kinds[(i - 3) * 7 : (i - 3) * 7 + count]]
+        assert t > r * r
+    starts = np.arange(0, (k + spare) * count, count)
+    bounds = np.repeat(starts, 2)
+    Ts, Rs = (T[:, None], R) if per_row else (float(T[0]), float(R[0]))
+    got = _carving_scan(d2, Ts, Rs, starts, bounds)
+    want = _scan_reference(d2, T, R)
+    assert got[1][:3].tolist() == [False, True, False]
+    assert got[0][:3].tolist() == [0, count - 2, 1]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and a.tobytes() == b.astype(a.dtype).tobytes()
+    assert got[2].dtype == np.float64
+
+
 def _assert_root_ceiling(R):
     T = _root_ceiling(R)
     assert math.sqrt(T) <= R < math.sqrt(math.nextafter(T, math.inf))
@@ -472,15 +552,6 @@ def test_root_ceiling_at_catalog_radii():
 @given(r=st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False))
 def test_root_ceiling_at_random_radii(r):
     _assert_root_ceiling(r)
-
-
-def test_ball_assign_rejects_nonpositive_chunk():
-    for d in (2, 6):
-        part, X = _kernel_case(d, 100, d, one_center=False)
-        for chunk in (0, -1, -4096):
-            with pytest.raises(ValueError, match="chunk"):
-                ball_assign(part, X, chunk=chunk)
-        _assert_same_bits(ball_assign(part, X, chunk=1), ball_assign(part, X))
 
 
 def test_ball_carvings_share_the_net_tree():
@@ -610,6 +681,28 @@ def test_estimate_paddedness_validation():
         estimate_paddedness(family, data, -0.1, 10, stream(15, 0))
     with pytest.raises(ValueError):
         estimate_paddedness(family, data, 0.1, 0, stream(15, 0))
+
+
+def test_estimate_paddedness_rejects_nan_radius():
+    family = lambda r: sample_cube_partition(1, 1.0, r)
+    with pytest.raises(ValueError):
+        estimate_paddedness(family, lambda r: r.random(1), float("nan"), 10, stream(15, 0))
+
+
+def test_padding_certificate_rejects_nan_radius():
+    part = sample_cube_partition(2, 1.0, stream(15, 1))
+    with pytest.raises(ValueError):
+        padding_certificate(part, np.zeros(2), float("nan"))
+
+
+def test_sample_cube_partition_rejects_nan_epsilon():
+    with pytest.raises(ValueError):
+        sample_cube_partition(2, float("nan"), stream(15, 2))
+
+
+def test_cube_partition_rejects_nan_epsilon():
+    with pytest.raises(ValueError):
+        CubePartition(epsilon=float("nan"), dim=2, shift=np.zeros(2))
 
 
 @pytest.mark.parametrize("eps, dists", [

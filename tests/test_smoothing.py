@@ -645,6 +645,11 @@ def test_gaussian_validation():
         gaussian_smoothing(f, sigma=1.0, n=0, rng=np.random.default_rng(55))
 
 
+def test_gaussian_rejects_nan_sigma():
+    with pytest.raises(ValueError):
+        gaussian_smoothing(constant_classifier(1), sigma=float("nan"), n=10, rng=np.random.default_rng(56))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
