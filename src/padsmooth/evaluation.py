@@ -38,7 +38,7 @@ from .partitions import (
     sample_cube_partition,
     wilson_interval,
 )
-from .smoothing import SmoothedClassifier, _cell_keys_of, _sgn, smooth_exact
+from .smoothing import SmoothedClassifier, _cell_index, _find, _sgn, smooth_exact
 from .tasks import (
     SPHERE_MIDDLE,
     BlackBoxClassifier,
@@ -316,7 +316,7 @@ def competitive_ratio_experiment(
         ratio=ratio,
         ar_at_eps_alg=ar_upper(eps_alg),
         ar_fresh=ar_fresh,
-        cells=len(g.cell_labels),
+        cells=g.cell_count,
         n=n,
         applicable=delta > 0,
     )
@@ -475,6 +475,8 @@ def oblivious_game_simulate(
     """
     if rounds < 1 or refresh_every < 1:
         raise ValueError("rounds and refresh_every must be >= 1")
+    if not (epsilon >= 0):
+        raise ValueError("epsilon must be >= 0")
     if family not in ("ball", "cube"):
         raise ValueError("family must be 'ball' or 'cube'")
     Xp, _ = task.sample(rng, pool)
@@ -507,18 +509,23 @@ def oblivious_game_simulate(
 
         def refresh():
             part = sample_cube_partition(d, partition_epsilon, rng)
-            keys, _, inverse = _cell_keys_of(part, Xp)
-            votes = np.bincount(inverse, weights=f_pool)
+            keys, _, inverse = _cell_index(part, Xp)
             state["part"] = part
-            state["labels"] = {key: 1 if v >= 0 else -1 for key, v in zip(keys, votes.tolist())}
+            state["keys"] = keys
+            state["labels"] = _sgn(np.bincount(inverse, weights=f_pool))
+            state["fallback"] = {}  # key bytes -> f at the anchor, until the next refresh
 
         def answer(x: np.ndarray) -> int:
             part = state["part"]
-            key = _cell_keys_of(part, x[None, :])[0][0]
-            labels = state["labels"]
-            if key not in labels:
-                labels[key] = int(f(part.anchor(key)[None, :])[0])
-            return labels[key]
+            key, cell, _ = _cell_index(part, x[None, :])
+            at, known = _find(state["keys"], key)
+            if known[0]:
+                return int(state["labels"][at[0]])
+            fallback = state["fallback"]
+            key_bytes = key.tobytes()
+            if key_bytes not in fallback:
+                fallback[key_bytes] = int(f(part.anchor(cell))[0])
+            return fallback[key_bytes]
 
     errors = np.zeros(rounds, dtype=bool)
     faults = 0

@@ -19,9 +19,10 @@ Two families:
 
 Both classes answer the same calls: cells(points), margins(points) ->
 (margins, off_support), anchor(cells), to_dict(), the text form of a cell
-key (key_to_text / key_from_text) and guided_directions() for the probe
-attack. The module functions cells_of, certificate_margins and
-padding_certificate forward to them for either family.
+key (key_to_text / key_from_text), the cells of cell_labels keys
+(key_cells) and guided_directions() for the probe attack. The module
+functions cells_of, certificate_margins and padding_certificate forward to
+them for either family.
 
 The certificate is exact for cube cells and sound-but-conservative for
 carved cells (they may say Cut for a ball that is in fact contained, never
@@ -180,6 +181,11 @@ class CubePartition:
     def key_from_text(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
 
+    def key_cells(self, keys) -> Array:
+        """(n, d) int64 cells of cell_labels keys; rejects a key that is not
+        d integers."""
+        return _integer_cells(keys, (self.dim,), f"cube cell keys must be tuples of {self.dim} integers")
+
     def guided_directions(self) -> list:
         """Certificate-guided attack rounds: one push along the axis of each
         point's nearest cell face, toward that face."""
@@ -204,6 +210,20 @@ def _lattice_cells(pts, shift, width) -> Array:
 def _lattice_margins(pts, shift, width) -> Array:
     u = np.mod(pts - shift, width)
     return np.minimum(u, width - u).min(axis=-1)
+
+
+def _integer_cells(keys, shape: tuple, what: str) -> Array:
+    """int64 array of integer keys, each of the given shape, or ValueError."""
+    keys = list(keys)
+    if not keys:
+        return np.empty((0, *shape), dtype=np.int64)
+    try:
+        cells = np.array(keys)
+    except ValueError:  # keys of different lengths
+        cells = None
+    if cells is None or cells.dtype.kind not in "iu" or cells.shape[1:] != shape:
+        raise ValueError(what)
+    return cells.astype(np.int64, copy=False)
 
 
 def _points_of(part, points) -> Array:
@@ -343,6 +363,15 @@ class BallCarvingPartition:
     @staticmethod
     def key_from_text(text: str) -> int:
         return int(text)
+
+    def key_cells(self, keys) -> Array:
+        """(n,) int64 cells of cell_labels keys; rejects a key that is not a
+        center index in [0, len(net))."""
+        what = f"carving cell keys must be center indices in [0, {len(self.net)})"
+        cells = _integer_cells(keys, (), what)
+        if len(cells) and (cells.min() < 0 or cells.max() >= len(self.net)):
+            raise ValueError(what)
+        return cells
 
     def guided_directions(self) -> list:
         """Certificate-guided attack rounds: out of the assigned ball, then

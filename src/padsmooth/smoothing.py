@@ -12,6 +12,13 @@ captures it: in 26% of the occupied cells of a d=2 circles carving and
 35% of a d=3 spheres carving. There the fallback label is f at a point of
 another cell.
 
+The classifier keeps its cells in one table of arrays sorted by cell key
+(a cube cell's int64 row viewed as one np.void, a carved cell's center
+index) and looks queries up with np.searchsorted, so no path that builds,
+tallies or evaluates cells makes a Python object per cell. The
+cell_labels, sample_counts and flagged_cells dicts are views of the
+table, built on first access; assigning cell_labels rebuilds the table.
+
 Estimators:
 
 * smooth_exact: draws from the task until every touched cell has a vote
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import compress
 from pathlib import Path
 from typing import Callable
 
@@ -57,11 +65,22 @@ def _sgn(values) -> np.ndarray:
 class SmoothedClassifier:
     """Piecewise-constant classifier over a partition.
 
-    cell_labels maps cell ids (int for carvings, tuple of ints for cubes)
-    to labels. sample_counts records the votes behind each label; cells in
-    flagged_cells missed their vote quota (scheme B: a stuck walk, or no
-    start found and the anchor fallback). Unknown cells are labeled by the
-    base classifier at the cell anchor.
+    The cell table is four aligned arrays sorted by cell key: the keys (a
+    cube cell's (d,) int64 row viewed as one np.void of 8 d bytes, a carved
+    cell's int64 center index), int8 labels, int64 vote counts (-1 where
+    none is recorded) and a bool mask of the cells that missed their vote
+    quota (scheme B: a stuck walk, or no start found and the anchor
+    fallback). evaluate finds cells with np.searchsorted; unknown cells are
+    labeled by the base classifier at the cell anchor.
+
+    cell_labels, sample_counts and flagged_cells are dict and set views of
+    the table, keyed by tuples of ints for cubes and ints for carvings.
+    They are built on first access and cached until the table changes, so
+    editing a view's dict does not reach the table. Assigning a mapping to
+    cell_labels rebuilds the table, keeping the counts and flags of the
+    cells it still holds. The constructor rejects labels other than -1 and
+    +1, negative counts, keys that are not cells of the partition, and
+    counts or flags of cells without a label.
     """
 
     def __init__(
@@ -75,30 +94,83 @@ class SmoothedClassifier:
         provenance: dict | None = None,
     ):
         self.partition = partition
-        self.cell_labels = dict(cell_labels)
         self.base = base
         self.scheme = scheme
-        self.sample_counts = dict(sample_counts or {})
-        self.flagged_cells = set(flagged_cells or ())
         self.provenance = dict(provenance or {})
         self._lazy_resolver = None  # set by scheme B
+        self._set_table(*_table_of(partition, cell_labels, sample_counts or {}, flagged_cells or ()))
+
+    @classmethod
+    def _of_table(cls, partition, table, base, scheme: str, provenance: dict) -> "SmoothedClassifier":
+        """A classifier over (keys, labels, counts, flagged) arrays, keys
+        sorted and distinct."""
+        clf = cls(partition, {}, base, scheme, provenance=provenance)
+        clf._set_table(*table)
+        return clf
+
+    def _set_table(self, keys, labels, counts, flagged) -> None:
+        self._keys, self._labels, self._counts, self._flagged = keys, labels, counts, flagged
+        self._views = {}  # replaced, never cleared: a shallow copy may share the old one
+
+    def _insert(self, keys, labels, counts, flagged) -> None:
+        """Add cells that are not in the table, keys sorted and distinct, at
+        their searchsorted positions."""
+        at = np.searchsorted(self._keys, keys)
+        old = (self._keys, self._labels, self._counts, self._flagged)
+        self._set_table(*(np.insert(a, at, v) for a, v in zip(old, (keys, labels, counts, flagged))))
+
+    @property
+    def cell_count(self) -> int:
+        """Cells in the table."""
+        return len(self._keys)
+
+    # -- dict views ---------------------------------------------------
+
+    def _view(self, name: str, build):
+        views = self._views
+        if name not in views:
+            if "keys" not in views:  # one list of key objects for all three views
+                cells = _key_cells(self._keys)
+                views["keys"] = list(map(tuple, cells.tolist())) if cells.ndim == 2 else cells.tolist()
+            views[name] = build(views["keys"])
+        return views[name]
+
+    @property
+    def cell_labels(self) -> dict:
+        return self._view("labels", lambda keys: dict(zip(keys, self._labels.tolist())))
+
+    @cell_labels.setter
+    def cell_labels(self, mapping) -> None:
+        counts = {k: c for k, c in self.sample_counts.items() if k in mapping}
+        flagged = [k for k in self.flagged_cells if k in mapping]
+        self._set_table(*_table_of(self.partition, mapping, counts, flagged))
+
+    @property
+    def sample_counts(self) -> dict:
+        return self._view(
+            "counts", lambda keys: {k: c for k, c in zip(keys, self._counts.tolist()) if c >= 0}
+        )
+
+    @property
+    def flagged_cells(self) -> set:
+        return self._view("flagged", lambda keys: set(compress(keys, self._flagged.tolist())))
 
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, points) -> np.ndarray:
-        pts = as_points(points)
-        keys, cells, inverse = _cell_keys_of(self.partition, pts)
-        found = list(map(self.cell_labels.get, keys))
-        missing = [j for j, lab in enumerate(found) if lab is None]
-        if missing and self._lazy_resolver is not None:
-            for j, lab in zip(missing, self._lazy_resolver([keys[j] for j in missing], cells[missing])):
-                found[j] = lab
-        elif missing:
-            if self.base is None:
+        keys, cells, inverse = _cell_index(self.partition, as_points(points))
+        at, known = _find(self._keys, keys)
+        labels = np.empty(len(keys), dtype=np.int8)
+        labels[known] = self._labels[at[known]]
+        fresh = ~known
+        if fresh.any():
+            if self._lazy_resolver is not None:
+                labels[fresh] = self._lazy_resolver(keys[fresh], cells[fresh])
+            elif self.base is None:
                 raise RuntimeError("unseen cells and no base classifier for fallback")
-            for j, lab in zip(missing, self.base(self.partition.anchor(cells[missing]))):
-                found[j] = lab
-        return np.array(found, dtype=np.int8)[inverse]
+            else:
+                labels[fresh] = self.base(self.partition.anchor(cells[fresh]))
+        return labels[inverse]
 
     # -- serialization ------------------------------------------------
 
@@ -136,21 +208,69 @@ class SmoothedClassifier:
         return cls.from_dict(json.loads(Path(path).read_text()), base=base)
 
 
-def _cell_keys_of(part, points):
+def _table_keys(cells) -> np.ndarray:
+    """Table keys of part.cells rows: each (d,) int64 cube row viewed as one
+    np.void of 8 d bytes, or the int64 center indices of a carving. np.unique
+    and np.searchsorted order both (voids bytewise, not as tuples)."""
+    if cells.ndim == 1:
+        return cells.astype(np.int64, copy=False)
+    cells = np.ascontiguousarray(cells, dtype=np.int64)
+    return cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1]))).reshape(len(cells))
+
+
+def _key_cells(keys) -> np.ndarray:
+    """The cells of table keys, the inverse of _table_keys, without a copy."""
+    if keys.dtype.kind != "V":
+        return keys
+    return np.ascontiguousarray(keys).view(np.int64).reshape(len(keys), keys.itemsize // 8)
+
+
+def _cell_index(part, points):
     """Distinct cells of a batch: (keys, cells, inverse).
 
-    keys are the cell_labels keys (tuples for cubes, ints for carvings),
-    cells the matching rows of part.cells and inverse the cell position of
-    every point.
+    keys are the sorted distinct table keys (see _table_keys), cells the
+    matching rows of part.cells and inverse the key position of every
+    point.
     """
-    cells = part.cells(points)
-    if cells.ndim == 2:
-        rows = np.ascontiguousarray(cells).view(np.dtype((np.void, cells.itemsize * cells.shape[1])))
-        _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-        cells = cells[first]
-        return list(map(tuple, cells.tolist())), cells, inverse
-    cells, inverse = np.unique(cells, return_inverse=True)
-    return cells.tolist(), cells, inverse
+    keys, inverse = np.unique(_table_keys(part.cells(points)), return_inverse=True)
+    return keys, _key_cells(keys), inverse
+
+
+def _find(table, keys):
+    """(at, found): the searchsorted positions of keys in the sorted table
+    and whether each key is there. Where it is not, `at` is clipped to a
+    valid position, or 0 in an empty table."""
+    at = np.searchsorted(table, keys)
+    if not len(table):
+        return at, np.zeros(len(keys), dtype=bool)
+    np.minimum(at, len(table) - 1, out=at)
+    return at, table[at] == keys
+
+
+def _table_of(part, cell_labels, sample_counts, flagged_cells) -> tuple:
+    """(keys, labels, counts, flagged) arrays of the dict form, sorted by
+    key; ValueError on what the table cannot hold."""
+    labels = np.array(list(cell_labels.values()))
+    if not np.isin(labels, (-1, 1)).all():
+        raise ValueError("cell labels must be -1 or +1")
+    keys = _table_keys(part.key_cells(cell_labels))
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def positions(cells, name):
+        at, found = _find(keys, _table_keys(part.key_cells(cells)))
+        if not found.all():
+            raise ValueError(f"{name} holds a cell without a label")
+        return at
+
+    counts = np.full(len(keys), -1, dtype=np.int64)
+    values = np.array(list(sample_counts.values()), dtype=np.int64)
+    if (values < 0).any():
+        raise ValueError("sample counts must be >= 0")
+    counts[positions(sample_counts, "sample_counts")] = values
+    flagged = np.zeros(len(keys), dtype=bool)
+    flagged[positions(flagged_cells, "flagged_cells")] = True
+    return keys, labels[order].astype(np.int8), counts, flagged
 
 
 def smooth_exact(
@@ -171,31 +291,31 @@ def smooth_exact(
     """
     if per_cell < 1:
         raise ValueError("per_cell must be >= 1")
-    sums: dict = {}
-    counts: dict = {}
+    keys = _table_keys(part.key_cells([]))
+    sums = np.zeros(0)
+    counts = np.zeros(0, dtype=np.int64)
     drawn = 0
     while drawn < max_draws:
         m = min(batch, max_draws - drawn)
         X, _ = task.sample(rng, m)
         drawn += m
         votes = f(X).astype(np.float64)
-        keys, _, inverse = _cell_keys_of(part, X)
-        vote_sum = np.bincount(inverse, weights=votes)
-        vote_cnt = np.bincount(inverse)
-        for key, v, c in zip(keys, vote_sum.tolist(), vote_cnt.tolist()):
-            sums[key] = sums.get(key, 0.0) + v
-            counts[key] = counts.get(key, 0) + c
-        if min(counts.values()) >= per_cell:
+        new, _, inverse = _cell_index(part, X)
+        new_sums = np.bincount(inverse, weights=votes)
+        new_counts = np.bincount(inverse)
+        if len(keys):  # merge: vote sums are integers, exact in any order
+            keys, merged = np.unique(np.concatenate((keys, new)), return_inverse=True)
+            sums = np.bincount(merged, weights=np.concatenate((sums, new_sums)))
+            counts = np.bincount(merged, weights=np.concatenate((counts, new_counts))).astype(np.int64)
+        else:
+            keys, sums, counts = new, new_sums, new_counts
+        if counts.min() >= per_cell:
             break
-    labels = {key: 1 if v >= 0 else -1 for key, v in sums.items()}
-    flagged = {key for key, c in counts.items() if c < per_cell}
-    return SmoothedClassifier(
-        partition=part,
-        cell_labels=labels,
+    return SmoothedClassifier._of_table(
+        part,
+        (keys, _sgn(sums), counts, counts < per_cell),
         base=f,
         scheme="exact",
-        sample_counts=counts,
-        flagged_cells=flagged,
         provenance={"per_cell": per_cell, "draws": drawn, "max_draws": max_draws},
     )
 
@@ -230,17 +350,12 @@ def scheme_a_estimate(f: BlackBoxClassifier, part, unlabeled) -> SmoothedClassif
     if len(pool) == 0:
         raise ValueError("unlabeled pool is empty")
     votes = f(pool).astype(np.float64)
-    keys, _, inverse = _cell_keys_of(part, pool)
-    vote_sum = np.bincount(inverse, weights=votes)
-    vote_cnt = np.bincount(inverse)
-    labels = {key: 1 if v >= 0 else -1 for key, v in zip(keys, vote_sum.tolist())}
-    counts = dict(zip(keys, vote_cnt.tolist()))
-    return SmoothedClassifier(
-        partition=part,
-        cell_labels=labels,
+    keys, _, inverse = _cell_index(part, pool)
+    return SmoothedClassifier._of_table(
+        part,
+        (keys, _sgn(np.bincount(inverse, weights=votes)), np.bincount(inverse), np.zeros(len(keys), dtype=bool)),
         base=f,
         scheme="A",
-        sample_counts=counts,
         provenance={"pool": len(pool)},
     )
 
@@ -512,10 +627,7 @@ def scheme_b_estimate(
         labels = np.empty(len(keys), dtype=np.int8)
         labels[hit] = _sgn(votes[: len(pts)].astype(np.float64).reshape(-1, s).sum(axis=1))
         labels[~hit] = votes[len(pts) :]
-        for key, label, sampled in zip(keys, labels.tolist(), hit.tolist()):
-            clf.cell_labels[key] = label
-            clf.sample_counts[key] = s if sampled else 0
-        clf.flagged_cells.update(key for key, bad in zip(keys, (stuck | ~hit).tolist()) if bad)
+        clf._insert(np.asarray(keys), labels, np.where(hit, s, 0), stuck | ~hit)
         return labels
 
     clf._lazy_resolver = resolve

@@ -292,6 +292,17 @@ def test_game_cube_family_and_validation():
         )
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), -1.0])
+def test_game_rejects_nan_or_negative_radius(epsilon):
+    # before the check, nan ran to the end with 0 faults and -1 faulted every round
+    task = intersecting_circles_task(2)
+    with pytest.raises(ValueError, match="epsilon"):
+        oblivious_game_simulate(
+            task, task.ground_truth_classifier(), epsilon, refresh_every=4, rounds=20,
+            adversary=IdentityAdversary(), rng=np.random.default_rng(34),
+        )
+
+
 def test_boundary_seeker_stays_within_radius():
     task = intersecting_circles_task(2)
     adv = BoundarySeekAdversary(task)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from padsmooth.geometry import EpsilonNet, greedy_net
@@ -200,13 +202,16 @@ def test_lazy_resolver_gets_every_fresh_cell_once_in_one_call(family):
     calls = []
 
     def resolve(fresh, cells):
-        calls.append((list(fresh), np.array(cells)))
+        calls.append((np.array(fresh), np.array(cells)))
         return np.ones(len(fresh), dtype=np.int8)
 
     g._lazy_resolver = resolve
     labels = g.evaluate(X)
     assert len(calls) == 1
     fresh, cells = calls[0]
+    # a cube key is its int64 row viewed as one void; compare the rows
+    rows = fresh.view(np.int64).reshape(len(fresh), -1) if fresh.dtype.kind == "V" else fresh
+    fresh = [tuple(row) for row in rows.tolist()] if rows.ndim == 2 else rows.tolist()
     assert len(fresh) == len(set(fresh)) and set(fresh) == set(keys) - {keys[0]}
     want = [tuple(row) for row in cells.tolist()] if cells.ndim == 2 else cells.tolist()
     assert fresh == want
@@ -227,6 +232,146 @@ def test_fallback_labels_fresh_cells_at_anchors_in_one_call(family):
     assert {tuple(a) for a in batches[0].tolist()} == {tuple(part.anchor(k).tolist()) for k in fresh}
     g.evaluate(X)  # fallback labels are not cached across calls
     assert base.eval_count == 2 * len(fresh) and g.cell_labels == {keys[0]: -1}
+
+
+# ---------------------------------------------------------------------------
+# the cell table against a plain dict
+
+
+def _reference_evaluate(part, table: dict, X, f):
+    """evaluate written with a dict: known cells by lookup, every distinct
+    unknown cell by f at its anchor in one call. Returns (labels, anchors)."""
+    cells = part.cells(X)
+    keys = [tuple(c) for c in cells.tolist()] if cells.ndim == 2 else cells.tolist()
+    unknown = sorted({k for k in keys if k not in table})
+    fallback = dict(zip(unknown, f(part.anchor(np.array(unknown))).tolist())) if unknown else {}
+    labels = np.array([table[k] if k in table else fallback[k] for k in keys], dtype=np.int8)
+    return labels, part.anchor(np.array(unknown)) if unknown else np.empty((0, X.shape[1]))
+
+
+def _check_against_reference(part, table, X):
+    f, batches = recording_classifier(
+        BlackBoxClassifier(lambda p: np.where(np.sin(7.0 * p).sum(axis=1) > 0, 1, -1).astype(np.int8)))
+    want, anchors = _reference_evaluate(part, table, X, f)
+    reference_calls = len(batches)
+    batches.clear()
+    g = SmoothedClassifier(part, table, base=f, scheme="exact")
+    for _ in range(2):  # fallback labels are not cached: the second call asks again
+        assert np.array_equal(g.evaluate(X), want)
+        assert len(batches) == reference_calls
+        if batches:
+            got = sorted(map(tuple, batches.pop().tolist()))
+            assert got == sorted(map(tuple, anchors.tolist()))
+    assert g.cell_labels == table
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    data=st.data(),
+)
+def test_cube_table_evaluate_equals_dict_reference(dim, data):
+    width = 0.5
+    part = CubePartition(epsilon=width * math.sqrt(dim), dim=dim, shift=np.full(dim, 0.125))
+    coord = st.one_of(st.integers(-3, 3), st.integers(-2**40, 2**40))
+    cell = st.tuples(*[coord] * dim)
+    table = data.draw(st.dictionaries(cell, st.sampled_from([-1, 1]), max_size=12))
+    known = list(table)
+    cells = data.draw(st.lists(st.sampled_from(known) if known else cell, max_size=20))
+    cells += data.draw(st.lists(cell, max_size=20))  # mostly unknown cells
+    cells += cells[: data.draw(st.integers(0, len(cells)))]  # repeated queries
+    if not cells:
+        cells = [(0,) * dim]
+    frac = np.array(data.draw(st.lists(st.integers(1, 3), min_size=len(cells) * dim,
+                                       max_size=len(cells) * dim))).reshape(len(cells), dim) / 4.0
+    X = part.shift + (np.array(cells, dtype=np.float64) + frac) * width
+    assert [tuple(c) for c in part.cells(X).tolist()] == cells
+    _check_against_reference(part, table, X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_carving_table_evaluate_equals_dict_reference(seed, data):
+    rng = np.random.default_rng(seed)
+    part = sample_ball_carving(greedy_net(rng.random((60, 2)), 0.1), 0.4, rng)
+    index = st.integers(0, len(part.net) - 1)
+    table = data.draw(st.dictionaries(index, st.sampled_from([-1, 1]), max_size=12))
+    n = data.draw(st.integers(1, 40))
+    X = rng.uniform(-0.5, 1.5, (n, 2))  # some off support: nearest-center cells
+    X = np.concatenate((X, X[: data.draw(st.integers(0, n))]))
+    _check_against_reference(part, table, X)
+
+
+@pytest.mark.parametrize("family", ["cube", "ball"])
+def test_views_follow_scheme_b_inserts(family):
+    if family == "cube":
+        part = sample_cube_partition(2, 0.4, np.random.default_rng(72))
+    else:
+        part, _ = _square_carving(2, 73)
+    g = scheme_b_estimate(_halfspace(2), part, s=3, k=None, rng=np.random.default_rng(74))
+    queries = np.random.default_rng(75).random((120, 2))
+    assert g.cell_labels == {} and g.cell_count == 0
+    seen = {}
+    for batch in (queries[:60], queries, queries[100:]):
+        labels = g.evaluate(batch)
+        cells = part.cells(batch)
+        keys = [tuple(c) for c in cells.tolist()] if cells.ndim == 2 else cells.tolist()
+        seen.update(zip(keys, labels.tolist()))
+        assert g.cell_labels == seen and g.cell_count == len(seen)
+        assert set(g.sample_counts) == set(seen) and g.flagged_cells <= set(seen)
+        assert all(g.sample_counts[k] in (0, 3) for k in seen)
+        assert all(k in g.flagged_cells for k, c in g.sample_counts.items() if c == 0)
+    back = SmoothedClassifier.from_dict(g.to_dict())
+    assert back.cell_labels == g.cell_labels and back.sample_counts == g.sample_counts
+    assert back.flagged_cells == g.flagged_cells
+    assert np.array_equal(back.evaluate(queries), g.evaluate(queries))
+
+
+def test_assigning_cell_labels_rebuilds_the_table():
+    task = two_discs_task()
+    part = sample_cube_partition(2, 1.0, np.random.default_rng(76))
+    truth = task.ground_truth_classifier()
+    f, batches = recording_classifier(truth)
+    g = smooth_exact(f, part, task, per_cell=30, rng=np.random.default_rng(77), max_draws=600)
+    counts, flagged = dict(g.sample_counts), set(g.flagged_cells)
+    flip, drop = sorted(g.cell_labels)[:2]
+    new = {**g.cell_labels, flip: -g.cell_labels[flip]}
+    del new[drop]
+    g.cell_labels = new
+    assert g.cell_labels == new and g.cell_count == len(new)
+    assert g.sample_counts == {k: c for k, c in counts.items() if k != drop}
+    assert g.flagged_cells == flagged - {drop}
+    points = part.anchor(np.array([flip, drop]))
+    batches.clear()
+    assert g.evaluate(points).tolist() == [new[flip], int(truth(points[1:])[0])]
+    assert len(batches) == 1 and np.array_equal(batches[0], points[1:])  # the dropped cell asks f
+    assert SmoothedClassifier.from_dict(g.to_dict()).cell_labels == new
+
+
+@pytest.mark.parametrize("family, labels, counts, flagged, message", [
+    ("cube", {(0, 0): 2}, {}, (), "-1 or \\+1"),
+    ("cube", {(0, 0): 1, (0, 0, 1): -1}, {}, (), "tuples of 2 integers"),
+    ("cube", {(0, 0): 1}, {(0, 0): -4}, (), ">= 0"),
+    ("cube", {(0, 0): 1}, {(0, 1): 4}, (), "sample_counts holds a cell without a label"),
+    ("ball", {0: 1, 31: -1}, {}, (), "center indices"),
+    ("ball", {-1: 1}, {}, (), "center indices"),
+    ("ball", {0: 1}, {}, (3,), "flagged_cells holds a cell without a label"),
+], ids=["label-2", "cube-key-length", "negative-count", "count-without-label",
+        "carving-index-past-net", "carving-index-negative", "flag-without-label"])
+def test_constructor_rejects_what_the_table_cannot_answer(family, labels, counts, flagged, message):
+    if family == "cube":
+        part = CubePartition(epsilon=1.0, dim=2, shift=np.zeros(2))
+    else:
+        net = EpsilonNet(centers=np.arange(31.0)[:, None], epsilon=0.25, source_count=31)
+        part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.arange(31))
+    with pytest.raises(ValueError, match=message):
+        SmoothedClassifier(part, labels, base=None, scheme="exact", sample_counts=counts, flagged_cells=flagged)
+    text = part.key_to_text
+    payload = {"partition": part.to_dict(), "cell_labels": {text(k): v for k, v in labels.items()},
+               "sample_counts": {text(k): c for k, c in counts.items()},
+               "flagged_cells": [text(k) for k in flagged]}
+    with pytest.raises(ValueError, match=message):
+        SmoothedClassifier.from_dict(payload)
 
 
 # ---------------------------------------------------------------------------
