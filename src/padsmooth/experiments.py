@@ -142,6 +142,23 @@ def _streams(seed: int) -> dict:
     }
 
 
+def _certified_ar(rows, checks, check, g, task, eps, n, rng, attack_trials, rhs, t, **labels):
+    """One-radius certified AR of g: appends the check ar_upper <= rhs + 3 se
+    under the name `check` and the ar_upper, ar_lower and certified_fraction
+    rows of scheme exact, with `labels` as further columns; returns the
+    report."""
+    rep = adversarial_risk_curve(g, task, [eps], n, rng, attack_trials=attack_trials)[0]
+    ok = rep.ar_upper <= rhs + 3 * _se(rep.ar_upper, n)
+    checks.append((check, ok, f"ar_upper={rep.ar_upper:.4f} <= {rhs:.4f}"))
+    labels.update(task=task.name, scheme="exact", epsilon=eps, n=n)
+    rows.append(_row("ar_upper", rep.ar_upper, **labels, t=t, lo=rep.ar_upper_lo,
+                     hi=rep.ar_upper_hi, bound=rhs, ok=_verdict(ok)))
+    rows.append(_row("ar_lower", rep.ar_lower, **labels, lo=rep.ar_lower_lo, hi=rep.ar_lower_hi))
+    rows.append(_row("certified_fraction", rep.certified_fraction, **labels,
+                     lo=rep.certified_lo, hi=rep.certified_hi))
+    return rep
+
+
 @dataclass(frozen=True)
 class ExperimentOutput:
     rows: list
@@ -190,7 +207,7 @@ def _run_two_discs(cfg: dict, seed: int) -> ExperimentOutput:
 
 
 # ---------------------------------------------------------------------------
-# hard_distribution: low-risk base classifier, high-risk conditioned smoothing
+# hard_distribution: conditioned Gaussian smoothing inflates the base risk
 
 
 def _run_hard_distribution(cfg: dict, seed: int) -> ExperimentOutput:
@@ -278,23 +295,10 @@ def _spheres_bound_block(rows, checks, seed, d, delta, eps_list, alpha, c_prime,
         part = sample_ball_carving(net, eps_part, rngmod.stream(seed, rngmod.PARTITION_STREAM, d, j))
         g = smooth_exact(f, part, task, per_cell, rngmod.stream(seed, rngmod.SMOOTHING_STREAM, d, j),
                          max_draws=max_draws)
-        rep = adversarial_risk_curve(g, task, [eps], n,
-                                     rngmod.stream(seed, rngmod.EVAL_STREAM, d, j),
-                                     attack_trials=attack_trials)[0]
         rhs = 2 * task.separation(d * eps / alpha) + 2 * delta + c_prime * alpha
-        ok = rep.ar_upper <= rhs + 3 * _se(rep.ar_upper, n)
-        checks.append((f"ball_bound_d{d}_eps{eps}", ok,
-                       f"ar_upper={rep.ar_upper:.4f} <= {rhs:.4f}"))
-        rows.append(_row("ar_upper", rep.ar_upper, task=task.name, partition="ball",
-                         scheme="exact", d=d, epsilon=eps, delta=delta, n=n,
-                         t=eps_part, lo=rep.ar_upper_lo, hi=rep.ar_upper_hi,
-                         bound=rhs, ok=_verdict(ok)))
-        rows.append(_row("ar_lower", rep.ar_lower, task=task.name, partition="ball",
-                         scheme="exact", d=d, epsilon=eps, delta=delta, n=n,
-                         lo=rep.ar_lower_lo, hi=rep.ar_lower_hi))
-        rows.append(_row("certified_fraction", rep.certified_fraction, task=task.name,
-                         partition="ball", scheme="exact", d=d, epsilon=eps, delta=delta, n=n,
-                         lo=rep.certified_lo, hi=rep.certified_hi))
+        rep = _certified_ar(rows, checks, f"ball_bound_d{d}_eps{eps}", g, task, eps, n,
+                            rngmod.stream(seed, rngmod.EVAL_STREAM, d, j), attack_trials, rhs,
+                            eps_part, partition="ball", d=d, delta=delta)
         rows.append(_row("risk", rep.risk, task=task.name, partition="ball", scheme="exact",
                          d=d, epsilon=eps, delta=delta, n=n, lo=rep.risk_lo, hi=rep.risk_hi))
         if save_artifacts and j == len(eps_list) - 1:
@@ -588,9 +592,8 @@ def _run_oblivious_game(cfg: dict, seed: int) -> ExperimentOutput:
 # cube_theorem: end-to-end certified AR bound for the cube family
 
 
-def _cube_theorem_block(rows, checks, seed, task_name, task, d, delta, eps_list, alpha,
-                        c_prime, n, per_cell, max_draws, attack_trials, artifacts,
-                        save_artifacts):
+def _cube_theorem_block(rows, checks, seed, task, d, delta, eps_list, alpha, c_prime, n,
+                        per_cell, max_draws, attack_trials, artifacts, save_artifacts):
     if delta == 0:
         f = task.ground_truth_classifier()
     else:
@@ -602,22 +605,10 @@ def _cube_theorem_block(rows, checks, seed, task_name, task, d, delta, eps_list,
         g = smooth_exact(f, part, task, per_cell,
                          rngmod.stream(seed, rngmod.SMOOTHING_STREAM, d, j, int(delta * 1000)),
                          max_draws=max_draws)
-        rep = adversarial_risk_curve(g, task, [eps], n,
-                                     rngmod.stream(seed, rngmod.EVAL_STREAM, d, j, int(delta * 1000)),
-                                     attack_trials=attack_trials)[0]
         rhs = 2 * task.separation(eps_part) + 2 * delta + c_prime * alpha
-        ok = rep.ar_upper <= rhs + 3 * _se(rep.ar_upper, n)
-        checks.append((f"cube_bound_{task_name}_delta{delta}_eps{eps}", ok,
-                       f"ar_upper={rep.ar_upper:.4f} <= {rhs:.4f}"))
-        rows.append(_row("ar_upper", rep.ar_upper, task=task_name, partition="cube",
-                         scheme="exact", d=d, epsilon=eps, delta=delta, n=n, t=eps_part,
-                         lo=rep.ar_upper_lo, hi=rep.ar_upper_hi, bound=rhs, ok=_verdict(ok)))
-        rows.append(_row("ar_lower", rep.ar_lower, task=task_name, partition="cube",
-                         scheme="exact", d=d, epsilon=eps, delta=delta, n=n,
-                         lo=rep.ar_lower_lo, hi=rep.ar_lower_hi))
-        rows.append(_row("certified_fraction", rep.certified_fraction, task=task_name,
-                         partition="cube", scheme="exact", d=d, epsilon=eps, delta=delta, n=n,
-                         lo=rep.certified_lo, hi=rep.certified_hi))
+        _certified_ar(rows, checks, f"cube_bound_{task.name}_delta{delta}_eps{eps}", g, task, eps, n,
+                      rngmod.stream(seed, rngmod.EVAL_STREAM, d, j, int(delta * 1000)),
+                      attack_trials, rhs, eps_part, partition="cube", d=d, delta=delta)
         if save_artifacts and j == 0:
             artifacts["partition.json"] = part.to_dict()
             artifacts["classifier.json"] = g.to_dict()
@@ -630,11 +621,11 @@ def _run_cube_theorem(cfg: dict, seed: int) -> ExperimentOutput:
     discs = two_discs_task()
     spheres = concentric_spheres_task(cfg["spheres_d"])
     for delta in _floats(cfg["delta_list"]):
-        _cube_theorem_block(rows, checks, seed, discs.name, discs, 2, delta,
+        _cube_theorem_block(rows, checks, seed, discs, 2, delta,
                             _floats(cfg["eps_list_discs"]), alpha, c_prime, cfg["n"],
                             cfg["per_cell"], cfg["max_draws"], cfg["attack_trials"],
                             artifacts, save_artifacts=delta == 0)
-        _cube_theorem_block(rows, checks, seed, spheres.name, spheres, cfg["spheres_d"], delta,
+        _cube_theorem_block(rows, checks, seed, spheres, cfg["spheres_d"], delta,
                             _floats(cfg["eps_list_spheres"]), alpha, c_prime, cfg["n"],
                             cfg["per_cell"], cfg["max_draws"], cfg["attack_trials"],
                             artifacts, save_artifacts=False)
@@ -670,7 +661,7 @@ _register(
 
 _register(
     "hard_distribution", "noise-vs-partition",
-    "Spiked packing distribution where density-weighted Gaussian smoothing inflates a tiny base risk.",
+    "Spiked packing distribution where density-weighted Gaussian smoothing inflates the base risk.",
     {"sigma": 1.0, "d_grid": "10,20,30,40,50,60", "packing_trials": 200000, "min_packing": 32,
      "pool": 4000, "n": 10000, "n_trend": 4000, "gaussian_draws": 101,
      "partition_scale": 0.9, "per_cell": 16, "max_draws": 120000},

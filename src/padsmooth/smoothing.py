@@ -81,6 +81,10 @@ class SmoothedClassifier:
     cells it still holds. The constructor rejects labels other than -1 and
     +1, negative counts, keys that are not cells of the partition, and
     counts or flags of cells without a label.
+
+    A scheme-B classifier resolves fresh cells into the classifier that
+    evaluate is called on, so a copy.copy resolves into its own table and
+    leaves the original's as it was.
     """
 
     def __init__(
@@ -97,7 +101,7 @@ class SmoothedClassifier:
         self.base = base
         self.scheme = scheme
         self.provenance = dict(provenance or {})
-        self._lazy_resolver = None  # set by scheme B
+        self._lazy_resolver = None  # scheme B: resolver(clf, keys, cells) -> labels
         self._set_table(*_table_of(partition, cell_labels, sample_counts or {}, flagged_cells or ()))
 
     @classmethod
@@ -165,7 +169,7 @@ class SmoothedClassifier:
         fresh = ~known
         if fresh.any():
             if self._lazy_resolver is not None:
-                labels[fresh] = self._lazy_resolver(keys[fresh], cells[fresh])
+                labels[fresh] = self._lazy_resolver(self, keys[fresh], cells[fresh])
             elif self.base is None:
                 raise RuntimeError("unseen cells and no base classifier for fallback")
             else:
@@ -609,15 +613,8 @@ def scheme_b_estimate(
     if steps < 1:
         raise ValueError("k must be >= 1")
     base_seed = int(rng.integers(2**63))
-    clf = SmoothedClassifier(
-        partition=part,
-        cell_labels={},
-        base=f,
-        scheme="B",
-        provenance={"s": s, "k": steps, "base_seed": base_seed},
-    )
 
-    def resolve(keys, cells) -> np.ndarray:
+    def resolve(clf, keys, cells) -> np.ndarray:
         if isinstance(part, CubePartition):
             pts = _cube_samples(part, cells, s, base_seed)
             hit, stuck = np.ones(len(keys), dtype=bool), np.zeros(len(keys), dtype=bool)
@@ -630,6 +627,13 @@ def scheme_b_estimate(
         clf._insert(np.asarray(keys), labels, np.where(hit, s, 0), stuck | ~hit)
         return labels
 
+    clf = SmoothedClassifier(
+        partition=part,
+        cell_labels={},
+        base=f,
+        scheme="B",
+        provenance={"s": s, "k": steps, "base_seed": base_seed},
+    )
     clf._lazy_resolver = resolve
     return clf
 
@@ -651,8 +655,10 @@ def gaussian_smoothing(
     noise is keyed by the query's bytes, so repeated evaluation of a point
     is deterministic. With a task: density-weighted smoothing over a pool
     of n task samples, sign of sum_i f(Z_i) * exp(-||x - Z_i||^2 / (2
-    sigma^2)). Queries whose weights all underflow fall back to f(x) and
-    are counted on the returned classifier's fallback_queries.
+    sigma^2)), with each query's squared distances shifted by their minimum
+    before the exp so its nearest pool point keeps weight 1. A query whose
+    squared distances to the pool overflow (a norm above about 1.3e154)
+    raises ValueError, and so does a sigma whose 1 / (2 sigma^2) overflows.
     """
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
@@ -677,17 +683,15 @@ def gaussian_smoothing(
                 out[start:stop] = _sgn(votes.mean(axis=1))
             return out
 
-        clf = BlackBoxClassifier(predict, name=f"gaussian-smoothing-{sigma}")
-        clf.sigma = sigma
-        clf.mode = "plain"
-        return clf
+        return BlackBoxClassifier(predict, name=f"gaussian-smoothing-{sigma}")
 
     pool, _ = task.sample(rng, n)
     pool_votes = f(pool).astype(np.float64)
     pool_sq = np.einsum("ij,ij->i", pool, pool)
-    inv = 1.0 / (2.0 * sigma * sigma)
-
-    holder = {"fallback": 0}
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / np.float64(2.0 * sigma * sigma)
+    if not np.isfinite(inv):
+        raise ValueError("sigma too small: 1 / (2 sigma^2) overflows")
 
     def predict(points):
         out = np.empty(len(points), dtype=np.int8)
@@ -696,21 +700,13 @@ def gaussian_smoothing(
             blk = points[i : i + chunk]
             d2 = np.einsum("ij,ij->i", blk, blk)[:, None] + pool_sq[None, :] - 2.0 * blk @ pool.T
             np.maximum(d2, 0.0, out=d2)
-            d2 -= d2.min(axis=1, keepdims=True)  # rescale before exp; sign is scale-free
-            with np.errstate(under="ignore"):
+            nearest = d2.min(axis=1, keepdims=True)
+            if not np.isfinite(nearest).all():
+                raise ValueError("query too far from the pool: its squared distances overflow")
+            d2 -= nearest  # rescale before exp; sign is scale-free
+            with np.errstate(under="ignore", over="ignore"):  # an overflow to inf is weight 0
                 w = np.exp(-d2 * inv)
-            scores = w @ pool_votes
-            dead = ~(w.sum(axis=1) > 0)
-            labels = _sgn(scores)
-            if dead.any():
-                labels[dead] = f(blk[dead])
-                holder["fallback"] += int(dead.sum())
-            out[i : i + chunk] = labels
+            out[i : i + chunk] = _sgn(w @ pool_votes)
         return out
 
-    clf = BlackBoxClassifier(predict, name=f"conditioned-gaussian-smoothing-{sigma}")
-    clf.sigma = sigma
-    clf.mode = "conditioned"
-    clf.pool_size = n
-    clf.fallback_queries = holder
-    return clf
+    return BlackBoxClassifier(predict, name=f"conditioned-gaussian-smoothing-{sigma}")

@@ -22,8 +22,9 @@ Tasks:
 * hard_distribution: a packing of small balls on a sphere of radius
   eps_h = sqrt(d * sigma / 10) plus a heavy ball at the origin
   (density exp(0.108 d) times an outer ball) and a far opposite-class
-  blob. The base classifier that errs only on the origin ball has tiny
-  risk, yet density-weighted Gaussian smoothing flips every outer ball.
+  blob. The base classifier errs only on the origin ball, so its risk is
+  that ball's mass (0.28 at d = 60, sigma = 1); density-weighted Gaussian
+  smoothing also flips every outer ball, which takes the risk to about 1/2.
 """
 
 from __future__ import annotations
@@ -375,8 +376,8 @@ def hard_distribution_task(
     *,
     packing_trials: int = 1_000_000,
 ) -> Task:
-    """Distribution on which low-risk base classifiers break density-weighted
-    Gaussian smoothing.
+    """Distribution on which density-weighted Gaussian smoothing inflates the
+    risk of a base classifier that errs only on the origin ball.
 
     Plus class: balls of radius 0.01*eps_h at the origin and at a packing of
     the eps_h-sphere with pairwise separation 1.2*eps_h; the origin ball

@@ -9,7 +9,9 @@ Oracles used here:
   * carved-cell membership is checked against the tree kernel of ball_assign.
 """
 
+import copy
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +203,8 @@ def test_lazy_resolver_gets_every_fresh_cell_once_in_one_call(family):
     g = SmoothedClassifier(part, cell_labels={keys[0]: -1}, base=None, scheme="B")
     calls = []
 
-    def resolve(fresh, cells):
+    def resolve(clf, fresh, cells):
+        assert clf is g
         calls.append((np.array(fresh), np.array(cells)))
         return np.ones(len(fresh), dtype=np.int8)
 
@@ -635,11 +638,37 @@ def test_scheme_b_cell_no_draw_hits_gets_flagged_anchor_fallback():
     f, batches = recording_classifier(
         BlackBoxClassifier(lambda X: np.where(X[:, 0] > 0.3, 1, -1).astype(np.int8)))
     g = scheme_b_estimate(f, part, s=5, k=None, rng=np.random.default_rng(122))
-    labels = g._lazy_resolver([1, 2], np.array([1, 2]))
+    labels = g._lazy_resolver(g, [1, 2], np.array([1, 2]))
     assert len(batches) == 1 and len(batches[0]) == 5 + 1  # s votes for cell 2, the anchor of cell 1
     assert np.array_equal(batches[0][-1], [0.25])
     assert labels[0] == -1 and g.cell_labels[1] == -1 and g.sample_counts == {1: 0, 2: 5}
     assert 1 in g.flagged_cells
+
+
+@pytest.mark.parametrize("family", ["cube", "ball"])
+def test_scheme_b_copy_resolves_into_itself(family):
+    if family == "cube":
+        part = sample_cube_partition(2, 0.3, np.random.default_rng(126))
+    else:
+        part, _ = _square_carving(2, 127)
+    f = _halfspace(2)
+    g = scheme_b_estimate(f, part, s=3, k=None, rng=np.random.default_rng(128))
+    queries = np.random.default_rng(129).random((50, 2))
+    g.evaluate(queries[:5])
+    table = [a.copy() for a in (g._keys, g._labels, g._counts, g._flagged)]
+    known, asked = dict(g.cell_labels), f.eval_count
+    h = copy.copy(g)
+    first = h.evaluate(queries)
+    assert np.array_equal(h.evaluate(queries), first)
+    # the copy holds each distinct cell once, sorted; the original is as it was
+    assert np.array_equal(h._keys, np.unique(h._keys))
+    assert h.cell_count == len(np.unique(cells_of(part, queries), axis=0)) > len(known)
+    assert all(np.array_equal(a, b) for a, b in zip(table, (g._keys, g._labels, g._counts, g._flagged)))
+    assert g.cell_labels == known
+    # f saw s points per fresh cell (its anchor where no start was found), once
+    fresh = [c for key, c in h.sample_counts.items() if key not in known]
+    assert set(fresh) <= {0, 3} and fresh.count(3) > 0
+    assert f.eval_count - asked == sum(max(c, 1) for c in fresh)
 
 
 def test_scheme_b_one_base_call_per_evaluate_with_fresh_cells():
@@ -756,7 +785,7 @@ def test_gaussian_plain_small_sigma_matches_base():
     X, _ = task.sample(np.random.default_rng(49), 200)
     X = X[np.abs(X[:, 0]) > 0.05]
     assert np.array_equal(g(X), f(X))
-    assert g.mode == "plain" and g.sigma == 1e-6
+    assert g.name == "gaussian-smoothing-1e-06"
 
 
 def test_gaussian_conditioned_huge_sigma_votes_globally():
@@ -769,7 +798,7 @@ def test_gaussian_conditioned_huge_sigma_votes_globally():
     labels = g(X)
     assert len(np.unique(labels)) == 1
     assert abs(np.mean(labels != y) - 0.5) < 0.05
-    assert g.mode == "conditioned" and g.pool_size == 2000
+    assert g.name == "conditioned-gaussian-smoothing-500.0"
 
 
 def test_gaussian_conditioned_small_sigma_tracks_data():
@@ -778,8 +807,30 @@ def test_gaussian_conditioned_small_sigma_tracks_data():
     g = gaussian_smoothing(f, sigma=0.05, n=4000, rng=np.random.default_rng(52), task=task)
     X, y = task.sample(np.random.default_rng(53), 2000)
     assert np.mean(g(X) != y) <= 0.02
-    # the row rescale keeps one weight at exp(0), so no query can go dead
-    assert g.fallback_queries["fallback"] == 0
+
+
+def test_gaussian_conditioned_rejects_overflowing_queries():
+    task = two_discs_task()
+    g = gaussian_smoothing(task.ground_truth_classifier(), sigma=0.5, n=200,
+                           rng=np.random.default_rng(57), task=task)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the ValueError comes before any RuntimeWarning
+        with pytest.raises(ValueError, match="overflow"):
+            g(np.array([[0.0, 0.0], [1e300, 1e300]]))
+        assert g(np.array([[1e150, 1e150]]))[0] in (-1, 1)
+
+
+def test_gaussian_conditioned_tiny_sigma_labels_by_nearest_pool_point_or_raises():
+    task = two_discs_task()
+    f = task.ground_truth_classifier()
+    for sigma in (1e-160, 1e-200):  # 1 / (2 sigma^2) overflows
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_smoothing(f, sigma=sigma, n=10, rng=np.random.default_rng(58), task=task)
+    g = gaussian_smoothing(f, sigma=1e-154, n=500, rng=np.random.default_rng(59), task=task)
+    X, y = task.sample(np.random.default_rng(60), 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # weights past the nearest overflow to 0 silently
+        assert np.mean(g(X) != y) <= 0.05
 
 
 def test_gaussian_validation():
