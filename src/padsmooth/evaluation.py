@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _distances_to, _unit_rows, greedy_net
+from .geometry import _search_radius, _unit_rows, greedy_net
 from .partitions import (
     _contained,
     _first_capture,
+    _tree_pairs,
     certificate_margins,
     resample_ball_carving,
     sample_ball_carving,
@@ -410,24 +411,18 @@ class ReplayAdversary(BoundarySeekAdversary):
         self.memory.clear()
 
 
-def _pool_carver(D, reach: float):
-    """cells(part) of the game's pool under carvings of radius <= reach,
-    from its (pool, nc) distance matrix D: the first center in carving order
-    whose R-ball holds a point, else its nearest center (first on ties).
-    Only pairs with D <= reach can capture; np.nonzero lists them grouped by
-    row for `_first_capture`, which reads the same distances as, and so
-    equals, that rule over the full matrix."""
-    rows, cols = np.nonzero(D <= reach)
-    sizes = np.bincount(rows, minlength=len(D))
-    seen = sizes > 0
-    starts = (np.cumsum(sizes) - sizes)[seen]
-    dist = D[rows, cols]
-    nearest = np.argmin(D, axis=1)
+def _pool_carver(X, net, reach: float):
+    """cells(part) of the game's pool X under carvings over net of radius
+    <= reach, part.cells(X) bit for bit. The tree kernel's candidate pairs,
+    every center within reach of a point or within its nearest-neighbour
+    distance (widened by `_search_radius`), and their direct distances are
+    taken once per game, so a refresh is one `_first_capture` over them."""
+    r = _search_radius(np.maximum(reach, net.tree.query(X)[0]), X, net.centers)
+    row, starts, dist, cand = _tree_pairs(net, X, r)
 
     def cells(part):
-        nc = len(part.net)
-        first = _first_capture(dist, part.ranks[cols], part.radius, seen, starts, nc)
-        return np.where(first < nc, part.order[np.minimum(first, nc - 1)], nearest)
+        first, _ = _first_capture(row, starts, dist, part.ranks[cand], part.radius, len(X), len(net))
+        return part.order[first]
 
     return cells
 
@@ -468,10 +463,10 @@ def oblivious_game_simulate(
     point and the fault is counted.
 
     Every random draw (pool, net source, carvings or lattices, rounds) keeps
-    its order. For the ball family the pool's distances to the net and each
-    pool point's candidate centers (within partition_epsilon / 2, the
-    largest carving radius) are computed once per game, so a refresh only
-    takes one segmented minimum of carving positions over those candidates.
+    its order. For the ball family each pool point's candidate centers
+    (within partition_epsilon / 2, the largest carving radius, or its
+    nearest-neighbour distance) and their distances are computed once per
+    game, so a refresh only takes one pass of the carving rule over them.
     """
     if rounds < 1 or refresh_every < 1:
         raise ValueError("rounds and refresh_every must be >= 1")
@@ -486,7 +481,7 @@ def oblivious_game_simulate(
         src, _ = task.sample(rng, net_source)
         net = greedy_net(src, partition_epsilon / 4.0)
         base = sample_ball_carving(net, partition_epsilon, rng)
-        pool_cells = _pool_carver(_distances_to(Xp, net.centers), partition_epsilon / 2.0)
+        pool_cells = _pool_carver(Xp, net, partition_epsilon / 2.0)
         f_centers = f(net.centers).astype(np.float64)
         nc = len(net.centers)
         state: dict = {}

@@ -29,8 +29,9 @@ scan vs tree: d=3 (2866 centers) 0.263 vs 0.020 s, d=4 (6167) 0.55 vs
 0.035 s, d=5 (7081) 0.67 vs 0.11 s, but d=8 (7755) 0.71 vs 1.49 s, a d=8
 unit ball whose 2R-neighbourhood spans the data (2409) 0.23 vs 1.24 s,
 d=12 0.32 vs 0.59 s and d=20 0.18 vs 0.52 s. The tree gains most up to
-d=4 and can lose several-fold from d=8 on. `greedy_net` has its own
-crossover, `_NET_TREE_MAX_DIM`.
+d=4 and can lose several-fold from d=8 on. Both kernels hand their
+candidates to one decider and return the same bits, so the choice is one
+of cost only. `greedy_net` has its own crossover, `_NET_TREE_MAX_DIM`.
 """
 
 _NET_TREE_MAX_DIM = 8
@@ -119,9 +120,8 @@ class EpsilonNet:
 
     @cached_property
     def sq_norms(self) -> Array:
-        """Squared norms of the centers, one einsum row each, so reordering
-        this array gives the bits of the einsum over reordered centers.
-        Shared, like the tree, by every carving drawn over this net."""
+        """Squared norms of the centers, shared, like the tree, by every
+        carving drawn over this net."""
         return np.einsum("ij,ij->i", self.centers, self.centers)
 
 

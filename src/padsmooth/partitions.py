@@ -29,31 +29,25 @@ carved cells (they may say Cut for a ball that is in fact contained, never
 the reverse). Points beyond every R-ball of a carving fall back to the
 nearest center; their certificate status is OffSupport.
 
-Carving assignment has two kernels that assign the same cells. In dimension
-<= 4, batches of at least 64 points go through a KD-tree over the net: only
-centers within 2R of a point can capture it or bind its certificate, and
-their distances are taken by direct coordinate differences. Its margins are
-lowered by an explicit rounding slack of 2 (d + 4) R eps_machine, so they
-never exceed the margin of exact arithmetic. Higher dimensions, one-point
-calls and small batches scan every center with Gram-expansion distances.
-That scan stays in squared distances: it captures a point when d2 <= T, T
-the largest double with sqrt(T) <= R, and takes roots only of the entries
-it returns. Its margins remain Gram-based and can exceed the exact ones by
-rounding (more so far from the origin). The carving rule itself has one
-decider per layout: `_carving_scan` over full rows in carving order (dense
-kernel, batched trials), `_first_capture` over candidates grouped by row
-(tree kernel, the game's pool).
+Every carving decision reads direct-difference distances and follows one
+rule, `_decide`: capture by the first center in carving order with d <= R,
+margins lowered by a rounding slack of 2 (d + 4) R eps_machine so they
+never exceed the exact ones, and off support the nearest center, the
+earlier in carving order on ties. Callers differ only in how they find
+candidate (point, center) pairs: a KD-tree over the net for batches of at
+least 64 points in dimension <= 4, every center for one point, else a
+filter of Gram-expansion distances within a forward-error band
+(`_gram_decide`); the query game takes its pool's pairs once. All of them
+return the same bits.
 
 The Monte-Carlo estimators (estimate_paddedness, estimate_lipschitz_constant)
 draw a fresh partition and point or pair per trial, in the order of a
 per-trial loop, and batch only the geometry: a block of trials (sized by
 _BLOCK) is answered by one `_assign_trials` call per net, or per lattice
 dimension. For lattices that call applies the per-partition formulas to
-stacked shifts and widths, with the same bits. For carvings it is one Gram
-product against the net, gathered into each carving's order and scanned
-as in the dense kernel; only the rounding of the batched product differs
-from a one-point call, so a verdict can move only where a distance ties R
-or t to the last ulp.
+stacked shifts and widths, for carvings it filters one Gram product
+against the net as the dense kernel does; both give the bits of one call
+per trial.
 """
 
 from __future__ import annotations
@@ -289,9 +283,9 @@ class BallCarvingPartition:
 
     def margins(self, points) -> tuple[Array, Array]:
         """(margins, off_support) of ball_assign. Sound, conservative: a
-        margin >= t demands d(x, u) <= R - t for the assigned center u and
-        d(x, w) >= R + t for every earlier w; a smaller one does not prove a
-        cut. Off-support points get margin 0."""
+        margin >= t guarantees d(x, u) <= R - t for the assigned center u
+        and d(x, w) >= R + t for every earlier w in exact arithmetic; a
+        smaller one does not prove a cut. Off-support points get margin 0."""
         _, off, m = ball_assign(self, points)
         return m, off
 
@@ -315,28 +309,28 @@ class BallCarvingPartition:
         """ball_assign of pts[i], a (p, d) block, under carving parts[i],
         for carvings over one net.
 
-        One Gram product of every row against the net in net order gives
-        the dense kernel's squared distances d2 = (x2 + c2) - 2G. Each
-        trial's rows are gathered into its own carving's order and decided
-        by `_carving_scan` with that carving's R and T = _root_ceiling(R),
-        as `_ball_assign_dense` decides them. The d2 differ from that
-        kernel's only by the rounding of the batched product.
+        One Gram product of every row against the net gives squared
+        distances d2 = (x2 + c2) - 2G; each trial's rows are gathered into
+        its own carving's order and go through `_gram_decide` with its R.
+        The Gram entries only pick candidates, so the results are the bits
+        of one call per trial.
         """
         net = parts[0].net
         count = len(net)
         trials, p, d = pts.shape
         orders = np.stack([q.order for q in parts])
         R = np.repeat([q.radius for q in parts], p)
-        T = np.repeat([_root_ceiling(q.radius) for q in parts], p)[:, None]
         X = pts.reshape(-1, d)
-        # (x2 + c2) - 2G as in the dense kernel; scaling X by 2 doubles G exactly
-        d2 = np.add.outer(np.einsum("ij,ij->i", X, X), net.sq_norms)
+        x2 = np.einsum("ij,ij->i", X, X)
+        d2 = np.add.outer(x2, net.sq_norms)
         d2 -= (2.0 * X) @ net.centers.T
         starts = np.arange(0, d2.size, count)
         # each row gathered into its trial's carving order by flat indices,
         # about twice as fast as np.take_along_axis
         d2 = np.take(d2, starts.reshape(trials, p, 1) + orders[:, None, :]).reshape(-1, count)
-        first, off, margins = _carving_scan(d2, T, R, starts, np.repeat(starts, 2))
+        first, off, margins = _gram_decide(
+            [(0, d2)], R, x2, float(net.sq_norms.max()), d,
+            lambda row, col: _direct_distances(X[row], net.centers[orders[row // p, col]]))
         cells = np.take_along_axis(orders, first.reshape(trials, p), axis=1)
         return cells, off.reshape(trials, p), margins.reshape(trials, p)
 
@@ -414,9 +408,10 @@ def ball_assign(part: BallCarvingPartition, points):
       off_support: (n,) bool, True when no R-ball contains the point,
       margins: (n,) float certificate margins (0.0 off support).
 
-    Batches of at least 64 points in dimension <= 4 go down the KD-tree
-    path (`_ball_assign_tree`), everything else down the dense scan
-    (`_ball_assign_dense`); both assign the same cells.
+    Batches of at least 64 points in dimension <= 4 take their candidate
+    centers from the net's KD-tree (`_ball_assign_tree`), everything else
+    from `_ball_assign_dense` (every center for one point, else a Gram
+    filter). All hand them to `_decide`, so all return the same bits.
     """
     pts = _points_of(part, points)
     if part.dim <= _TREE_MAX_DIM and len(pts) >= _TREE_MIN_BATCH:
@@ -424,176 +419,187 @@ def ball_assign(part: BallCarvingPartition, points):
     return _ball_assign_dense(part, pts)
 
 
-_TILE = 1 << 15
-"""Entries of the Gram product (256 KB of float64) that `_ball_assign_dense`
-turns into squared distances and scans at a time.
+_TILE = 1 << 17
+"""Entries of the Gram product (1 MB of float64) that `_ball_assign_dense`
+forms and filters at a time; each tile costs a fixed run of numpy calls.
 
-A tile, its squared distances and its capture mask stay in a core's 2 MB L2
-cache. Measured on 2 cores with one BLAS thread, d=20 concentric spheres,
-2048 centers, the median over 3 to 5 rounds of the best of 9 calls, for
-batches of 512 / 1024 / 4096 points: tiles of 16K entries 7.2 / 15.1 / 72
-ms, 32K 6.7 / 14.2 / 63 ms, 64K 7.0 / 14.1 / 65 ms, 128K 7.9 / 14.7 / 75
-ms, against 14.4 / 37.2 / 148 ms for a scan that takes the root of every
-entry; one-point calls 0.106 against 0.111 ms. 32K and 64K tie (also on
-the carve_highdim benchmark), and the smaller tile leaves more of the cache
-to the rest of the program.
+Measured on 2 cores with one BLAS thread, median of 5 rounds of the best of
+2 calls, tiles of 32K / 64K / 128K / 256K entries: d=20 concentric spheres,
+8192 centers and 2048 off-support points 189 / 131 / 106 / 110 ms; 2048
+centers and 1024 points 20.5 / 18.1 / 17.6 / 19.3 ms; 1875 centers with a
+larger radius, points captured, 26.6 / 24.3 / 24.2 / 25.3 ms; two circles
+in d=50, 187 centers and 4096 points 14.4 / 14.0 / 14.3 / 13.9 ms.
 """
 
 
-def _root_ceiling(r: float) -> float:
-    """The largest double t with sqrt(t) <= r, for finite r >= 0.
-
-    Correctly rounded sqrt is monotone, so for every double d2,
-    d2 <= _root_ceiling(r) exactly when sqrt(d2) <= r.
-    """
-    t = r * r
-    while math.sqrt(t) > r:
-        t = math.nextafter(t, 0.0)
-    while math.sqrt(up := math.nextafter(t, math.inf)) <= r:
-        t = up
-    return t
+def _direct_distances(A, B):
+    """Distances |A - B| over the last axis, A and B broadcast, by direct
+    differences: the only distances a carving decision reads."""
+    diff = A - B
+    return np.sqrt(np.einsum("...j,...j->...", diff, diff))
 
 
-def _ball_assign_dense(part: BallCarvingPartition, pts: Array, chunk: int = 4096):
-    """ball_assign over the squared distances from every point to every
-    center (Gram expansion), columns in carving order.
-
-    Gives the bits of the distance-matrix scan (take sqrt of every entry,
-    test <= R, prefix minima for the margins) while taking roots only of the
-    entries it returns (see `_carving_scan`). Each chunk has one Gram
-    product (tiling it inside the chunk changes its bits in BLAS), walked in
-    row tiles of about _TILE entries.
-    """
-    order = part.order
-    centers = np.take(part.net.centers, order, axis=0)  # columns in carving order
-    c2 = part.net.sq_norms[order]
-    count, n = len(centers), len(pts)
-    cells = np.empty(n, dtype=np.int64)
-    off = np.empty(n, dtype=bool)
-    margins = np.empty(n, dtype=np.float64)
-    R = part.radius
-    T = _root_ceiling(R)
+def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
+    """ball_assign with candidate pairs from Gram-expansion distances to
+    every center, columns in carving order, formed in row tiles of about
+    _TILE entries and decided by `_gram_decide`."""
+    net, order, R = part.net, part.order, part.radius
+    count, n, d = len(net), len(pts), part.dim
+    if n == 1:
+        # one point: direct distances to every center cost less than a Gram filter
+        row = np.zeros(count, dtype=np.intp)
+        pos, off, margins = _decide(row, row[:1], _direct_distances(net.centers, pts), part.ranks, R, d, 1, count)
+        return order[pos], off, margins
+    centers = np.take(net.centers, order, axis=0)  # columns in carving order
+    c2 = net.sq_norms[order]
+    x2 = np.einsum("ij,ij->i", pts, pts)
     step = max(1, _TILE // count)
     buf = np.empty((min(step, n), count), dtype=np.float64)
-    starts = np.arange(0, buf.size, count)  # offsets of the rows in buf.ravel()
-    bounds = np.repeat(starts, 2)
-    for i in range(0, n, chunk):
-        blk = pts[i : i + chunk]
-        x2 = np.einsum("ij,ij->i", blk, blk)
-        gram = blk @ centers.T
-        for j in range(0, len(blk), step):
-            g = gram[j : j + step]
-            k = len(g)
-            # d2 = (x2 + c2) - 2 G, rounded as in the full-matrix expression;
-            # clipping at 0 is monotone, so it waits for the entries returned
-            g *= 2.0
-            d2 = np.add(x2[j : j + k, None], c2, out=buf[:k])
-            d2 -= g
-            first, miss, m = _carving_scan(d2, T, R, starts, bounds)
-            lo = i + j
-            cells[lo : lo + k] = order[first]
-            off[lo : lo + k] = miss
-            margins[lo : lo + k] = m
-    return cells, off, margins
+
+    def tiles():
+        for j in range(0, max(n, 1), step):  # one empty tile when n == 0
+            blk = pts[j : j + step]
+            d2 = np.add(x2[j : j + len(blk), None], c2, out=buf[: len(blk)])
+            d2 -= (2.0 * blk) @ centers.T
+            yield j, d2
+
+    pos, off, margins = _gram_decide(tiles(), R, x2, float(c2.max()), d,
+                                     lambda row, col: _direct_distances(pts[row], centers[col]))
+    return order[pos], off, margins
 
 
-def _carving_scan(d2, T, R, starts, bounds):
-    """(position, off_support, margins) of each row of d2, a C-contiguous
-    (k, count) array of squared distances with columns in carving order.
+def _gram_decide(tiles, R, x2, c2max: float, d: int, distances):
+    """`_decide` of points x from tiles (j, d2) of their Gram squared
+    distances d2 = (x2 + c2) - 2 x.c (rows j, j + 1, ..., C-contiguous,
+    columns in carving order), on the direct distances(row, col) of
+    candidate pairs; R is a scalar or per point, c2max the largest c2.
 
-    T = _root_ceiling(R) is a scalar or a (k, 1) column, R a scalar or (k,).
-    The caller keeps starts, at least k row offsets into d2.ravel(), and
-    bounds, at least 2k entries whose even slots repeat them (odd slots are
-    overwritten). A row is captured at its first column with d2 <= T, which
-    is sqrt(d2) <= R; else it is off support and position is its column of
-    least root, the first on ties. margins are R - d(x, u) or d(x, w) - R,
-    w the nearest earlier center, whichever is less (sqrt of min d2, as sqrt
-    commutes with min), 0 off support.
+    d2 is within gamma_{d+2} (|x| + |c|)^2 of the exact square (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3); a band of
+    (d + 3) eps_machine (|x| + max |c|)^2 covers that twice over and the
+    rounding of direct differences. So F, the first column with d2 <= R^2 +
+    band, and the columns before it within 2 band of their least d2 (none
+    when that is above 4R^2 + band, beyond 2R; without F, the columns within
+    2 band of the row's least d2) hold every center that can capture x, its
+    nearest earlier ones within 2R and, off support, its nearest ones. A row
+    whose F the direct test rejects (only within the band of R) is decided
+    over every center.
     """
-    k = len(d2)
-    capture = d2 <= T
-    first = np.argmax(capture, axis=1)
-    flat = d2.reshape(-1)
-    at = starts[:k] + first
-    off = ~capture.reshape(-1)[at]
-    du2 = flat[at]
-    # even slots: min over columns [0, first) of each row, by reduceat over
-    # the flattened rows (empty segments, first == 0, discarded); odd slots,
-    # the segments between those, take du2 instead, so one clip and one sqrt
-    # give both roots
-    bounds[1 : 2 * k : 2] = at
-    sq = np.minimum.reduceat(flat, bounds[: 2 * k])
-    sq[1::2] = du2
-    roots = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
-    before = np.where(first > 0, roots[::2], np.inf)
-    m = np.minimum(R - roots[1::2], before - R)
-    lost = np.flatnonzero(off)
-    if lost.size:
-        first[lost] = np.argmin(np.sqrt(d2[lost]), axis=1)
-    return first, off, np.where(off, 0.0, m)
+    band = (d + 3) * np.finfo(np.float64).eps * (np.sqrt(x2) + math.sqrt(c2max)) ** 2
+    lim = R * R + band
+    picks, lasts = [], []
+    for j, d2 in tiles:
+        k, count = d2.shape
+        capture = d2 <= lim[j : j + k, None]
+        first = capture.argmax(1)
+        starts = np.arange(0, d2.size, count)
+        at = starts + first
+        has = capture.reshape(-1)[at]
+        # even slots: least d2 over columns [0, F) (d2 at F when F = 0, and
+        # only F is kept); odd slots: from F on, the whole row without F
+        bounds = np.repeat(starts, 2)
+        bounds[1::2] = at
+        least = np.minimum.reduceat(d2.reshape(-1), bounds)
+        earlier = np.where(least[::2] > 4.0 * lim[j : j + k] - 3.0 * band[j : j + k], d2.reshape(-1)[at], least[::2])
+        near = np.where(has, earlier, least[1::2]) + 2.0 * band[j : j + k]
+        picks.append((d2 <= near[:, None]).reshape(-1).nonzero()[0] + j * count)
+        lasts.append(np.where(has, first, count))  # last candidate column, count without F
+    last = np.concatenate(lasts)
+    row, col = np.divmod(np.concatenate(picks), count)
+    kept = col <= last[row]
+    row, col = row[kept], col[kept]
+    k = len(last)
+    out = _decide(row, row.searchsorted(np.arange(k)), distances(row, col), col, R, d, k, count)
+    redo = ((last < count) & out[1]).nonzero()[0]
+    if redo.size:
+        row, col = np.repeat(redo, count), np.tile(np.arange(count), redo.size)
+        again = _decide(row, np.arange(0, row.size, count), distances(row, col), col, R, d, k, count)
+        for a, b in zip(out, again):
+            a[redo] = b[redo]
+    return out
 
 
 def _ball_assign_tree(part: BallCarvingPartition, pts: Array, chunk: int = 4096):
-    """ball_assign over the centers within 2R of each point.
-
-    Only those centers can capture a point (d <= R) or bind its margin
-    min(R - d(x, u), d(x, w) - R): a farther earlier center w has
-    d(x, w) - R > R >= R - d(x, u). The net's KD-tree proposes a superset of
-    them; distances are direct coordinate differences and every capture is
-    decided by the dense path's test d <= R. Margins are lowered by
-    2 (d + 4) R eps_machine, the rounding error of these distances and of
-    any other direct-difference evaluation of them, so a margin never
-    exceeds the exact one; they are clipped at 0. Off-support points get
-    their nearest center from the tree.
+    """ball_assign over the centers the net's KD-tree finds within 2R of a
+    point, widened by `_search_radius`: only they can capture it or bind its
+    margin min(R - d(x, u), d(x, w) - R), as a farther earlier w has
+    d(x, w) - R > R >= R - d(x, u). An off-support point with no center
+    within 2R takes its nearest centers from a second query within its
+    nearest-neighbour distance.
     """
-    net, R, order, ranks = part.net, part.radius, part.order, part.ranks
+    net, R, ranks = part.net, part.radius, part.ranks
     count = len(net)
     reach = _search_radius(2.0 * R, pts, net.centers)
-    slack = 2.0 * (part.dim + 4) * R * np.finfo(np.float64).eps
-    n = len(pts)
-    cells = np.empty(n, dtype=np.int64)
-    off = np.empty(n, dtype=bool)
-    margins = np.empty(n, dtype=np.float64)
-    for i in range(0, n, chunk):
+    out = []
+    for i in range(0, len(pts), chunk):
         blk = pts[i : i + chunk]
-        m = len(blk)
-        near = net.tree.query_ball_point(blk, reach, return_sorted=False)
-        sizes = np.fromiter(map(len, near), dtype=np.intp, count=m)
-        cand = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(sizes.sum()))
-        row = np.repeat(np.arange(m), sizes)  # candidate pairs, grouped by point
-        diff = blk[row] - net.centers[cand]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        rank = ranks[cand]
-        seen = sizes > 0
-        starts = (np.cumsum(sizes) - sizes)[seen]
-        first = _first_capture(dist, rank, R, seen, starts, count)
-        du = np.full(m, np.inf)
-        before = np.full(m, np.inf)  # nearest center ranked before it
-        if starts.size:
-            rel = rank - first[row]  # < 0 for centers earlier than the capturing one
-            du[row[rel == 0]] = dist[rel == 0]
-            before[seen] = np.minimum.reduceat(np.where(rel < 0, dist, np.inf), starts)
-        has = first < count
-        cells_blk = order[np.minimum(first, count - 1)]
-        lost = np.flatnonzero(~has)
+        row, starts, dist, cand = _tree_pairs(net, blk, reach)
+        pos, off, margins = _decide(row, starts, dist, ranks[cand], R, part.dim, len(blk), count)
+        lost = (off & (np.bincount(row[dist <= 2.0 * R], minlength=len(blk)) == 0)).nonzero()[0]
         if lost.size:
-            cells_blk[lost] = net.tree.query(blk[lost])[1]
-        cells[i : i + chunk] = cells_blk
-        off[i : i + chunk] = ~has
-        sound = np.maximum(np.minimum(R - du, before - R) - slack, 0.0)
-        margins[i : i + chunk] = np.where(has, sound, 0.0)
-    return cells, off, margins
+            far = blk[lost]
+            row, starts, dist, cand = _tree_pairs(net, far, _search_radius(net.tree.query(far)[0], far, net.centers))
+            pos[lost] = _first_capture(row, starts, dist, ranks[cand], R, len(far), count)[0]
+        out.append((part.order[pos], off, margins))
+    return tuple(np.concatenate(a) for a in zip(*out))
 
 
-def _first_capture(dist, rank, R, seen, starts, count: int):
-    """Carving position of the first center whose R-ball holds each row's
-    point, count where none does, over candidate pairs: dist and rank (<
-    count) of each pair's center, a row's pairs contiguous, `seen` the rows
-    with pairs and `starts` their first pairs."""
-    first = np.full(len(seen), count)
-    if starts.size:
-        first[seen] = np.minimum.reduceat(np.where(dist <= R, rank, count), starts)
-    return first
+def _tree_pairs(net: EpsilonNet, X: Array, r):
+    """(row, starts, dist, center) of the pairs of X's points with the
+    centers the net's KD-tree finds within r of them (a scalar or one
+    radius per point), grouped by point as `_decide` takes them."""
+    near = net.tree.query_ball_point(X, r, return_sorted=False)
+    sizes = np.fromiter(map(len, near), dtype=np.intp, count=len(X))
+    cand = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(sizes.sum()))
+    row = np.repeat(np.arange(len(X)), sizes)
+    starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+    return row, starts, _direct_distances(X[row], net.centers[cand]), cand
+
+
+def _decide(row, starts, dist, rank, R, d: int, n: int, count: int):
+    """The carving rule: (position, off_support, margins) of n points in
+    dimension d from candidate (point, center) pairs, which must hold every
+    center that can capture a point, its nearest earlier ones (or all
+    within 2R) and, off support, its nearest ones.
+
+    row[i] is pair i's point, a point's pairs are contiguous and starts
+    indexes each run's first pair (a point may have none); dist holds their
+    direct-difference distances and rank their centers' carving positions
+    (< count); R is a scalar or per point. Positions come from
+    `_first_capture`. A margin is min(R - du, before - R) for the capturing
+    center and the nearest earlier one, lowered by 2 (d + 4) R eps_machine,
+    the rounding error of distances up to 2R and of the subtractions, and
+    clipped at 0, so it never exceeds the exact margin; 0 off support.
+    """
+    Rp = R[row] if isinstance(R, np.ndarray) else R
+    first, off = _first_capture(row, starts, dist, rank, Rp, n, count)
+    # |dist - R| is R - du at the capturing center and d(x, w) - R at an
+    # earlier w, with the bits of those differences; x - R rounds
+    # monotonically, so the least of them is min(R - du, before - R)
+    bind = np.abs(dist - Rp)
+    bind[rank > first[row]] = np.inf
+    m = np.full(n, np.inf)
+    m[row[starts]] = np.minimum.reduceat(bind, starts)
+    m -= 2.0 * (d + 4) * np.finfo(np.float64).eps * R
+    return first, off, np.where(off, 0.0, np.maximum(m, 0.0))
+
+
+def _first_capture(row, starts, dist, rank, R, n: int, count: int):
+    """(position, off_support) of n points over candidate pairs as `_decide`
+    takes them, R a scalar or per pair: the carving position of the first
+    center with dist <= R or, off support, of the nearest center, the
+    earliest in carving order among equal distances (count without
+    pairs)."""
+    seen = row[starts]
+    first = np.full(n, count)
+    first[seen] = np.minimum.reduceat(np.where(dist <= R, rank, count), starts)
+    off = first == count
+    if np.count_nonzero(off):
+        least = np.full(n, np.inf)
+        least[seen] = np.minimum.reduceat(dist, starts)
+        nearest = np.minimum.reduceat(np.where(off[row] & (dist == least[row]), rank, count), starts)
+        first[seen] = np.minimum(first[seen], nearest)
+    return first, off
 
 
 def ball_cell_member(part: BallCarvingPartition, cell: int, points) -> Array:

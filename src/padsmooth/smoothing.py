@@ -53,7 +53,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .geometry import _search_radius, as_points
-from .partitions import CubePartition, partition_from_dict
+from .partitions import CubePartition, _direct_distances, partition_from_dict
 from .tasks import BlackBoxClassifier, Task
 
 
@@ -520,15 +520,13 @@ def _blockers(part, cells) -> list:
 
 def _cell_member(part, cell: int, blockers):
     """Membership test of carved cell `cell` for rows of points: d(y, u) <= R
-    and d(y, w) > R for every blocker w, by the direct differences and the
-    `<= R` comparison of the tree kernel, so decisions match it bit for
-    bit."""
+    and d(y, w) > R for every blocker w, by the distances and the `<= R`
+    comparison of `ball_assign`, so decisions match it bit for bit."""
     centers = part.net.centers[np.concatenate(([cell], blockers))]
     R = part.radius
 
     def member(Y):
-        diff = (Y[:, None, :] - centers).reshape(-1, Y.shape[1])
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(Y), -1)
+        dist = _direct_distances(Y[:, None, :], centers)
         return (dist[:, 0] <= R) & ~(dist[:, 1:] <= R).any(axis=1)
 
     return member

@@ -27,6 +27,7 @@ from padsmooth.evaluation import (
 from padsmooth.geometry import _distances_to, greedy_net
 from padsmooth.partitions import (
     BallCarvingPartition,
+    ball_assign,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
@@ -236,9 +237,10 @@ def test_game_counts_faults_and_answers_clean():
 
 
 def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
-    # the pool's candidate-pair refresh against the full-matrix formula,
-    # over 120 carvings; every third has radius exactly epsilon / 2, and a
-    # tenth of the pool lies farther than epsilon / 2 from every center
+    # the pool's candidate-pair refresh against ball_assign over the whole
+    # pool, over 120 carvings; every third has radius exactly epsilon / 2,
+    # and a tenth of the pool lies farther than epsilon / 2 from every
+    # center
     task = intersecting_circles_task(2)
     rng = np.random.default_rng(33)
     eps = 0.2
@@ -249,7 +251,7 @@ def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
     f_centers = np.where(rng.random(len(net)) < 0.5, 1.0, -1.0)
     D = _distances_to(Xp, net.centers)
     assert (D[::10] > eps / 2).all()
-    pool_cells = _pool_carver(D, eps / 2)
+    pool_cells = _pool_carver(Xp, net, eps / 2)
     nc = len(net)
 
     def labels(cells):
@@ -262,9 +264,7 @@ def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
         part = resample_ball_carving(base, rng)
         if i % 3 == 0:
             part = BallCarvingPartition(net=net, epsilon=eps, radius=eps / 2, order=part.order)
-        masked = np.where(D <= part.radius, part.ranks[None, :], nc + 1)
-        best = masked.min(axis=1)
-        want = np.where(best <= nc, part.order[np.minimum(best, nc - 1)], np.argmin(D, axis=1))
+        want = ball_assign(part, Xp)[0]
         got = pool_cells(part)
         assert np.array_equal(got, want)
         assert np.array_equal(labels(got), labels(want))

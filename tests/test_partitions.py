@@ -1,6 +1,7 @@
 """Partition families: exactness oracles, soundness properties, law checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +21,6 @@ from padsmooth.partitions import (
     _TILE,
     _ball_assign_dense,
     _ball_assign_tree,
-    _carving_scan,
-    _root_ceiling,
     ball_assign,
     ball_cell_member,
     cells_of,
@@ -208,6 +207,8 @@ def test_ball_assign_matches_brute_force():
         assert cells[i] == c
         assert off[i] == o
         assert margins[i] == pytest.approx(brute_margin(part, X[i]), abs=1e-12)
+    for kernel in (ball_assign, _ball_assign_dense):  # an empty batch
+        assert [a.dtype for a in kernel(part, X[:0])] == [np.int64, bool, np.float64]
 
 
 def _kernel_case(d, n, seed, one_center, offset=0.0):
@@ -243,26 +244,25 @@ def _direct(part, X):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    d=st.integers(1, 4),
+    d=st.integers(1, 8),
     n=st.sampled_from([1, 63, 64, 1000]),
     seed=st.integers(0, 2**32 - 1),
     one_center=st.booleans(),
 )
 def test_ball_tree_and_dense_kernels_agree(d, n, seed, one_center):
+    # both kernels hand their candidates to one decider, so they agree bit
+    # for bit on every point, and the dispatch returns their result
     part, X = _kernel_case(d, n, seed, one_center)
     dense = _ball_assign_dense(part, X)
     tree = _ball_assign_tree(part, X)
+    _assert_same_bits(tree, dense)
     want_off, want, ambiguous = _direct(part, X)
     ok = ~ambiguous
-    assert np.array_equal(tree[0][ok], dense[0][ok])  # cells
-    assert np.array_equal(tree[1][ok], dense[1][ok])  # off support
     assert np.array_equal(tree[1][ok], want_off[ok])
     on = ok & ~tree[1]
     assert (tree[2][on] >= 0.0).all() and (tree[2][tree[1]] == 0.0).all()
     assert np.allclose(tree[2][on], want[on], rtol=0.0, atol=1e-12)
-    chosen = ball_assign(part, X)
-    expect = tree if n >= 64 else dense  # d <= 4 here
-    assert all(np.array_equal(a, b) for a, b in zip(chosen, expect))
+    _assert_same_bits(ball_assign(part, X), tree)
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,30 +307,28 @@ def test_ball_kernels_capture_points_at_exactly_r(d):
         assert (margins == 0.0).all()
 
 
-def _gram_d2(centers, blk):
-    """Squared Gram-expansion distances from blk to centers, clipped at 0."""
-    c2 = np.einsum("ij,ij->i", centers, centers)
-    d2 = np.einsum("ij,ij->i", blk, blk)[:, None] + c2[None, :] - 2.0 * (blk @ centers.T)
-    return np.maximum(d2, 0.0, out=d2)
-
-
-def _gram_reference(part, X, chunk=4096):
-    """The dense kernel as a full distance-matrix scan over the same
-    per-chunk Gram product: sqrt of every entry, capture by <= R, prefix
-    minima for the margins, argmin over the roots for off-support points."""
-    centers = part.net.centers[part.order]
+def _direct_reference(part, X, rows=64):
+    """ball_assign written out plainly over the full matrix of direct-
+    difference distances, rows points at a time: capture by d <= R in
+    carving order, the margin max(min(R - du, before - R) - slack, 0) with
+    before a prefix minimum, and off support the first index of least
+    distance in carving order."""
+    C = part.net.centers[part.order]
     R = part.radius
+    slack = 2.0 * (part.dim + 4) * R * np.finfo(np.float64).eps
     cells, off, margins = [], [], []
-    for i in range(0, len(X), chunk):
-        dr = np.sqrt(_gram_d2(centers, X[i : i + chunk]))
-        inball = dr <= R
+    for i in range(0, len(X), rows):
+        blk = X[i : i + rows]
+        diff = (blk[:, None, :] - C[None, :, :]).reshape(-1, X.shape[1])
+        D = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(len(blk), len(C))
+        inball = D <= R
         has = inball.any(axis=1)
         first = np.argmax(inball, axis=1)
-        rows = np.arange(len(dr))
-        prefix = np.minimum.accumulate(dr, axis=1)
-        before = np.where(first > 0, prefix[rows, np.maximum(first - 1, 0)], np.inf)
-        m = np.minimum(R - dr[rows, first], before - R)
-        cells.append(np.where(has, part.order[first], part.order[np.argmin(dr, axis=1)]))
+        at = np.arange(len(blk))
+        prefix = np.minimum.accumulate(D, axis=1)
+        before = np.where(first > 0, prefix[at, np.maximum(first - 1, 0)], np.inf)
+        m = np.maximum(np.minimum(R - D[at, first], before - R) - slack, 0.0)
+        cells.append(part.order[np.where(has, first, np.argmin(D, axis=1))])
         off.append(~has)
         margins.append(np.where(has, m, 0.0))
     return np.concatenate(cells), np.concatenate(off), np.concatenate(margins)
@@ -346,20 +344,18 @@ def _assert_same_bits(got, want):
 @given(
     d=st.integers(1, 21),
     count=st.sampled_from([1, 1500, 1700]),
-    size=st.sampled_from(["1", "2", "tile-1", "tile", "tile+1", "chunk+1", "5000"]),
-    chunk=st.sampled_from([4096, 97]),
+    size=st.sampled_from(["1", "2", "tile-1", "tile", "tile+1", "4097", "5000"]),
     offset=st.sampled_from([0.0, 1e2, 1e4]),
     seed=st.integers(0, 2**32 - 1),
 )
-# a one-row last tile: its own Gram product would be a matrix-vector product
-# with other bits than the chunk's
-@example(d=20, count=1500, size="tile+1", chunk=4096, offset=0.0, seed=1)
-@example(d=4, count=1500, size="tile+1", chunk=4096, offset=1e2, seed=0)
-@example(d=7, count=1700, size="tile+1", chunk=97, offset=1e4, seed=2)
-def test_ball_dense_kernel_matches_gram_reference_bits(d, count, size, chunk, offset, seed):
-    # random nets of >= 1500 centers make a tile (_TILE // count rows)
-    # shorter than a chunk; queries sit within about R of a center, a few
-    # of them pushed off support
+# a one-row last tile
+@example(d=20, count=1500, size="tile+1", offset=0.0, seed=1)
+@example(d=4, count=1500, size="tile+1", offset=1e2, seed=0)
+@example(d=7, count=1700, size="tile+1", offset=1e4, seed=2)
+def test_ball_dense_kernel_matches_direct_reference_bits(d, count, size, offset, seed):
+    # random nets of >= 1500 centers make tiles (_TILE // count rows) of a
+    # few rows; queries sit within about R of a center, a few of them
+    # pushed off support
     rng = np.random.default_rng(seed)
     R = 0.25 + (1.0 - rng.random()) * 0.25
     spread = 2.0 * R * count ** (1.0 / d)
@@ -368,10 +364,10 @@ def test_ball_dense_kernel_matches_gram_reference_bits(d, count, size, chunk, of
     part = BallCarvingPartition(net=net, epsilon=1.0, radius=R, order=rng.permutation(count))
     tile = max(1, _TILE // count)
     n = {"1": 1, "2": 2, "tile-1": max(tile - 1, 1), "tile": tile, "tile+1": tile + 1,
-         "chunk+1": chunk + 1, "5000": 5000}[size]
+         "4097": 4097, "5000": 5000}[size]
     X = centers[rng.integers(0, count, n)] + rng.standard_normal((n, d)) * (R / math.sqrt(d))
     X[rng.random(n) < 0.1] += 3.0
-    _assert_same_bits(_ball_assign_dense(part, X, chunk), _gram_reference(part, X, chunk))
+    _assert_same_bits(_ball_assign_dense(part, X), _direct_reference(part, X))
 
 
 def _axis_ulp_queries(R, d, center):
@@ -384,13 +380,13 @@ def _axis_ulp_queries(R, d, center):
 
 
 @pytest.mark.parametrize("d", [1, 6])
-@pytest.mark.parametrize("offset", [0.0, 3.0, 1e2])
+@pytest.mark.parametrize("offset", [0.0, 3.0, 1e2, 1e4])
 def test_ball_dense_kernel_matches_reference_at_radius_ulps(d, offset):
-    # queries R +- k ulps from a center, and (at the origin) Gram squared
-    # distances stepping through every double from R*R - 8 ulps to
-    # R*R + 8 ulps; R is picked so that the capture threshold T lies above
-    # R*R, so some squared distance lies in (R*R, T]: captured, sqrt <= R
-    R = next(r for r in np.linspace(0.3, 0.4, 200).tolist() if _root_ceiling(r) > r * r)
+    # queries R +- k ulps from a center, and (at the origin) points whose
+    # squared distance steps through every double from R*R - 8 ulps to
+    # R*R + 8 ulps: every one lies within the Gram band of R, so the
+    # direct test decides each capture
+    R = 0.3517
     S = R * R
     rng = np.random.default_rng(d)
     centers = np.zeros((3, d))
@@ -410,28 +406,49 @@ def test_ball_dense_kernel_matches_reference_at_radius_ulps(d, offset):
     X = np.concatenate(queries)
     for order in (np.arange(3), np.array([1, 0, 2]), np.array([2, 1, 0])):
         part = BallCarvingPartition(net=net, epsilon=2.0 * R, radius=R, order=order)
-        want = _gram_reference(part, X)
+        want = _direct_reference(part, X)
         _assert_same_bits(_ball_assign_dense(part, X), want)
-        _assert_same_bits(_ball_assign_dense(part, X, 7), want)
+        for i in range(len(X)):  # one-point calls
+            _assert_same_bits(_ball_assign_dense(part, X[i : i + 1]), [a[i : i + 1] for a in want])
     if offset == 0.0 and d == 1:
         # sqrt(fl(x * x)) == |x|: the center at 0 captures x exactly when |x| <= R
         alone = EpsilonNet(centers=centers[:1], epsilon=R / 2.0, source_count=1)
         part = BallCarvingPartition(net=alone, epsilon=2.0 * R, radius=R, order=np.arange(1))
         assert np.array_equal(~_ball_assign_dense(part, X)[1], np.abs(X[:, 0]) <= R)
-    if offset == 0.0 and d > 1:
-        d2 = _gram_d2(centers[:1], X)[:, 0]
-        assert ((d2 > S) & (d2 <= _root_ceiling(R))).any()  # the window is hit
+
+
+def test_ball_dense_kernel_redecides_a_gram_capture_the_direct_test_rejects():
+    # near offset 1e4 the Gram band, (d + 3) eps (|x| + max |c|)^2, is about
+    # 1e-6 in squared units: a query 1e-9 beyond R of the first center in
+    # carving order has a Gram squared distance within the band of R^2, so
+    # that center is the row's first Gram capture F, and the direct test
+    # rejects it. The row is then decided over every center, and the second
+    # center captures it.
+    d, R = 3, 0.25
+    first = np.full(d, 1e4)
+    x = first + np.array([R + 1e-9, 0.0, 0.0])
+    second = x + np.array([0.0, 0.1, 0.0])
+    net = EpsilonNet(centers=np.stack([first, second]), epsilon=R / 2.0, source_count=2)
+    part = BallCarvingPartition(net=net, epsilon=2.0 * R, radius=R, order=np.arange(2))
+    X = np.stack([x, x])  # two rows: the Gram path
+    d2 = (x @ x + first @ first) - 2.0 * (x @ first)
+    band = (d + 3) * np.finfo(np.float64).eps * (np.linalg.norm(x) + np.linalg.norm(second)) ** 2
+    assert d2 <= R * R + band
+    assert np.linalg.norm(x - first) > R
+    cells, off, margins = _ball_assign_dense(part, X)
+    assert cells.tolist() == [1, 1] and not off.any() and (margins > 0.0).all()
+    _assert_same_bits((cells, off, margins), _direct_reference(part, X))
 
 
 def _equal_root_centers(d):
-    """Two centers whose squared norms differ by one ulp, the second's
-    larger, but share a root."""
+    """Two centers whose squared direct distances from the origin differ by
+    one ulp, the second's larger, but share a root."""
     for L in np.linspace(2.0, 3.0, 500):
         a = np.zeros(d)
         a[0] = L
         b = a.copy()
         b[1] = math.sqrt(math.ulp(float(L * L)))
-        sq = _gram_d2(np.stack([a, b]), np.zeros((1, d)))[0]
+        sq = np.einsum("ij,ij->i", np.stack([a, b]), np.stack([a, b]))
         if sq[1] > sq[0] and np.sqrt(sq[1]) == np.sqrt(sq[0]):
             return a, b
     pytest.fail("no pair of centers with equal roots found")
@@ -439,119 +456,65 @@ def _equal_root_centers(d):
 
 @pytest.mark.parametrize("d", [2, 6])
 def test_ball_dense_off_support_nearest_keeps_first_index_on_equal_roots(d):
-    # a query at the origin and two centers that share a root: the one
-    # earlier in carving order has the larger squared distance and is still
-    # the nearest center, as the first index with the smallest root
+    # a query at the origin and two centers at equal direct distances: the
+    # nearest center is the one earlier in carving order, whichever has the
+    # larger squared distance, on the Gram path (two rows), the one-point
+    # path and the tree kernel
     a, b = _equal_root_centers(d)
     net = EpsilonNet(centers=np.stack([a, b]), epsilon=0.25, source_count=2)
-    part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array([1, 0]))
-    X = np.zeros((1, d))
-    cells, off, margins = _ball_assign_dense(part, X)
-    assert off[0] and margins[0] == 0.0
-    assert cells[0] == 1
-    _assert_same_bits((cells, off, margins), _gram_reference(part, X))
+    for order in ([1, 0], [0, 1]):
+        part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array(order))
+        for X in (np.zeros((1, d)), np.zeros((2, d))):
+            for cells, off, margins in (_ball_assign_dense(part, X), _ball_assign_tree(part, X)):
+                assert off.all() and not margins.any()
+                assert (cells == order[0]).all()
+            _assert_same_bits(_ball_assign_dense(part, X), _direct_reference(part, X))
 
 
-def _scan_reference(d2, T, R):
-    """`_carving_scan` written out plainly: sqrt of every clipped entry,
-    capture by root <= R, a prefix minimum of the roots for the earlier
-    centers, argmin of the roots off support."""
-    roots = np.sqrt(np.maximum(d2, 0.0))
-    R = np.broadcast_to(R, len(d2))
-    inball = roots <= R[:, None]
-    has = inball.any(axis=1)
-    first = np.argmax(inball, axis=1)
-    rows = np.arange(len(d2))
-    prefix = np.minimum.accumulate(roots, axis=1)
-    before = np.where(first > 0, prefix[rows, np.maximum(first - 1, 0)], np.inf)
-    m = np.minimum(R - roots[rows, first], before - R)
-    return np.where(has, first, np.argmin(roots, axis=1)), ~has, np.where(has, m, 0.0)
+def _exact_sq(x, c):
+    """|x - c|^2 of two float rows in exact rational arithmetic."""
+    return sum((Fraction(float(u)) - Fraction(float(v))) ** 2 for u, v in zip(x, c))
 
 
-# radii whose capture threshold T lies above R*R, so some squared distances
-# in (R*R, T] are captured; scaling by powers of two keeps that window
-_WINDOW_RADII = [r * 2.0**j for r in np.linspace(0.3, 0.4, 200).tolist() if _root_ceiling(r) > r * r
-                 for j in (-3, 0, 3)]
-
-
-def _equal_root_pair(v):
-    """v and the next double above it, which share a root."""
-    while math.sqrt(math.nextafter(v, math.inf)) != math.sqrt(v):
-        v = math.nextafter(v, math.inf)
-    return v, math.nextafter(v, math.inf)
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    radii=st.lists(st.sampled_from(_WINDOW_RADII), min_size=1, max_size=6),
-    per_row=st.booleans(),
-    count=st.integers(2, 7),
-    kinds=st.lists(st.sampled_from(["in", "window", "T", "above_T", "far", "tie_lo", "tie_hi",
-                                    "negative", "zero"]), min_size=42, max_size=42),
-    spare=st.integers(0, 3),
+    d=st.integers(1, 20),
+    offset=st.sampled_from([0.0, 1e2, 1e4, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_carving_scan_matches_plain_reference_bits(radii, per_row, count, kinds, spare):
-    # every draw starts with three fixed rows: a capture at column 0, a row
-    # with no capture whose least root is tied between two columns, and a
-    # capture in (R*R, T] after a far column; drawn rows follow
-    k = len(radii) + 3
-    R = np.resize(radii, k) if per_row else np.full(k, radii[0])
-    T = np.array([_root_ceiling(r) for r in R])
-    values = {
-        "in": lambda r, t: 0.37 * r * r,
-        "window": lambda r, t: t,
-        "T": lambda r, t: t,
-        "above_T": lambda r, t: math.nextafter(t, math.inf),
-        "far": lambda r, t: 9.0 * r * r,
-        "tie_lo": lambda r, t: _equal_root_pair(4.0 * r * r)[0],
-        "tie_hi": lambda r, t: _equal_root_pair(4.0 * r * r)[1],
-        "negative": lambda r, t: -1e-17 * r * r,
-        "zero": lambda r, t: 0.0,
-    }
-    d2 = np.empty((k, count))
-    for i, (r, t) in enumerate(zip(R.tolist(), T.tolist())):
-        lo, hi = _equal_root_pair(4.0 * r * r)
-        fixed = [[0.5 * r * r] + [9.0 * r * r] * (count - 1),
-                 [9.0 * r * r] * (count - 2) + [hi, lo],
-                 [9.0 * r * r, t] + [0.0] * (count - 2)]
-        if i < 3:
-            d2[i] = fixed[i]
-        else:
-            d2[i] = [values[kind](r, t) for kind in kinds[(i - 3) * 7 : (i - 3) * 7 + count]]
-        assert t > r * r
-    starts = np.arange(0, (k + spare) * count, count)
-    bounds = np.repeat(starts, 2)
-    Ts, Rs = (T[:, None], R) if per_row else (float(T[0]), float(R[0]))
-    got = _carving_scan(d2, Ts, Rs, starts, bounds)
-    want = _scan_reference(d2, T, R)
-    assert got[1][:3].tolist() == [False, True, False]
-    assert got[0][:3].tolist() == [0, count - 2, 1]
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b) and a.tobytes() == b.astype(a.dtype).tobytes()
-    assert got[2].dtype == np.float64
-
-
-def _assert_root_ceiling(R):
-    T = _root_ceiling(R)
-    assert math.sqrt(T) <= R < math.sqrt(math.nextafter(T, math.inf))
-
-
-def test_root_ceiling_at_catalog_radii():
-    # the catalog's carving epsilons (spheres_bounds at d = 20 and 3, the
-    # 0.2 of the circle experiments, lipschitz_curves' 1.6); for each, the
-    # top of (eps/4, eps/2] and draws from sample_ball_carving's law
-    eps_parts = [20 * e / 0.1 for e in (0.002, 0.004, 0.008, 0.016, 0.032)]
-    eps_parts += [3 * e / 0.1 for e in (0.007, 0.009)] + [0.2, 1.6]
-    rng = np.random.default_rng(0)
-    for e in eps_parts:
-        for u in [0.0, *rng.random(50)]:
-            _assert_root_ceiling(e / 4.0 + (1.0 - u) * (e / 4.0))
-
-
-@settings(max_examples=300, deadline=None)
-@given(r=st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False))
-def test_root_ceiling_at_random_radii(r):
-    _assert_root_ceiling(r)
+def test_ball_margins_are_sound_in_exact_arithmetic(d, offset, seed):
+    # every carving path: a margin m > 0 with assigned center u certifies
+    # |x - u| <= R - m and |x - w| >= R + m for every w earlier in carving
+    # order, compared as squares of exact rationals, so no root is taken
+    rng = np.random.default_rng(seed)
+    count, trials, p = 30, 4, 3
+    R = 0.25 + (1.0 - rng.random()) * 0.25
+    centers = rng.random((count, d)) * 2.0 * R * count ** (1.0 / d) + offset
+    net = EpsilonNet(centers=centers, epsilon=0.25, source_count=count)
+    parts = [BallCarvingPartition(net=net, epsilon=1.0, radius=0.25 + (1.0 - rng.random()) * 0.25,
+                                  order=rng.permutation(count)) for _ in range(trials)]
+    pts = centers[rng.integers(0, count, (trials, p))] + rng.standard_normal((trials, p, d)) * (R / (2 * math.sqrt(d)))
+    batched = parts[0]._assign_trials(parts, pts)
+    outputs = []
+    for i, (part, X) in enumerate(zip(parts, pts)):
+        outputs.append((part, X, _ball_assign_dense(part, X)))
+        outputs.append((part, X, _ball_assign_tree(part, X)))
+        outputs.append((part, X, tuple(a[i] for a in batched)))
+        certs = [padding_certificate(part, x, 0.0) for x in X]
+        outputs.append((part, X, (part.cells(X), np.array([c.status == OFF_SUPPORT for c in certs]),
+                                  np.array([c.margin for c in certs]))))
+    checked = 0
+    for part, X, (cells, off, margins) in outputs:
+        R = Fraction(part.radius)
+        for x, u, o, m in zip(X, cells, off, margins):
+            if o or m <= 0.0:
+                continue
+            m = Fraction(float(m))
+            assert _exact_sq(x, part.net.centers[u]) <= (R - m) ** 2
+            for w in part.order[: part.ranks[u]]:
+                assert _exact_sq(x, part.net.centers[w]) >= (R + m) ** 2
+            checked += 1
+    assert checked > 0
 
 
 def test_ball_carvings_share_the_net_tree():
@@ -815,9 +778,9 @@ def test_batched_lipschitz_equals_per_trial_cells(kind, block_setting):
 
 @pytest.mark.parametrize("kind", ["cube", "one_net"])
 def test_batched_trial_kernel_matches_per_trial_calls(kind):
-    # three points per trial, some far off support: cells and off-support
-    # flags equal, margins equal up to the rounding of the batched Gram
-    # product (for lattices, the same bits)
+    # three points per trial, some far off support: the same bits as one
+    # call per trial (for carvings, every decision reads direct
+    # differences, which do not depend on the batch)
     family, _, _, parts, _ = _recorded_draws(kind)
     rng = stream(44, 0)
     for _ in range(60):
@@ -829,16 +792,13 @@ def test_batched_trial_kernel_matches_per_trial_calls(kind):
     for q, x, c, o, m in zip(parts, pts, cells, off, margins):
         want_m, want_o = q.margins(x)
         assert np.array_equal(c, q.cells(x)) and np.array_equal(o, want_o)
-        if kind == "cube":
-            assert m.tobytes() == want_m.tobytes()
-        else:
-            assert np.allclose(m, want_m, rtol=0.0, atol=1e-12)
+        assert m.tobytes() == want_m.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 6])
 def test_batched_trial_kernel_keeps_carving_order_on_equal_roots(d):
     # the batched kernel's off-support tie rule is the dense kernel's: of
-    # two centers with equal roots, the earlier in carving order
+    # two centers at equal direct distances, the earlier in carving order
     net = EpsilonNet(centers=np.stack(_equal_root_centers(d)), epsilon=0.25, source_count=2)
     parts = [BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array(o))
              for o in ([1, 0], [0, 1])]
