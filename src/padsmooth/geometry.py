@@ -119,10 +119,20 @@ class EpsilonNet:
         return cKDTree(self.centers)
 
     @cached_property
-    def sq_norms(self) -> Array:
-        """Squared norms of the centers, shared, like the tree, by every
-        carving drawn over this net."""
-        return np.einsum("ij,ij->i", self.centers, self.centers)
+    def lifted(self) -> Array:
+        """Columns [-2c; 1; |c|^2] of the centers, shared like the tree: a
+        point's row [x, |x|^2, 1] times them is its Gram squared distances."""
+        c2 = np.einsum("ij,ij->i", self.centers, self.centers)
+        return np.vstack([-2.0 * self.centers.T, np.ones(len(c2)), c2])
+
+
+def _lift(X, cols):
+    """(rows, band) of points X: rows [x, |x|^2, 1], whose product with a
+    net's `lifted` columns cols holds the Gram squared distances, and each
+    row's filter band (d + 3) eps_machine (|x| + max |c|)^2 (`partitions._gram_decide`)."""
+    x2 = np.einsum("ij,ij->i", X, X)
+    band = (X.shape[1] + 3) * np.finfo(np.float64).eps * (np.sqrt(x2) + math.sqrt(cols[-1].max())) ** 2
+    return np.column_stack([X, x2, np.ones(len(X))]), band
 
 
 def _distances_to(points: Array, centers: Array, chunk: int = 8192) -> Array:

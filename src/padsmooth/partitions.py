@@ -36,9 +36,9 @@ never exceed the exact ones, and off support the nearest center, the
 earlier in carving order on ties. Callers differ only in how they find
 candidate (point, center) pairs: a KD-tree over the net for batches of at
 least 64 points in dimension <= 4, every center for one point, else a
-filter of Gram-expansion distances within a forward-error band
-(`_gram_decide`); the query game takes its pool's pairs once. All of them
-return the same bits.
+filter of one Gram product per row tile within a forward-error band that
+stops a captured row at its first capture (`_gram_decide`); the query
+game takes its pool's pairs once. All of them return the same bits.
 
 The Monte-Carlo estimators (estimate_paddedness, estimate_lipschitz_constant)
 draw a fresh partition and point or pair per trial, in the order of a
@@ -67,6 +67,7 @@ from .geometry import (
     Array,
     EpsilonNet,
     _distances_to,
+    _lift,
     _search_radius,
     _unit_rows,
     as_points,
@@ -309,11 +310,11 @@ class BallCarvingPartition:
         """ball_assign of pts[i], a (p, d) block, under carving parts[i],
         for carvings over one net.
 
-        One Gram product of every row against the net gives squared
-        distances d2 = (x2 + c2) - 2G; each trial's rows are gathered into
-        its own carving's order and go through `_gram_decide` with its R.
-        The Gram entries only pick candidates, so the results are the bits
-        of one call per trial.
+        One product of the lifted rows (`_lift`) against the net's `lifted`
+        columns gives every row's Gram squared distances; each trial's rows
+        are gathered into its own carving's order and go through
+        `_gram_decide` with its R. The Gram entries only pick candidates, so
+        the results are the bits of one call per trial.
         """
         net = parts[0].net
         count = len(net)
@@ -321,16 +322,14 @@ class BallCarvingPartition:
         orders = np.stack([q.order for q in parts])
         R = np.repeat([q.radius for q in parts], p)
         X = pts.reshape(-1, d)
-        x2 = np.einsum("ij,ij->i", X, X)
-        d2 = np.add.outer(x2, net.sq_norms)
-        d2 -= (2.0 * X) @ net.centers.T
+        rows, band = _lift(X, net.lifted)
+        d2 = rows @ net.lifted
         starts = np.arange(0, d2.size, count)
         # each row gathered into its trial's carving order by flat indices,
         # about twice as fast as np.take_along_axis
         d2 = np.take(d2, starts.reshape(trials, p, 1) + orders[:, None, :]).reshape(-1, count)
-        first, off, margins = _gram_decide(
-            [(0, d2)], R, x2, float(net.sq_norms.max()), d,
-            lambda row, col: _direct_distances(X[row], net.centers[orders[row // p, col]]))
+        first, off, margins = _gram_decide([(0, d2)], R, band, d, lambda row, col: _direct_distances(
+            X[row], net.centers[orders[row // p, col]]))
         cells = np.take_along_axis(orders, first.reshape(trials, p), axis=1)
         return cells, off.reshape(trials, p), margins.reshape(trials, p)
 
@@ -421,14 +420,14 @@ def ball_assign(part: BallCarvingPartition, points):
 
 _TILE = 1 << 17
 """Entries of the Gram product (1 MB of float64) that `_ball_assign_dense`
-forms and filters at a time; each tile costs a fixed run of numpy calls.
+writes into its reused buffer and filters with one fixed run of numpy calls.
 
 Measured on 2 cores with one BLAS thread, median of 5 rounds of the best of
 2 calls, tiles of 32K / 64K / 128K / 256K entries: d=20 concentric spheres,
-8192 centers and 2048 off-support points 189 / 131 / 106 / 110 ms; 2048
-centers and 1024 points 20.5 / 18.1 / 17.6 / 19.3 ms; 1875 centers with a
-larger radius, points captured, 26.6 / 24.3 / 24.2 / 25.3 ms; two circles
-in d=50, 187 centers and 4096 points 14.4 / 14.0 / 14.3 / 13.9 ms.
+8192 centers and 2048 off-support points 93 / 61 / 50 / 43 ms; 2048
+centers and 1024 points 7.5 / 6.5 / 6.1 / 6.2 ms; 1898 centers with a
+larger radius, points captured, 8.8 / 6.9 / 6.1 / 6.4 ms; two circles in
+d=50, 186 centers and 4096 points 9.1 / 8.4 / 8.3 / 8.6 ms.
 """
 
 
@@ -441,8 +440,8 @@ def _direct_distances(A, B):
 
 def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
     """ball_assign with candidate pairs from Gram-expansion distances to
-    every center, columns in carving order, formed in row tiles of about
-    _TILE entries and decided by `_gram_decide`."""
+    every center in carving order, decided by `_gram_decide`: each row tile
+    of about _TILE entries is one `_lift` product into one reused buffer."""
     net, order, R = part.net, part.order, part.radius
     count, n, d = len(net), len(pts), part.dim
     if n == 1:
@@ -450,73 +449,62 @@ def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
         row = np.zeros(count, dtype=np.intp)
         pos, off, margins = _decide(row, row[:1], _direct_distances(net.centers, pts), part.ranks, R, d, 1, count)
         return order[pos], off, margins
-    centers = np.take(net.centers, order, axis=0)  # columns in carving order
-    c2 = net.sq_norms[order]
-    x2 = np.einsum("ij,ij->i", pts, pts)
+    cols = net.lifted[:, order]  # columns in carving order
+    rows, band = _lift(pts, cols)
     step = max(1, _TILE // count)
     buf = np.empty((min(step, n), count), dtype=np.float64)
-
-    def tiles():
-        for j in range(0, max(n, 1), step):  # one empty tile when n == 0
-            blk = pts[j : j + step]
-            d2 = np.add(x2[j : j + len(blk), None], c2, out=buf[: len(blk)])
-            d2 -= (2.0 * blk) @ centers.T
-            yield j, d2
-
-    pos, off, margins = _gram_decide(tiles(), R, x2, float(c2.max()), d,
-                                     lambda row, col: _direct_distances(pts[row], centers[col]))
+    tiles = ((j, np.matmul(rows[j : j + step], cols, out=buf[: min(step, n - j)]))
+             for j in range(0, max(n, 1), step))  # one empty tile when n == 0
+    pos, off, margins = _gram_decide(tiles, R, band, d, lambda row, col: _direct_distances(
+        pts[row], net.centers[order[col]]))
     return order[pos], off, margins
 
 
-def _gram_decide(tiles, R, x2, c2max: float, d: int, distances):
-    """`_decide` of points x from tiles (j, d2) of their Gram squared
-    distances d2 = (x2 + c2) - 2 x.c (rows j, j + 1, ..., C-contiguous,
-    columns in carving order), on the direct distances(row, col) of
-    candidate pairs; R is a scalar or per point, c2max the largest c2.
+def _gram_decide(tiles, R, band, d: int, distances):
+    """`_decide` of points x in dimension d from tiles (j, d2) of their Gram
+    squared distances (rows j, j + 1, ..., C-contiguous, columns in carving
+    order), on the direct distances(row, col) of candidate pairs; R is a
+    scalar or per point, band per point from `_lift`.
 
-    d2 is within gamma_{d+2} (|x| + |c|)^2 of the exact square (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3); a band of
-    (d + 3) eps_machine (|x| + max |c|)^2 covers that twice over and the
-    rounding of direct differences. So F, the first column with d2 <= R^2 +
-    band, and the columns before it within 2 band of their least d2 (none
-    when that is above 4R^2 + band, beyond 2R; without F, the columns within
-    2 band of the row's least d2) hold every center that can capture x, its
-    nearest earlier ones within 2R and, off support, its nearest ones. A row
-    whose F the direct test rejects (only within the band of R) is decided
-    over every center.
+    Each d2 is one dot product of length d + 2, within gamma_{d+2}
+    (|x| + |c|)^2 of the exact square (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3); the band covers that twice over and the
+    rounding of direct differences. So a row is captured exactly when its
+    least d2 is at most R^2 + band. Off support its candidates are the
+    columns within 2 band of that least d2, its nearest centers. Captured,
+    they are F, its first column with d2 <= R^2 + band, and the columns
+    before F within 2 band of their least d2 (none when that is above
+    4R^2 + band, beyond 2R): every center that can capture x and its
+    nearest earlier ones within 2R. A row whose d2 at F is within the band
+    of R^2, so that the direct test may reject F, also keeps the columns
+    after F within its threshold, which is then above R^2 + band: they hold
+    every later center that can capture x and its nearest centers. A tile
+    compares columns only up to its last candidate column, so when every
+    row is captured beyond the band of R it stops at the largest F.
     """
-    band = (d + 3) * np.finfo(np.float64).eps * (np.sqrt(x2) + math.sqrt(c2max)) ** 2
     lim = R * R + band
-    picks, lasts = [], []
+    found = []
     for j, d2 in tiles:
         k, count = d2.shape
-        capture = d2 <= lim[j : j + k, None]
-        first = capture.argmax(1)
-        starts = np.arange(0, d2.size, count)
-        at = starts + first
-        has = capture.reshape(-1)[at]
-        # even slots: least d2 over columns [0, F) (d2 at F when F = 0, and
-        # only F is kept); odd slots: from F on, the whole row without F
-        bounds = np.repeat(starts, 2)
-        bounds[1::2] = at
-        least = np.minimum.reduceat(d2.reshape(-1), bounds)
-        earlier = np.where(least[::2] > 4.0 * lim[j : j + k] - 3.0 * band[j : j + k], d2.reshape(-1)[at], least[::2])
-        near = np.where(has, earlier, least[1::2]) + 2.0 * band[j : j + k]
-        picks.append((d2 <= near[:, None]).reshape(-1).nonzero()[0] + j * count)
-        lasts.append(np.where(has, first, count))  # last candidate column, count without F
-    last = np.concatenate(lasts)
-    row, col = np.divmod(np.concatenate(picks), count)
-    kept = col <= last[row]
-    row, col = row[kept], col[kept]
-    k = len(last)
-    out = _decide(row, row.searchsorted(np.arange(k)), distances(row, col), col, R, d, k, count)
-    redo = ((last < count) & out[1]).nonzero()[0]
-    if redo.size:
-        row, col = np.repeat(redo, count), np.tile(np.arange(count), redo.size)
-        again = _decide(row, np.arange(0, row.size, count), distances(row, col), col, R, d, k, count)
-        for a, b in zip(out, again):
-            a[redo] = b[redo]
-    return out
+        top, b = lim[j : j + k], band[j : j + k]
+        near = d2.min(1)
+        cap = (near <= top).nonzero()[0]
+        last = np.full(k, count)  # last candidate column, count for the whole row
+        if cap.size:
+            sub = d2 if cap.size == k else d2[cap]
+            first = (sub <= top[cap, None]).argmax(1)
+            at = np.arange(0, sub.size, count) + first
+            # even slots: least d2 over columns [0, F) (d2 at F when F = 0)
+            least = np.minimum.reduceat(sub.reshape(-1), np.stack([at - first, at], 1).reshape(-1))[::2]
+            at_f = sub.reshape(-1)[at]
+            near[cap] = np.where(least > 4.0 * top[cap] - 3.0 * b[cap], at_f, least)
+            last[cap] = np.where(at_f > top[cap] - 2.0 * b[cap], count, first)
+        seg = d2[:, : last.max(initial=0) + 1]
+        row, col = np.divmod((seg <= (near + 2.0 * b)[:, None]).reshape(-1).nonzero()[0], seg.shape[1])
+        kept = col <= last[row]
+        found.append((row[kept] + j, col[kept], last))
+    row, col, last = map(np.concatenate, zip(*found))
+    return _decide(row, row.searchsorted(np.arange(len(last))), distances(row, col), col, R, d, len(last), count)
 
 
 def _ball_assign_tree(part: BallCarvingPartition, pts: Array, chunk: int = 4096):
@@ -527,6 +515,8 @@ def _ball_assign_tree(part: BallCarvingPartition, pts: Array, chunk: int = 4096)
     within 2R takes its nearest centers from a second query within its
     nearest-neighbour distance.
     """
+    if not len(pts):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), np.empty(0)
     net, R, ranks = part.net, part.radius, part.ranks
     count = len(net)
     reach = _search_radius(2.0 * R, pts, net.centers)

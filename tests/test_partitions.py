@@ -11,7 +11,7 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 from padsmooth import partitions
-from padsmooth.geometry import EpsilonNet, greedy_net
+from padsmooth.geometry import EpsilonNet, _lift, greedy_net
 from padsmooth.partitions import (
     CONTAINED,
     CUT,
@@ -207,7 +207,7 @@ def test_ball_assign_matches_brute_force():
         assert cells[i] == c
         assert off[i] == o
         assert margins[i] == pytest.approx(brute_margin(part, X[i]), abs=1e-12)
-    for kernel in (ball_assign, _ball_assign_dense):  # an empty batch
+    for kernel in (ball_assign, _ball_assign_dense, _ball_assign_tree):  # an empty batch
         assert [a.dtype for a in kernel(part, X[:0])] == [np.int64, bool, np.float64]
 
 
@@ -422,7 +422,7 @@ def test_ball_dense_kernel_redecides_a_gram_capture_the_direct_test_rejects():
     # 1e-6 in squared units: a query 1e-9 beyond R of the first center in
     # carving order has a Gram squared distance within the band of R^2, so
     # that center is the row's first Gram capture F, and the direct test
-    # rejects it. The row is then decided over every center, and the second
+    # rejects it. The row then keeps its columns after F, and the second
     # center captures it.
     d, R = 3, 0.25
     first = np.full(d, 1e4)
@@ -438,6 +438,55 @@ def test_ball_dense_kernel_redecides_a_gram_capture_the_direct_test_rejects():
     cells, off, margins = _ball_assign_dense(part, X)
     assert cells.tolist() == [1, 1] and not off.any() and (margins > 0.0).all()
     _assert_same_bits((cells, off, margins), _direct_reference(part, X))
+
+
+def _prefix_case():
+    """A carving of six centers near 1e4 in d=3, R = 0.25, columns in index
+    order, and five queries: two captured at column 0, one captured at the
+    last column with its nearest earlier center at the one before, one off
+    support nearest the last column, and one 1e-9 beyond R of center 1,
+    which its Gram distance captures and the direct test rejects (center 2
+    captures it)."""
+    R = 0.25
+    base = np.full(3, 1e4)
+    redo = base + [10.0 + R + 1e-9, 0.0, 0.0]
+    centers = np.stack([base, base + [10.0, 0.0, 0.0], redo + [0.0, 0.1, 0.0], base + [20.0, 0.0, 0.0],
+                        base + [30.0, 0.0, 0.0], base + [30.0, 0.3, 0.0]])
+    net = EpsilonNet(centers=centers, epsilon=R / 2.0, source_count=6)
+    part = BallCarvingPartition(net=net, epsilon=2.0 * R, radius=R, order=np.arange(6))
+    X = np.stack([base + [0.1, 0.0, 0.0], base + [0.0, 0.1, 0.1], centers[5] + [0.0, 0.05, 0.0],
+                  centers[5] + [5.0, 0.0, 0.0], redo])
+    return part, X
+
+
+def test_ball_dense_kernel_compares_captured_rows_up_to_their_capture():
+    # one tile in which the rows' first Gram captures F are 0, 0, 5 (the
+    # last column) and 1 (rejected by the direct test), and an off-support
+    # row whose nearest center is the last column: the tile's compare must
+    # reach the largest F, and every column for an off-support row, also
+    # when the other rows are all captured at column 0
+    part, X = _prefix_case()
+    R = part.radius
+    want = _direct_reference(part, X)
+    assert want[0].tolist() == [0, 0, 5, 5, 2] and want[1].tolist() == [False, False, False, True, False]
+    rows, band = _lift(X, part.net.lifted)
+    assert (rows @ part.net.lifted)[4, 1] <= R * R + band[4] and np.linalg.norm(X[4] - part.net.centers[1]) > R
+    for keep in ([0, 1, 2, 3, 4], [0, 1, 3]):
+        _assert_same_bits(_ball_assign_dense(part, X[keep]), _direct_reference(part, X[keep]))
+
+
+def test_batched_trial_kernel_keeps_a_capture_at_the_last_column():
+    # trial 0 in index order: two rows captured at column 0 and one off
+    # support nearest the last column; trial 1 carves center 0 last, so it
+    # captures two rows at its last column
+    part, X = _prefix_case()
+    late = BallCarvingPartition(net=part.net, epsilon=part.epsilon, radius=part.radius, order=np.roll(np.arange(6), -1))
+    pts = np.stack([X[[0, 3, 1]], X[[0, 1, 2]]])
+    for parts, block in (([part, late], pts), ([part], pts[:1])):
+        cells, off, margins = parts[0]._assign_trials(parts, block)
+        for q, x, c, o, m in zip(parts, block, cells, off, margins):
+            _assert_same_bits((c, o, m), _direct_reference(q, x))
+    assert late.cells(X[:2]).tolist() == [0, 0]
 
 
 def _equal_root_centers(d):
@@ -474,6 +523,48 @@ def test_ball_dense_off_support_nearest_keeps_first_index_on_equal_roots(d):
 def _exact_sq(x, c):
     """|x - c|^2 of two float rows in exact rational arithmetic."""
     return sum((Fraction(float(u)) - Fraction(float(v))) ** 2 for u, v in zip(x, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 50),
+    offset=st.sampled_from([0.0, 1e2, 1e4, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=50, offset=1e6, seed=0)
+def test_gram_tiles_lie_within_half_the_band_of_exact_squares(d, offset, seed):
+    # every d2 that `_gram_decide` filters, from the dense kernel's 2-row
+    # tiles and from the batched trials, lies within band / 2 of the exact
+    # square of x - c: the band covers the product's rounding twice over
+    rng = np.random.default_rng(seed)
+    count, n = 12, 5
+    centers = rng.standard_normal((count, d)) + offset
+    net = EpsilonNet(centers=centers, epsilon=0.25, source_count=count)
+    parts = [BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=rng.permutation(count))
+             for _ in range(n)]
+    X = centers[rng.integers(0, count, n)] + rng.standard_normal((n, d)) * 0.3
+    decide = partitions._gram_decide
+    seen = []
+
+    def spy(tiles, R, band, d, distances):
+        tiles = [(j, d2.copy()) for j, d2 in tiles]  # the dense kernel reuses one buffer
+        seen.append((tiles, band))
+        return decide(tiles, R, band, d, distances)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_gram_decide", spy)
+        mp.setattr(partitions, "_TILE", 2 * count)
+        _ball_assign_dense(parts[0], X)
+        parts[0]._assign_trials(parts, X[:, None, :])
+    (dense, dense_band), (trials, trials_band) = seen
+    assert [j for j, _ in dense] == [0, 2, 4] and len(trials) == 1
+    for tiles, band, order_of in ((dense, dense_band, lambda i: parts[0].order),
+                                  (trials, trials_band, lambda i: parts[i].order)):
+        for j, d2 in tiles:
+            for i, row in enumerate(d2, start=j):
+                half = Fraction(float(band[i])) / 2
+                for v, c in zip(row, centers[order_of(i)]):
+                    assert abs(Fraction(float(v)) - _exact_sq(X[i], c)) <= half
 
 
 @settings(max_examples=40, deadline=None)
