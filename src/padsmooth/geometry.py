@@ -36,18 +36,21 @@ of cost only. `greedy_net` has its own crossover, `_NET_TREE_MAX_DIM`.
 
 _NET_TREE_MAX_DIM = 8
 """Largest dimension in which `greedy_net` builds its net by cover marking
-over a KD-tree; above it, the loop over the points.
+over a KD-tree; above it, a block of points at a time with one Gram product
+per block (`_greedy_net_blocked`).
 
-A net point only marks the points within the net spacing, a smaller reach
-than assignment's 2R, so the tree pays off up to a higher dimension.
-Measured on 2 cores with one BLAS thread, loop vs cover marking, best of 5,
-the same centers bit for bit: unit-ball points at spacing 0.4, 4000 points,
-d=5 (383 centers) 0.046 vs 0.013 s, d=6 (823) 0.060 vs 0.022 s, d=8 (2429)
-0.147 vs 0.089 s, d=10 (3606) 0.166 vs 0.164 s, d=12 (3927) 0.233 vs
-0.225 s, and 2048 points in d=20 (2048) 0.075 vs 0.170 s; concentric
-spheres, 8000 points: d=3 0.39 vs 0.076 s, d=4 0.55 vs 0.13 s, d=5 0.74 vs
-0.20 s, d=8 1.03 vs 0.29 s. The tree's gain fades by d=10 to 12 and turns
-into a loss by d=20, so it stops at d=8.
+Measured on 2 cores with one BLAS thread, tree vs blocked, best of 5, the
+same centers bit for bit: unit-ball points at spacing 0.4, 4000 points,
+d=3 (53 centers) 0.0036 vs 0.0042 s, d=5 (383) 0.015 vs 0.013 s, d=6 (823)
+0.032 vs 0.018 s, d=8 (2429) 0.085 vs 0.028 s, d=10 (3606) 0.151 vs
+0.040 s, d=12 (3927) 0.247 vs 0.042 s, and 2048 points in d=20 (2048)
+0.148 vs 0.013 s; concentric spheres, 8000 points at spacing 0.4: d=3
+(112) 0.0072 vs 0.0086 s, d=4 (442) 0.015 vs 0.017 s, d=5 (1374) 0.039 vs
+0.039 s, d=8 (6504) 0.225 vs 0.125 s, and at spacing 0.0675 in d=3 (2850)
+0.076 vs 0.089 s. The tree wins up to d=4, the two tie at d=5 and the
+blocked kernel wins from d=6 on, by 3x at d=8; the crossover stays at 8
+until the nets it would move, such as the d=8 nets of the Lipschitz and
+paddedness estimators, are measured end to end.
 """
 
 _TREE_MIN_BATCH = 64
@@ -59,6 +62,19 @@ vs tree per call: 49 centers, 1 point 62 vs 107 us and 64 points 113 vs
 271 us; 672 centers, 1 point 86 vs 121 us, 64 points 660 vs 382 us; 3816
 centers, 1 point 206 vs 103 us, 64 points 6.8 ms vs 0.58 ms. The floor
 keeps one-point certificates and Lipschitz probes on the dense path.
+"""
+
+_TILE = 1 << 17
+"""Entries of the Gram product (1 MB of float64) that `partitions`'s dense
+carving kernel writes into its reused buffer and filters with one fixed run
+of numpy calls; `greedy_net` sizes its blocks by it too (`_net_block`).
+
+Measured on 2 cores with one BLAS thread, median of 5 rounds of the best of
+2 calls, carving tiles of 32K / 64K / 128K / 256K entries: d=20 concentric
+spheres, 8192 centers and 2048 off-support points 93 / 61 / 50 / 43 ms;
+2048 centers and 1024 points 7.5 / 6.5 / 6.1 / 6.2 ms; 1898 centers with a
+larger radius, points captured, 8.8 / 6.9 / 6.1 / 6.4 ms; two circles in
+d=50, 186 centers and 4096 points 9.1 / 8.4 / 8.3 / 8.6 ms.
 """
 
 
@@ -171,30 +187,87 @@ def greedy_net(points, epsilon: float) -> EpsilonNet:
     The first point is always a center; each later point becomes a center
     exactly when it is >= epsilon from all existing centers. Deterministic
     given the input order. Up to dimension 8 the centers come from cover
-    marking over a KD-tree, elsewhere from a loop over the points; both
-    decide with the same squared-difference test and give the same center
-    set, bit for bit.
+    marking over a KD-tree, above it from blocks of points filtered by one
+    Gram product each; both decide with the same squared-difference test
+    and give the same center set, bit for bit.
     """
     pts = as_points(points)
     _check_spacing(epsilon)
-    kernel = _greedy_net_tree if pts.shape[1] <= _NET_TREE_MAX_DIM else _greedy_net_loop
+    if not len(pts):
+        raise ValueError("greedy_net needs at least one source point")
+    kernel = _greedy_net_tree if pts.shape[1] <= _NET_TREE_MAX_DIM else _greedy_net_blocked
     return EpsilonNet(centers=kernel(pts, epsilon), epsilon=float(epsilon), source_count=len(pts))
 
 
-def _greedy_net_loop(pts: Array, epsilon: float) -> Array:
-    """Centers of the input-order greedy net, checking each point against
-    every center so far."""
+def _net_block(k: int) -> int:
+    """Rows m of the next `_greedy_net_blocked` block after k centers: the
+    largest m with m (k + m) <= _TILE, at least 1."""
+    return max(1, (math.isqrt(k * k + 4 * _TILE) - k) // 2)
+
+
+def _greedy_net_blocked(pts: Array, epsilon: float) -> Array:
+    """Centers of the input-order greedy net, one block of points at a time.
+
+    One `_lift` product gives a block's Gram squared distances to the k
+    centers accepted before it and to its own points, m (k + m) entries in
+    one reused buffer. They only filter: a pair is a candidate when its d2
+    is below epsilon**2 plus the block's widest band, which covers the
+    rounding of the Gram d2 and of the direct one (`_lift`, Higham ch. 3).
+    Candidates take the loop's own test, the squared difference below
+    epsilon**2: a point that an earlier center covers dies. Alive points
+    with no candidate among the alive points before them in the block
+    become centers at once; the others are resolved in order against the
+    earlier ones that became centers.
+    """
     n, d = pts.shape
-    buf = np.empty((n, d), dtype=np.float64)
-    buf[0] = pts[0]
-    k = 1
-    for i in range(1, n):
-        diff = buf[:k] - pts[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        if d2.min() >= epsilon * epsilon:
-            buf[k] = pts[i]
-            k += 1
-    return buf[:k].copy()
+    e2 = epsilon * epsilon
+    cols = np.ones((d + 2, n))  # lifted columns of the centers, then of the block
+    keep = np.empty(n, dtype=np.intp)  # source row of each center
+    buf = np.empty(max(_TILE, n))
+    k = i = 0
+    while i < n:
+        blk = pts[i : i + _net_block(k)]
+        m = len(blk)
+        cols[:d, k : k + m] = -2.0 * blk.T
+        cols[d + 1, k : k + m] = np.einsum("ij,ij->i", blk, blk)
+        rows, band = _lift(blk, cols[:, : k + m])
+        d2 = buf[: m * (k + m)].reshape(m, k + m)
+        lim = e2 + band.max()
+        if lim < math.inf:
+            np.matmul(rows, cols[:, : k + m], out=d2)
+        else:  # squared norms overflow, so the Gram d2 proves nothing: every pair is a candidate
+            d2.fill(0.0)
+        alive = np.ones(m, dtype=bool)
+        row, col = (d2[:, :k] < lim).nonzero()
+        if row.size:
+            alive[row[_sq_diffs(pts, keep[col], blk, row) < e2]] = False
+        a = alive.nonzero()[0]
+        own = d2[:, k:] if len(a) == m else d2[a[:, None], k + a]
+        row, col = np.tril(own < lim, -1).nonzero()  # col earlier in the block
+        if row.size:
+            row, col = a[row], a[col]
+            close = _sq_diffs(blk, col, blk, row) < e2
+            for p, q in zip(row[close].tolist(), col[close].tolist()):
+                if alive[q]:
+                    alive[p] = False
+            a = alive.nonzero()[0]
+        cols[:, k : k + len(a)] = cols[:, k + a]
+        keep[k : k + len(a)] = i + a
+        k += len(a)
+        i += m
+    return pts[keep[:k]]
+
+
+def _sq_diffs(A, ia, B, ib):
+    """Squared differences |A[ia] - B[ib]|^2 by the loop's einsum, gathered
+    in chunks of about _TILE coordinates: a clustered block can have
+    m^2 / 2 candidate pairs, whose differences at once would take m^2 d / 2."""
+    out = np.empty(len(ia))
+    step = max(1, _TILE // A.shape[1])
+    for s in range(0, len(ia), step):
+        diff = A[ia[s : s + step]] - B[ib[s : s + step]]
+        out[s : s + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def _greedy_net_tree(pts: Array, epsilon: float) -> Array:
@@ -234,8 +307,7 @@ def estimate_doubling_dimension(
     number, so the estimate leans high rather than low.
     """
     pts = as_points(points)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_spacing(epsilon)
     n = len(pts)
     idx = np.unique(np.linspace(0, n - 1, num=min(max_centers, n)).astype(int))
     worst = 1

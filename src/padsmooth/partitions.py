@@ -62,6 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import (
+    _TILE,
     _TREE_MAX_DIM,
     _TREE_MIN_BATCH,
     Array,
@@ -416,19 +417,6 @@ def ball_assign(part: BallCarvingPartition, points):
     if part.dim <= _TREE_MAX_DIM and len(pts) >= _TREE_MIN_BATCH:
         return _ball_assign_tree(part, pts)
     return _ball_assign_dense(part, pts)
-
-
-_TILE = 1 << 17
-"""Entries of the Gram product (1 MB of float64) that `_ball_assign_dense`
-writes into its reused buffer and filters with one fixed run of numpy calls.
-
-Measured on 2 cores with one BLAS thread, median of 5 rounds of the best of
-2 calls, tiles of 32K / 64K / 128K / 256K entries: d=20 concentric spheres,
-8192 centers and 2048 off-support points 93 / 61 / 50 / 43 ms; 2048
-centers and 1024 points 7.5 / 6.5 / 6.1 / 6.2 ms; 1898 centers with a
-larger radius, points captured, 8.8 / 6.9 / 6.1 / 6.4 ms; two circles in
-d=50, 186 centers and 4096 points 9.1 / 8.4 / 8.3 / 8.6 ms.
-"""
 
 
 def _direct_distances(A, B):
