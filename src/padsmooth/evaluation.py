@@ -249,7 +249,6 @@ def competitive_ratio_experiment(
     per_cell: int = 24,
     max_draws: int = 60_000,
     n: int = 100_000,
-    rel_tol: float = 0.02,
 ) -> CompetitiveResult:
     """Largest radius at which the smoothed pipeline keeps certified
     adversarial risk below eta, against the error-set growth scale of the
@@ -258,7 +257,7 @@ def competitive_ratio_experiment(
     The pipeline side pays a planted delta of base error on the spheres
     task, smooths over a cube partition, and bisects eps against the
     certificate-based AR upper bound on one fixed evaluation sample (the
-    bound is monotone there, so bisection is exact up to rel_tol). The
+    bound is monotone there, so bisection is exact up to 2% of eps). The
     optimal side inflates a planted error cap: a cap of mass delta/2 grows
     to mass eta at radius (2 eta/delta)^(1/d) - 1, which upper-bounds any
     classifier's usable radius at level eta.
@@ -288,7 +287,7 @@ def competitive_ratio_experiment(
         )
     lo, hi = 0.0, part.width / 2 + 1e-9
     for _ in range(200):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= 0.02 * hi:
             break
         mid = 0.5 * (lo + hi)
         if ar_upper(mid) <= eta:
@@ -382,14 +381,14 @@ class BoundarySeekAdversary(Adversary):
 
 class ReplayAdversary(BoundarySeekAdversary):
     """Boundary seeker that remembers answers that contradicted the base
-    classifier and replays them while the partition block lasts."""
+    classifier, up to 4096 of them, and replays them while the partition
+    block lasts."""
 
     name = "replay"
 
-    def __init__(self, task: Task, f: BlackBoxClassifier, memory_cap: int = 4096):
+    def __init__(self, task: Task, f: BlackBoxClassifier):
         super().__init__(task, f)
         self.memory: list[tuple[np.ndarray, int]] = []
-        self.memory_cap = memory_cap
 
     def propose(self, x: np.ndarray, epsilon: float) -> np.ndarray:
         fx = int(self.f(x[None, :])[0])
@@ -404,7 +403,7 @@ class ReplayAdversary(BoundarySeekAdversary):
 
     def observe(self, x: np.ndarray, x_prime: np.ndarray, answer: int) -> None:
         if answer != int(self.f(x[None, :])[0]):
-            if len(self.memory) < self.memory_cap:
+            if len(self.memory) < 4096:
                 self.memory.append((np.array(x_prime), answer))
 
     def notify_refresh(self) -> None:

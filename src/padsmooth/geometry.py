@@ -5,6 +5,11 @@ All point sets are float64 arrays of shape (n, d). A net with parameter
 ``eps`` satisfies two properties over its source points: centers are
 pairwise >= eps apart, and every source point is within < eps of some
 center.
+
+Squared distances have two formulas: the lifted Gram product of `_lift`
+rows and `_lifted` columns filters, within a rounding band that tests check
+against exact squares, and direct differences decide every net center and
+every carving capture and margin.
 """
 
 from __future__ import annotations
@@ -39,18 +44,18 @@ _NET_TREE_MAX_DIM = 8
 over a KD-tree; above it, a block of points at a time with one Gram product
 per block (`_greedy_net_blocked`).
 
-Measured on 2 cores with one BLAS thread, tree vs blocked, best of 5, the
-same centers bit for bit: unit-ball points at spacing 0.4, 4000 points,
-d=3 (53 centers) 0.0036 vs 0.0042 s, d=5 (383) 0.015 vs 0.013 s, d=6 (823)
-0.032 vs 0.018 s, d=8 (2429) 0.085 vs 0.028 s, d=10 (3606) 0.151 vs
-0.040 s, d=12 (3927) 0.247 vs 0.042 s, and 2048 points in d=20 (2048)
-0.148 vs 0.013 s; concentric spheres, 8000 points at spacing 0.4: d=3
-(112) 0.0072 vs 0.0086 s, d=4 (442) 0.015 vs 0.017 s, d=5 (1374) 0.039 vs
-0.039 s, d=8 (6504) 0.225 vs 0.125 s, and at spacing 0.0675 in d=3 (2850)
-0.076 vs 0.089 s. The tree wins up to d=4, the two tie at d=5 and the
-blocked kernel wins from d=6 on, by 3x at d=8; the crossover stays at 8
-until the nets it would move, such as the d=8 nets of the Lipschitz and
-paddedness estimators, are measured end to end.
+Where the two kernels cross depends on the number of points n as well as
+on d. Measured on 2 cores with one BLAS thread, tree vs blocked, best of 3
+in each of two rounds, the same centers bit for bit, on unit-ball points
+drawn as lipschitz_curves draws its net sources (seed 20260814) at spacing
+0.4: with n=4000, d=3 (56 centers) 6.2 vs 8.9 ms, d=4 (162) 10.6 vs 10.0
+ms, d=5 (381) 21 vs 17 ms, d=6 (849) 43 vs 24 ms, d=8 (2401) 141 vs 50 ms,
+d=10 (3570) 261 vs 69 ms and d=12 (3934) 288 vs 64 ms; with n=30000, the
+sources of lipschitz_curves, d=3 (58) 27 vs 36 ms, d=4 (189) 44 vs 79 ms,
+d=5 (534) 75 vs 111 ms, d=6 (1350) 159 vs 222 ms and d=8 (6314) 1100 vs
+966 ms. At 4000 points the blocked kernel wins from d=5 on, by 3x at d=8;
+at 30000 the tree wins up to d=6 and the two are within 15% at d=8. A
+move of the crossover has to be measured at both sizes.
 """
 
 _TREE_MIN_BATCH = 64
@@ -136,37 +141,35 @@ class EpsilonNet:
 
     @cached_property
     def lifted(self) -> Array:
-        """Columns [-2c; 1; |c|^2] of the centers, shared like the tree: a
-        point's row [x, |x|^2, 1] times them is its Gram squared distances."""
-        c2 = np.einsum("ij,ij->i", self.centers, self.centers)
-        return np.vstack([-2.0 * self.centers.T, np.ones(len(c2)), c2])
+        """`_lifted` columns of the centers, shared like the tree."""
+        return _lifted(self.centers)
+
+
+def _lifted(C):
+    """Columns [-2c; 1; |c|^2] of the centers C, (d + 2, k): a point's
+    `_lift` row [x, |x|^2, 1] times them is its Gram squared distances."""
+    c2 = np.einsum("ij,ij->i", C, C)
+    return np.vstack([-2.0 * C.T, np.ones(len(c2)), c2])
 
 
 def _lift(X, cols):
-    """(rows, band) of points X: rows [x, |x|^2, 1], whose product with a
-    net's `lifted` columns cols holds the Gram squared distances, and each
-    row's filter band (d + 3) eps_machine (|x| + max |c|)^2 (`partitions._gram_decide`)."""
+    """(rows, band) of points X: rows [x, |x|^2, 1], whose product with
+    `_lifted` columns cols holds the Gram squared distances, and each row's
+    filter band (d + 3) eps_machine (|x| + max |c|)^2 (`partitions._gram_decide`),
+    inf where the squared norms overflow and the Gram d2 prove nothing."""
     x2 = np.einsum("ij,ij->i", X, X)
-    band = (X.shape[1] + 3) * np.finfo(np.float64).eps * (np.sqrt(x2) + math.sqrt(cols[-1].max())) ** 2
+    span = np.sqrt(x2) + math.sqrt(cols[-1].max(initial=0.0))
+    with np.errstate(over="ignore"):
+        band = (X.shape[1] + 3) * np.finfo(np.float64).eps * span**2
     return np.column_stack([X, x2, np.ones(len(X))]), band
 
 
-def _distances_to(points: Array, centers: Array, chunk: int = 8192) -> Array:
-    """(n, k) euclidean distance matrix, chunked over rows: the roots of
-    (x2 + c2) - 2G clipped at 0, formed in the output in place, so a chunk
-    holds one temporary, its Gram product G."""
-    n = len(points)
-    out = np.empty((n, len(centers)), dtype=np.float64)
-    c2 = np.einsum("ij,ij->i", centers, centers)
-    for i in range(0, n, chunk):
-        blk = points[i : i + chunk]
-        d2 = np.add.outer(np.einsum("ij,ij->i", blk, blk), c2, out=out[i : i + chunk])
-        g = blk @ centers.T
-        g *= 2.0
-        d2 -= g
-        np.maximum(d2, 0.0, out=d2)
-        np.sqrt(d2, out=d2)
-    return out
+def _sq_distances(X, cols) -> Array:
+    """(n, k) Gram squared distances of points X to the centers whose
+    `_lifted` columns are cols, clipped at 0 in place."""
+    d2 = _lift(X, cols)[0] @ cols
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 def _unit_rows(V: Array) -> Array:
@@ -221,15 +224,14 @@ def _greedy_net_blocked(pts: Array, epsilon: float) -> Array:
     """
     n, d = pts.shape
     e2 = epsilon * epsilon
-    cols = np.ones((d + 2, n))  # lifted columns of the centers, then of the block
+    cols = np.empty((d + 2, n))  # lifted columns of the centers, then of the block
     keep = np.empty(n, dtype=np.intp)  # source row of each center
     buf = np.empty(max(_TILE, n))
     k = i = 0
     while i < n:
         blk = pts[i : i + _net_block(k)]
         m = len(blk)
-        cols[:d, k : k + m] = -2.0 * blk.T
-        cols[d + 1, k : k + m] = np.einsum("ij,ij->i", blk, blk)
+        cols[:, k : k + m] = _lifted(blk)
         rows, band = _lift(blk, cols[:, : k + m])
         d2 = buf[: m * (k + m)].reshape(m, k + m)
         lim = e2 + band.max()
@@ -292,27 +294,21 @@ def _greedy_net_tree(pts: Array, epsilon: float) -> Array:
     return pts[keep]
 
 
-def estimate_doubling_dimension(
-    points,
-    epsilon: float,
-    *,
-    max_centers: int = 64,
-    radius_scales: int = 8,
-) -> float:
+def estimate_doubling_dimension(points, epsilon: float) -> float:
     """Empirical doubling dimension of a sampled point set at scales <= epsilon.
 
-    For a deterministic set of probe centers and geometric radii r, greedily
-    covers B_r(center) with (r/2)-balls and returns log2 of the worst cover
-    size. Upper-bound flavored: greedy covers inflate the exact covering
-    number, so the estimate leans high rather than low.
+    For up to 64 probe centers evenly spaced in input order and the radii
+    r = epsilon / 2^j, j < 8, greedily covers B_r(center) with (r/2)-balls
+    and returns log2 of the worst cover size. Upper-bound flavored: greedy
+    covers inflate the exact covering number, so the estimate leans high.
     """
     pts = as_points(points)
     _check_spacing(epsilon)
     n = len(pts)
-    idx = np.unique(np.linspace(0, n - 1, num=min(max_centers, n)).astype(int))
+    idx = np.unique(np.linspace(0, n - 1, num=min(64, n)).astype(int))
     worst = 1
-    dist = _distances_to(pts[idx], pts)
-    for j in range(radius_scales):
+    dist = np.sqrt(_sq_distances(pts[idx], _lifted(pts)))
+    for j in range(8):
         r = epsilon / (2.0**j)
         for row in range(len(idx)):
             members = pts[dist[row] < r]

@@ -35,7 +35,8 @@ margins lowered by a rounding slack of 2 (d + 4) R eps_machine so they
 never exceed the exact ones, and off support the nearest center, the
 earlier in carving order on ties. Callers differ only in how they find
 candidate (point, center) pairs: a KD-tree over the net for batches of at
-least 64 points in dimension <= 4, every center for one point, else a
+least 64 points in dimension <= 4, every center for one point (and for
+each point of a batch in which a squared norm overflows), else a
 filter of one Gram product per row tile within a forward-error band that
 stops a captured row at its first capture (`_gram_decide`); the query
 game takes its pool's pairs once. All of them return the same bits.
@@ -67,9 +68,9 @@ from .geometry import (
     _TREE_MIN_BATCH,
     Array,
     EpsilonNet,
-    _distances_to,
     _lift,
     _search_radius,
+    _sq_distances,
     _unit_rows,
     as_points,
 )
@@ -315,7 +316,8 @@ class BallCarvingPartition:
         columns gives every row's Gram squared distances; each trial's rows
         are gathered into its own carving's order and go through
         `_gram_decide` with its R. The Gram entries only pick candidates, so
-        the results are the bits of one call per trial.
+        the results are the bits of one call per trial. Where a squared norm
+        overflows, each trial is one `_ball_assign_dense` call.
         """
         net = parts[0].net
         count = len(net)
@@ -324,6 +326,8 @@ class BallCarvingPartition:
         R = np.repeat([q.radius for q in parts], p)
         X = pts.reshape(-1, d)
         rows, band = _lift(X, net.lifted)
+        if not np.isfinite(band).all():  # squared norms overflow
+            return tuple(map(np.stack, zip(*(_ball_assign_dense(q, x) for q, x in zip(parts, pts)))))
         d2 = rows @ net.lifted
         starts = np.arange(0, d2.size, count)
         # each row gathered into its trial's carving order by flat indices,
@@ -376,9 +380,8 @@ class BallCarvingPartition:
             return _unit_rows(X - centers[self.cells(X)])
 
         def toward_second(X):
-            D = _distances_to(X, centers)
-            if D.shape[1] >= 2:
-                j = np.argpartition(D, 1, axis=1)[:, 1]
+            if len(centers) >= 2:
+                j = np.argpartition(_sq_distances(X, self.net.lifted), 1, axis=1)[:, 1]
             else:
                 j = np.zeros(len(X), dtype=np.intp)
             return _unit_rows(centers[j] - X)
@@ -429,7 +432,8 @@ def _direct_distances(A, B):
 def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
     """ball_assign with candidate pairs from Gram-expansion distances to
     every center in carving order, decided by `_gram_decide`: each row tile
-    of about _TILE entries is one `_lift` product into one reused buffer."""
+    of about _TILE entries is one `_lift` product into one reused buffer.
+    A batch in which a row's band is not finite goes one point at a time."""
     net, order, R = part.net, part.order, part.radius
     count, n, d = len(net), len(pts), part.dim
     if n == 1:
@@ -439,6 +443,8 @@ def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
         return order[pos], off, margins
     cols = net.lifted[:, order]  # columns in carving order
     rows, band = _lift(pts, cols)
+    if not np.isfinite(band).all():  # squared norms overflow, so the Gram d2 propose nothing
+        return tuple(map(np.concatenate, zip(*(_ball_assign_dense(part, x) for x in pts[:, None]))))
     step = max(1, _TILE // count)
     buf = np.empty((min(step, n), count), dtype=np.float64)
     tiles = ((j, np.matmul(rows[j : j + step], cols, out=buf[: min(step, n - j)]))
@@ -495,13 +501,13 @@ def _gram_decide(tiles, R, band, d: int, distances):
     return _decide(row, row.searchsorted(np.arange(len(last))), distances(row, col), col, R, d, len(last), count)
 
 
-def _ball_assign_tree(part: BallCarvingPartition, pts: Array, chunk: int = 4096):
+def _ball_assign_tree(part: BallCarvingPartition, pts: Array):
     """ball_assign over the centers the net's KD-tree finds within 2R of a
     point, widened by `_search_radius`: only they can capture it or bind its
     margin min(R - d(x, u), d(x, w) - R), as a farther earlier w has
     d(x, w) - R > R >= R - d(x, u). An off-support point with no center
     within 2R takes its nearest centers from a second query within its
-    nearest-neighbour distance.
+    nearest-neighbour distance. Points go 4096 at a time.
     """
     if not len(pts):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), np.empty(0)
@@ -509,8 +515,8 @@ def _ball_assign_tree(part: BallCarvingPartition, pts: Array, chunk: int = 4096)
     count = len(net)
     reach = _search_radius(2.0 * R, pts, net.centers)
     out = []
-    for i in range(0, len(pts), chunk):
-        blk = pts[i : i + chunk]
+    for i in range(0, len(pts), 4096):
+        blk = pts[i : i + 4096]
         row, starts, dist, cand = _tree_pairs(net, blk, reach)
         pos, off, margins = _decide(row, starts, dist, ranks[cand], R, part.dim, len(blk), count)
         lost = (off & (np.bincount(row[dist <= 2.0 * R], minlength=len(blk)) == 0)).nonzero()[0]

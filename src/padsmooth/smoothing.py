@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .geometry import _search_radius, as_points
+from .geometry import _lifted, _search_radius, _sq_distances, as_points
 from .partitions import CubePartition, _direct_distances, partition_from_dict
 from .tasks import BlackBoxClassifier, Task
 
@@ -285,13 +285,13 @@ def smooth_exact(
     rng: np.random.Generator,
     *,
     max_draws: int = 200_000,
-    batch: int = 8192,
 ) -> SmoothedClassifier:
     """Reference smoothing: conditional vote means from fresh task draws.
 
-    Draws until every cell touched so far holds >= per_cell votes or the
-    draw cap is hit; cells still under quota keep their partial-vote label
-    and are flagged (cells with no votes at all defer to the fallback).
+    Draws, 8192 at a time, until every cell touched so far holds >=
+    per_cell votes or the draw cap is hit; cells still under quota keep
+    their partial-vote label and are flagged (cells with no votes at all
+    defer to the fallback).
     """
     if per_cell < 1:
         raise ValueError("per_cell must be >= 1")
@@ -300,7 +300,7 @@ def smooth_exact(
     counts = np.zeros(0, dtype=np.int64)
     drawn = 0
     while drawn < max_draws:
-        m = min(batch, max_draws - drawn)
+        m = min(8192, max_draws - drawn)
         X, _ = task.sample(rng, m)
         drawn += m
         votes = f(X).astype(np.float64)
@@ -384,14 +384,14 @@ def ball_chord(center, radius: float):
     return solve
 
 
-def _walk(member, chord, X, k: int, rng: np.random.Generator, *, max_retries: int = 64, block: int = 1):
+def _walk(member, chord, X, k: int, rng: np.random.Generator, *, block: int = 1):
     """k hit-and-run steps of the walks X, (w, d), advanced together.
 
     member(Y) tests the rows of Y for membership in the cell; chord(X, V)
     gives arrays (lo, hi) with X + theta V in the enclosing region for
     theta in [lo, hi]. The walks draw their k uniform directions up front.
     Per step each walk proposes positions uniform on its chord, `block` at
-    a time and at most max_retries in all, and moves to the first one
+    a time and at most 64 in all, and moves to the first one
     inside the cell: i.i.d. proposals with the first success taken, the law
     of one-at-a-time retries. A walk whose proposals all miss keeps its
     point and is marked in the returned stuck flags.
@@ -406,8 +406,8 @@ def _walk(member, chord, X, k: int, rng: np.random.Generator, *, max_retries: in
         lo, hi = chord(X, v)
         todo, lo, span, x, u = rows, lo[:, None], (hi - lo)[:, None], X[:, None, :], v[:, None, :]
         step = np.zeros(w)  # accepted chord position, 0 while none
-        for tried in range(0, max_retries, block):
-            theta = lo + span * rng.random((len(todo), min(block, max_retries - tried)))
+        for tried in range(0, 64, block):
+            theta = lo + span * rng.random((len(todo), min(block, 64 - tried)))
             inside = member((x + theta[..., None] * u).reshape(-1, d)).reshape(theta.shape)
             first = inside.argmax(axis=1)
             hit = inside[rows[: len(todo)], first]
@@ -428,8 +428,6 @@ def hit_and_run(
     start,
     k: int,
     rng: np.random.Generator,
-    *,
-    max_retries: int = 64,
 ) -> tuple[np.ndarray, bool]:
     """Hit-and-run walk inside a cell known only through membership tests.
 
@@ -454,7 +452,7 @@ def hit_and_run(
         lo, hi = chord_solver(X[0], V[0])
         return np.array([lo]), np.array([hi])
 
-    X, stuck = _walk(member, chord, x[None, :], k, rng, max_retries=max_retries)
+    X, stuck = _walk(member, chord, x[None, :], k, rng)
     return X[0], bool(stuck[0])
 
 
@@ -685,7 +683,7 @@ def gaussian_smoothing(
 
     pool, _ = task.sample(rng, n)
     pool_votes = f(pool).astype(np.float64)
-    pool_sq = np.einsum("ij,ij->i", pool, pool)
+    pool_cols = _lifted(pool)
     with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / np.float64(2.0 * sigma * sigma)
     if not np.isfinite(inv):
@@ -696,8 +694,7 @@ def gaussian_smoothing(
         chunk = max(1, int(2e7) // max(len(pool), 1))
         for i in range(0, len(points), chunk):
             blk = points[i : i + chunk]
-            d2 = np.einsum("ij,ij->i", blk, blk)[:, None] + pool_sq[None, :] - 2.0 * blk @ pool.T
-            np.maximum(d2, 0.0, out=d2)
+            d2 = _sq_distances(blk, pool_cols)
             nearest = d2.min(axis=1, keepdims=True)
             if not np.isfinite(nearest).all():
                 raise ValueError("query too far from the pool: its squared distances overflow")

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc
 
-from .geometry import as_points
+from .geometry import _lifted, _sq_distances, as_points
 
 Labels = np.ndarray
 
@@ -355,8 +355,7 @@ def sphere_packing(
         cand = radius * _unit_vectors(rng, m, dim)
         used += m
         acc = np.asarray(accepted)
-        d2 = np.einsum("ij,ij->i", cand, cand)[:, None] + np.einsum("ij,ij->i", acc, acc)[None, :] - 2.0 * cand @ acc.T
-        ok = d2.min(axis=1) >= min_sep * min_sep
+        ok = _sq_distances(cand, _lifted(acc)).min(axis=1) >= min_sep * min_sep
         for i in np.flatnonzero(ok):
             p = cand[i]
             # re-check against centers accepted inside this batch
@@ -415,14 +414,11 @@ def hard_distribution_task(
             anchors[plus_idx] = plus_centers[sel]
         return anchors + _uniform_ball(rng_, n, dim, blob_r), labels
 
+    plus_cols = _lifted(plus_centers)
+
     def truth(points):
         d_far = np.linalg.norm(points - far, axis=1)
-        d2 = (
-            np.einsum("ij,ij->i", points, points)[:, None]
-            + np.einsum("ij,ij->i", plus_centers, plus_centers)[None, :]
-            - 2.0 * points @ plus_centers.T
-        )
-        d_plus = np.sqrt(np.maximum(d2, 0.0).min(axis=1))
+        d_plus = np.sqrt(_sq_distances(points, plus_cols).min(axis=1))
         return np.where(d_plus <= d_far, 1, -1)
 
     gap = float(np.min(np.linalg.norm(plus_centers - far, axis=1)) - 2.0 * blob_r)

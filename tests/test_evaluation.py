@@ -24,7 +24,7 @@ from padsmooth.evaluation import (
     estimate_risk,
     oblivious_game_simulate,
 )
-from padsmooth.geometry import _distances_to, greedy_net
+from padsmooth.geometry import greedy_net
 from padsmooth.partitions import (
     BallCarvingPartition,
     ball_assign,
@@ -249,7 +249,7 @@ def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
     Xp[::10] += 5.0
     f_pool = np.where(rng.random(len(Xp)) < 0.5, 1.0, -1.0)
     f_centers = np.where(rng.random(len(net)) < 0.5, 1.0, -1.0)
-    D = _distances_to(Xp, net.centers)
+    D = np.linalg.norm(Xp[:, None, :] - net.centers[None, :, :], axis=2)
     assert (D[::10] > eps / 2).all()
     pool_cells = _pool_carver(Xp, net, eps / 2)
     nc = len(net)

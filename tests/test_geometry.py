@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from padsmooth import geometry
 from padsmooth.geometry import (
     EpsilonNet,
-    _distances_to,
     _greedy_net_blocked,
     _greedy_net_tree,
     _net_block,
@@ -242,19 +241,6 @@ def test_greedy_net_dispatches_on_dimension(d, kernel):
         centers = greedy_net(pts, 1.5).centers
     assert len(calls) == 1
     assert np.array_equal(centers, _loop_reference(pts, 1.5))
-
-
-@pytest.mark.parametrize("chunk", [8192, 7, 1])
-def test_distances_to_equals_the_expression_bits(chunk):
-    # formed in place, with the bits of the plain expression per chunk
-    rng = np.random.default_rng(3)
-    P, C = rng.random((300, 5)) * 4.0 + 1e3, rng.random((40, 5)) * 4.0 + 1e3
-    want = np.empty((300, 40))
-    for i in range(0, 300, chunk):
-        blk = P[i : i + chunk]
-        d2 = np.einsum("ij,ij->i", blk, blk)[:, None] + np.einsum("ij,ij->i", C, C)[None, :] - 2.0 * (blk @ C.T)
-        want[i : i + chunk] = np.sqrt(np.maximum(d2, 0.0))
-    assert _distances_to(P, C, chunk).tobytes() == want.tobytes()
 
 
 def test_doubling_dimension_line_vs_plane():

@@ -11,7 +11,7 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 from padsmooth import partitions
-from padsmooth.geometry import EpsilonNet, _lift, greedy_net
+from padsmooth.geometry import EpsilonNet, _lift, _lifted, _sq_distances, greedy_net
 from padsmooth.partitions import (
     CONTAINED,
     CUT,
@@ -489,6 +489,33 @@ def test_batched_trial_kernel_keeps_a_capture_at_the_last_column():
     assert late.cells(X[:2]).tolist() == [0, 0]
 
 
+@pytest.mark.parametrize("offset", [1.0, 1e10])
+def test_ball_kernels_decide_rows_whose_squared_norms_overflow(offset):
+    # a d=12 net at spacing 1.2e150 of 400 points offset by 1e160: every
+    # squared norm overflows, so every band is inf and no Gram d2 can
+    # propose a candidate; each point takes every center, as a one-point
+    # call does. With the points offset by 1e150, only the queries moved
+    # out by 1e160 overflow, in a batch with captured rows.
+    rng = np.random.default_rng(41)
+    d, s, trials, p = 12, 1e150, 3, 50
+    src = (rng.standard_normal((400, d)) + offset) * s
+    net = greedy_net(src, 1.2 * s)
+    parts = [sample_ball_carving(net, 4.8 * s, rng) for _ in range(trials)]
+    pts = src[rng.integers(0, 400, (trials, p))] + rng.standard_normal((trials, p, d)) * (0.1 * s)
+    if offset == 1.0:
+        pts[:, ::3] += 1e160
+    wide = ~np.isfinite(_lift(pts.reshape(-1, d), net.lifted)[1])
+    assert wide.all() if offset > 1.0 else 0 < wide.sum() < len(wide)
+    cells, off, margins = parts[0]._assign_trials(parts, pts)
+    captured = 0
+    for q, x, c, o, m in zip(parts, pts, cells, off, margins):
+        want = _direct_reference(q, x)
+        _assert_same_bits(_ball_assign_dense(q, x), want)
+        _assert_same_bits((c, o, m), want)
+        captured += int(np.count_nonzero(~want[1]))
+    assert captured > 0
+
+
 def _equal_root_centers(d):
     """Two centers whose squared direct distances from the origin differ by
     one ulp, the second's larger, but share a root."""
@@ -534,8 +561,9 @@ def _exact_sq(x, c):
 @example(d=50, offset=1e6, seed=0)
 def test_gram_tiles_lie_within_half_the_band_of_exact_squares(d, offset, seed):
     # every d2 that `_gram_decide` filters, from the dense kernel's 2-row
-    # tiles and from the batched trials, lies within band / 2 of the exact
-    # square of x - c: the band covers the product's rounding twice over
+    # tiles and from the batched trials, and every d2 of `_sq_distances`
+    # lies within band / 2 of the exact square of x - c: the band covers
+    # the product's rounding twice over
     rng = np.random.default_rng(seed)
     count, n = 12, 5
     centers = rng.standard_normal((count, d)) + offset
@@ -558,8 +586,11 @@ def test_gram_tiles_lie_within_half_the_band_of_exact_squares(d, offset, seed):
         parts[0]._assign_trials(parts, X[:, None, :])
     (dense, dense_band), (trials, trials_band) = seen
     assert [j for j, _ in dense] == [0, 2, 4] and len(trials) == 1
+    assert _lifted(centers).tobytes() == net.lifted.tobytes()
     for tiles, band, order_of in ((dense, dense_band, lambda i: parts[0].order),
-                                  (trials, trials_band, lambda i: parts[i].order)):
+                                  (trials, trials_band, lambda i: parts[i].order),
+                                  ([(0, _sq_distances(X, net.lifted))], _lift(X, net.lifted)[1],
+                                   lambda i: np.arange(count))):
         for j, d2 in tiles:
             for i, row in enumerate(d2, start=j):
                 half = Fraction(float(band[i])) / 2
