@@ -9,7 +9,11 @@ center.
 Squared distances have two formulas: the lifted Gram product of `_lift`
 rows and `_lifted` columns filters, within a rounding band that tests check
 against exact squares, and direct differences decide every net center and
-every carving capture and margin.
+every carving capture and margin. The carving and blocked-net filters run
+in float32 on data centered at the net's first center (`_lift32`,
+`EpsilonNet.lifted32`) and fall back to the float64 product of the data as
+given where the float32 band is too wide or a centered squared norm would
+overflow float32; `_sq_distances` and its callers stay in float64.
 """
 
 from __future__ import annotations
@@ -24,19 +28,12 @@ from scipy.spatial import cKDTree
 Array = np.ndarray
 
 _TREE_MAX_DIM = 4
-"""Largest dimension in which `ball_assign` searches a KD-tree.
+"""Largest dimension in which `ball_assign` takes a batch's candidate
+centers from a KD-tree over the net instead of the Gram filter.
 
-Assignment only needs the centers within twice the carving radius of a
-point, and in low dimension a tree finds them without scanning every
-center. Measured on 2 cores with one BLAS thread, tree build included, on
-concentric spheres unless noted, `ball_assign` with n=4096 points, dense
-scan vs tree: d=3 (2866 centers) 0.263 vs 0.020 s, d=4 (6167) 0.55 vs
-0.035 s, d=5 (7081) 0.67 vs 0.11 s, but d=8 (7755) 0.71 vs 1.49 s, a d=8
-unit ball whose 2R-neighbourhood spans the data (2409) 0.23 vs 1.24 s,
-d=12 0.32 vs 0.59 s and d=20 0.18 vs 0.52 s. The tree gains most up to
-d=4 and can lose several-fold from d=8 on. Both kernels hand their
-candidates to one decider and return the same bits, so the choice is one
-of cost only. `greedy_net` has its own crossover, `_NET_TREE_MAX_DIM`.
+With the float32 filter the tree is level with the dense kernel on a d=3
+net of 2866 centers, 1.3x ahead at 6275 and about 3x at d=4, but behind
+at d=5 and on nets of a few hundred centers (BENCH_16.json).
 """
 
 _NET_TREE_MAX_DIM = 8
@@ -44,42 +41,30 @@ _NET_TREE_MAX_DIM = 8
 over a KD-tree; above it, a block of points at a time with one Gram product
 per block (`_greedy_net_blocked`).
 
-Where the two kernels cross depends on the number of points n as well as
-on d. Measured on 2 cores with one BLAS thread, tree vs blocked, best of 3
-in each of two rounds, the same centers bit for bit, on unit-ball points
-drawn as lipschitz_curves draws its net sources (seed 20260814) at spacing
-0.4: with n=4000, d=3 (56 centers) 6.2 vs 8.9 ms, d=4 (162) 10.6 vs 10.0
-ms, d=5 (381) 21 vs 17 ms, d=6 (849) 43 vs 24 ms, d=8 (2401) 141 vs 50 ms,
-d=10 (3570) 261 vs 69 ms and d=12 (3934) 288 vs 64 ms; with n=30000, the
-sources of lipschitz_curves, d=3 (58) 27 vs 36 ms, d=4 (189) 44 vs 79 ms,
-d=5 (534) 75 vs 111 ms, d=6 (1350) 159 vs 222 ms and d=8 (6314) 1100 vs
-966 ms. At 4000 points the blocked kernel wins from d=5 on, by 3x at d=8;
-at 30000 the tree wins up to d=6 and the two are within 15% at d=8. A
-move of the crossover has to be measured at both sizes.
+The crossover depends on the number of points as well as on d: with its
+float32 filter the blocked kernel wins from d=4 on at 4000 unit-ball points
+(3.6x at d=8), while at lipschitz_curves' 30000 the two are level at d=4
+and 5, the tree wins at d=6 and the blocked kernel at d=8 by 1.3x
+(BENCH_16.json), so a move has to be measured at both sizes.
 """
 
 _TREE_MIN_BATCH = 64
-"""Smallest batch `ball_assign` sends down the tree path.
+"""Smallest batch `ball_assign` sends down the tree path, so one-point
+certificates and Lipschitz probes stay on the dense path.
 
-A tree query has a fixed cost of about 100 us, so small batches gain
-little and lose on small nets. Measured in d=2 (2 cores, one thread), dense
-vs tree per call: 49 centers, 1 point 62 vs 107 us and 64 points 113 vs
-271 us; 672 centers, 1 point 86 vs 121 us, 64 points 660 vs 382 us; 3816
-centers, 1 point 206 vs 103 us, 64 points 6.8 ms vs 0.58 ms. The floor
-keeps one-point certificates and Lipschitz probes on the dense path.
+A tree call costs about 60 us however small its batch; in d=2 the dense
+kernel wins at 64 points on nets of up to about 300 centers and at one point
+up to about 1500, the tree beyond (BENCH_16.json).
 """
 
 _TILE = 1 << 17
-"""Entries of the Gram product (1 MB of float64) that `partitions`'s dense
-carving kernel writes into its reused buffer and filters with one fixed run
-of numpy calls; `greedy_net` sizes its blocks by it too (`_net_block`).
+"""Entries of the Gram product that `partitions`'s dense carving kernel
+writes into its reused buffer and filters with one fixed run of numpy calls;
+`greedy_net` sizes its blocks by it too (`_net_block`).
 
-Measured on 2 cores with one BLAS thread, median of 5 rounds of the best of
-2 calls, carving tiles of 32K / 64K / 128K / 256K entries: d=20 concentric
-spheres, 8192 centers and 2048 off-support points 93 / 61 / 50 / 43 ms;
-2048 centers and 1024 points 7.5 / 6.5 / 6.1 / 6.2 ms; 1898 centers with a
-larger radius, points captured, 8.8 / 6.9 / 6.1 / 6.4 ms; two circles in
-d=50, 186 centers and 4096 points 9.1 / 8.4 / 8.3 / 8.6 ms.
+With float32 tiles on d=20 nets of 2048 and 8192 centers, 128K entries beat
+64K by 17-34%, and 256K beat 128K by 8-13% at 8192 centers but only level
+it at 2048 (BENCH_16.json).
 """
 
 
@@ -144,6 +129,14 @@ class EpsilonNet:
         """`_lifted` columns of the centers, shared like the tree."""
         return _lifted(self.centers)
 
+    @cached_property
+    def lifted32(self) -> Array:
+        """Float32 `_lifted` columns of the centers less the first one, the
+        origin of the float32 filter (`_lift32`); inf where a centered
+        squared norm overflows float32, which sends every batch to float64."""
+        with np.errstate(over="ignore"):
+            return _lifted(self.centers - self.centers[0]).astype(np.float32)
+
 
 def _lifted(C):
     """Columns [-2c; 1; |c|^2] of the centers C, (d + 2, k): a point's
@@ -156,12 +149,54 @@ def _lift(X, cols):
     """(rows, band) of points X: rows [x, |x|^2, 1], whose product with
     `_lifted` columns cols holds the Gram squared distances, and each row's
     filter band (d + 3) eps_machine (|x| + max |c|)^2 (`partitions._gram_decide`),
-    inf where the squared norms overflow and the Gram d2 prove nothing."""
+    inf where the squared norms overflow and the Gram d2 prove nothing.
+
+    Each d2 is one float64 dot product of length d + 2, within
+    gamma_{d+2} (|x| + |c|)^2 of the exact square (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3); the band covers that twice
+    over and the rounding of direct differences."""
     x2 = np.einsum("ij,ij->i", X, X)
     span = np.sqrt(x2) + math.sqrt(cols[-1].max(initial=0.0))
     with np.errstate(over="ignore"):
         band = (X.shape[1] + 3) * np.finfo(np.float64).eps * span**2
     return np.column_stack([X, x2, np.ones(len(X))]), band
+
+
+def _lift32(X, origin, cols, scale2):
+    """(rows, band) of the float32 Gram filter of points X against the
+    centers c whose float32 `_lifted` columns of c - origin are cols, or
+    None when a row's band is not below scale2 / 16 (scale2 a scalar or one
+    per point): the caller then filters in float64 with `_lift`.
+
+    The rows are [y, |y|^2, 1] of y = x - origin, cast to float32 only once
+    every band has passed that test. Distances do not change under the shift,
+    and the band depends on the spread of the data about the origin, not
+    on its offset: (d + 8) 2^-23 ((|y| + max |c - origin|)^2 + 2^-100). It
+    covers twice over the float32 product of length d + 2 (gamma_{d+2} as
+    in `_lift`), the float32 casts of y, c - origin and their squared norms
+    (2^-24 each), the float64 shift and the direct differences, and with the
+    2^-100 term float32 underflow. It is inf where |y| + max |c - origin|
+    reaches 2^60, so every sum the float32 product forms stays finite.
+    """
+    with np.errstate(over="ignore"):
+        Y = X - origin
+        y2 = np.einsum("ij,ij->i", Y, Y)
+        span = np.sqrt(y2) + math.sqrt(cols[-1].max(initial=0.0))
+        band = np.where(span < 2.0**60, (X.shape[1] + 8) * 2.0**-23 * (span**2 + 2.0**-100), np.inf)
+    if not (band < scale2 / 16.0).all():
+        return None
+    return np.column_stack([Y, y2, np.ones(len(Y))]).astype(np.float32), band
+
+
+def _ceil(t, dtype):
+    """Thresholds t cast to dtype and rounded toward +inf (inf where they
+    overflow it): a Gram d2 of that dtype that is <= t (or < t) is also
+    <= (<) the cast, so a compare in the tile's own dtype proposes every
+    pair the float64 compare would."""
+    t = np.asarray(t, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        c = t.astype(dtype)
+        return np.where(c < t, np.nextafter(c, np.inf), c)
 
 
 def _sq_distances(X, cols) -> Array:
@@ -211,12 +246,13 @@ def _net_block(k: int) -> int:
 def _greedy_net_blocked(pts: Array, epsilon: float) -> Array:
     """Centers of the input-order greedy net, one block of points at a time.
 
-    One `_lift` product gives a block's Gram squared distances to the k
-    centers accepted before it and to its own points, m (k + m) entries in
-    one reused buffer. They only filter: a pair is a candidate when its d2
-    is below epsilon**2 plus the block's widest band, which covers the
-    rounding of the Gram d2 and of the direct one (`_lift`, Higham ch. 3).
-    Candidates take the loop's own test, the squared difference below
+    One product of `_lift32` rows (centered at the first point) or, where
+    their band is not below epsilon**2 / 16, of `_lift` rows gives a block's
+    Gram squared distances to the k centers accepted before it and to its
+    own points, m (k + m) entries in one reused buffer. They only filter: a
+    pair is a candidate when its d2 is below epsilon**2 plus the block's
+    widest band, which covers the rounding of the Gram d2 and of the direct
+    one. Candidates take the loop's own test, the squared difference below
     epsilon**2: a point that an earlier center covers dies. Alive points
     with no candidate among the alive points before them in the block
     become centers at once; the others are resolved in order against the
@@ -224,21 +260,28 @@ def _greedy_net_blocked(pts: Array, epsilon: float) -> Array:
     """
     n, d = pts.shape
     e2 = epsilon * epsilon
-    cols = np.empty((d + 2, n))  # lifted columns of the centers, then of the block
+    with np.errstate(over="ignore"):
+        src = _lifted(pts - pts[0]).astype(np.float32)  # lifted columns of every point
+    lifted = _lift32(pts, pts[0], src, e2)
+    if lifted is None:
+        src = _lifted(pts)
+        lifted = _lift(pts, src)
+    rows, band = lifted
+    cols = np.empty_like(src)  # lifted columns of the centers, then of the block
     keep = np.empty(n, dtype=np.intp)  # source row of each center
-    buf = np.empty(max(_TILE, n))
+    buf = np.empty(max(_TILE, n), dtype=src.dtype)
     k = i = 0
     while i < n:
-        blk = pts[i : i + _net_block(k)]
-        m = len(blk)
-        cols[:, k : k + m] = _lifted(blk)
-        rows, band = _lift(blk, cols[:, : k + m])
+        m = min(_net_block(k), n - i)
+        blk = pts[i : i + m]
+        cols[:, k : k + m] = src[:, i : i + m]
         d2 = buf[: m * (k + m)].reshape(m, k + m)
-        lim = e2 + band.max()
+        lim = e2 + band[i : i + m].max()
         if lim < math.inf:
-            np.matmul(rows, cols[:, : k + m], out=d2)
+            np.matmul(rows[i : i + m], cols[:, : k + m], out=d2)
         else:  # squared norms overflow, so the Gram d2 proves nothing: every pair is a candidate
             d2.fill(0.0)
+        lim = _ceil(lim, d2.dtype)
         alive = np.ones(m, dtype=bool)
         row, col = (d2[:, :k] < lim).nonzero()
         if row.size:

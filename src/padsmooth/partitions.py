@@ -36,10 +36,13 @@ never exceed the exact ones, and off support the nearest center, the
 earlier in carving order on ties. Callers differ only in how they find
 candidate (point, center) pairs: a KD-tree over the net for batches of at
 least 64 points in dimension <= 4, every center for one point (and for
-each point of a batch in which a squared norm overflows), else a
+each point of a batch in which a squared norm overflows float64), else a
 filter of one Gram product per row tile within a forward-error band that
 stops a captured row at its first capture (`_gram_decide`); the query
-game takes its pool's pairs once. All of them return the same bits.
+game takes its pool's pairs once. The Gram filter runs in float32 on
+points and centers less the net's first center when every band is below
+R^2 / 16, else in float64; its precision changes only which pairs are
+proposed. All of them return the same bits.
 
 The Monte-Carlo estimators (estimate_paddedness, estimate_lipschitz_constant)
 draw a fresh partition and point or pair per trial, in the order of a
@@ -47,8 +50,8 @@ per-trial loop, and batch only the geometry: a block of trials (sized by
 _BLOCK) is answered by one `_assign_trials` call per net, or per lattice
 dimension. For lattices that call applies the per-partition formulas to
 stacked shifts and widths, for carvings it filters one Gram product
-against the net as the dense kernel does; both give the bits of one call
-per trial.
+against the net, float32 or float64, as the dense kernel does; both give
+the bits of one call per trial.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ from .geometry import (
     _TREE_MIN_BATCH,
     Array,
     EpsilonNet,
+    _ceil,
     _lift,
+    _lift32,
     _search_radius,
     _sq_distances,
     _unit_rows,
@@ -312,12 +317,14 @@ class BallCarvingPartition:
         """ball_assign of pts[i], a (p, d) block, under carving parts[i],
         for carvings over one net.
 
-        One product of the lifted rows (`_lift`) against the net's `lifted`
-        columns gives every row's Gram squared distances; each trial's rows
-        are gathered into its own carving's order and go through
-        `_gram_decide` with its R. The Gram entries only pick candidates, so
-        the results are the bits of one call per trial. Where a squared norm
-        overflows, each trial is one `_ball_assign_dense` call.
+        One product of the lifted rows against the net's columns gives
+        every row's Gram squared distances, in float32 centered at the net's
+        first center (`_lift32`, `lifted32`) when every row's band allows,
+        else in float64 (`_lift`, `lifted`). Each trial's rows are gathered
+        into its own carving's order and go through `_gram_decide` with its
+        R. The Gram entries only pick candidates, so the results are the
+        bits of one call per trial. Where a squared norm overflows float64,
+        each trial is one `_ball_assign_dense` call.
         """
         net = parts[0].net
         count = len(net)
@@ -325,10 +332,12 @@ class BallCarvingPartition:
         orders = np.stack([q.order for q in parts])
         R = np.repeat([q.radius for q in parts], p)
         X = pts.reshape(-1, d)
-        rows, band = _lift(X, net.lifted)
+        lifted = _lift32(X, net.centers[0], net.lifted32, R * R)
+        cols = net.lifted if lifted is None else net.lifted32
+        rows, band = lifted or _lift(X, cols)
         if not np.isfinite(band).all():  # squared norms overflow
             return tuple(map(np.stack, zip(*(_ball_assign_dense(q, x) for q, x in zip(parts, pts)))))
-        d2 = rows @ net.lifted
+        d2 = rows @ cols
         starts = np.arange(0, d2.size, count)
         # each row gathered into its trial's carving order by flat indices,
         # about twice as fast as np.take_along_axis
@@ -394,8 +403,12 @@ def sample_ball_carving(net: EpsilonNet, epsilon: float, rng: np.random.Generato
     if abs(net.epsilon - epsilon / 4.0) > 1e-9 * epsilon:
         raise ValueError(f"net spacing {net.epsilon} does not match epsilon/4 = {epsilon / 4.0}")
     radius = epsilon / 4.0 + (1.0 - rng.random()) * (epsilon / 4.0)  # (eps/4, eps/2]
-    order = rng.permutation(len(net))
-    return BallCarvingPartition(net=net, epsilon=float(epsilon), radius=float(radius), order=order)
+    # a fresh permutation needs none of __post_init__'s checks, whose
+    # bincount would be paid on every draw
+    part = object.__new__(BallCarvingPartition)
+    part.__dict__.update(net=net, epsilon=float(epsilon), radius=float(radius), order=rng.permutation(len(net)),
+                         seed=None)
+    return part
 
 
 def resample_ball_carving(part: BallCarvingPartition, rng: np.random.Generator) -> BallCarvingPartition:
@@ -432,8 +445,10 @@ def _direct_distances(A, B):
 def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
     """ball_assign with candidate pairs from Gram-expansion distances to
     every center in carving order, decided by `_gram_decide`: each row tile
-    of about _TILE entries is one `_lift` product into one reused buffer.
-    A batch in which a row's band is not finite goes one point at a time."""
+    of about _TILE entries is one product into one reused buffer, of
+    float32 rows centered at the net's first center (`_lift32`) when every
+    band is below R^2 / 16, else of float64 `_lift` rows. A batch in which a
+    float64 band is not finite goes one point at a time."""
     net, order, R = part.net, part.order, part.radius
     count, n, d = len(net), len(pts), part.dim
     if n == 1:
@@ -441,12 +456,16 @@ def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
         row = np.zeros(count, dtype=np.intp)
         pos, off, margins = _decide(row, row[:1], _direct_distances(net.centers, pts), part.ranks, R, d, 1, count)
         return order[pos], off, margins
-    cols = net.lifted[:, order]  # columns in carving order
-    rows, band = _lift(pts, cols)
-    if not np.isfinite(band).all():  # squared norms overflow, so the Gram d2 propose nothing
-        return tuple(map(np.concatenate, zip(*(_ball_assign_dense(part, x) for x in pts[:, None]))))
+    lifted = _lift32(pts, net.centers[0], net.lifted32, R * R)
+    if lifted is None:
+        cols = net.lifted[:, order]  # columns in carving order
+        rows, band = _lift(pts, cols)
+        if not np.isfinite(band).all():  # squared norms overflow, so the Gram d2 propose nothing
+            return tuple(map(np.concatenate, zip(*(_ball_assign_dense(part, x) for x in pts[:, None]))))
+    else:
+        (rows, band), cols = lifted, net.lifted32[:, order]
     step = max(1, _TILE // count)
-    buf = np.empty((min(step, n), count), dtype=np.float64)
+    buf = np.empty((min(step, n), count), dtype=rows.dtype)
     tiles = ((j, np.matmul(rows[j : j + step], cols, out=buf[: min(step, n - j)]))
              for j in range(0, max(n, 1), step))  # one empty tile when n == 0
     pos, off, margins = _gram_decide(tiles, R, band, d, lambda row, col: _direct_distances(
@@ -457,36 +476,45 @@ def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
 def _gram_decide(tiles, R, band, d: int, distances):
     """`_decide` of points x in dimension d from tiles (j, d2) of their Gram
     squared distances (rows j, j + 1, ..., C-contiguous, columns in carving
-    order), on the direct distances(row, col) of candidate pairs; R is a
-    scalar or per point, band per point from `_lift`.
+    order, float32 or float64), on the direct distances(row, col) of
+    candidate pairs; R is a scalar or per point, band per point from
+    `_lift32` or `_lift`.
 
-    Each d2 is one dot product of length d + 2, within gamma_{d+2}
-    (|x| + |c|)^2 of the exact square (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 3); the band covers that twice over and the
-    rounding of direct differences. So a row is captured exactly when its
-    least d2 is at most R^2 + band. Off support its candidates are the
-    columns within 2 band of that least d2, its nearest centers. Captured,
-    they are F, its first column with d2 <= R^2 + band, and the columns
-    before F within 2 band of their least d2 (none when that is above
-    4R^2 + band, beyond 2R): every center that can capture x and its
+    Each d2 lies within band / 2 of the exact square, and the band covers
+    the rounding of direct differences too. So a row is captured exactly
+    when its least d2 is at most R^2 + band. Off support its candidates are
+    the columns within 2 band of that least d2, its nearest centers.
+    Captured, they are F, its first column with d2 <= R^2 + band, and the
+    columns before F within 2 band of their least d2 (none when that is
+    above 4R^2 + band, beyond 2R): every center that can capture x and its
     nearest earlier ones within 2R. A row whose d2 at F is within the band
     of R^2, so that the direct test may reject F, also keeps the columns
     after F within its threshold, which is then above R^2 + band: they hold
     every later center that can capture x and its nearest centers. A tile
     compares columns only up to its last candidate column, so when every
     row is captured beyond the band of R it stops at the largest F.
+
+    The two compares over a whole tile take their thresholds in the tile's
+    dtype, rounded up (`_ceil`): they propose every pair the float64
+    compares would, and at most the columns whose d2 is the rounded
+    threshold besides. Such an F has d2 above R^2 + band, so the direct
+    test rejects it and the row keeps its later columns, as above. The
+    per-row compares run in float64. Whatever the tile's dtype, direct
+    differences decide every capture and margin.
     """
     lim = R * R + band
-    found = []
+    found, ceil = [], None
     for j, d2 in tiles:
         k, count = d2.shape
+        if ceil is None:  # the tiles share one dtype
+            ceil = _ceil(lim, d2.dtype)
         top, b = lim[j : j + k], band[j : j + k]
         near = d2.min(1)
         cap = (near <= top).nonzero()[0]
         last = np.full(k, count)  # last candidate column, count for the whole row
         if cap.size:
             sub = d2 if cap.size == k else d2[cap]
-            first = (sub <= top[cap, None]).argmax(1)
+            first = (sub <= ceil[j : j + k][cap, None]).argmax(1)
             at = np.arange(0, sub.size, count) + first
             # even slots: least d2 over columns [0, F) (d2 at F when F = 0)
             least = np.minimum.reduceat(sub.reshape(-1), np.stack([at - first, at], 1).reshape(-1))[::2]
@@ -494,7 +522,7 @@ def _gram_decide(tiles, R, band, d: int, distances):
             near[cap] = np.where(least > 4.0 * top[cap] - 3.0 * b[cap], at_f, least)
             last[cap] = np.where(at_f > top[cap] - 2.0 * b[cap], count, first)
         seg = d2[:, : last.max(initial=0) + 1]
-        row, col = np.divmod((seg <= (near + 2.0 * b)[:, None]).reshape(-1).nonzero()[0], seg.shape[1])
+        row, col = np.divmod((seg <= _ceil(near + 2.0 * b, d2.dtype)[:, None]).reshape(-1).nonzero()[0], seg.shape[1])
         kept = col <= last[row]
         found.append((row[kept] + j, col[kept], last))
     row, col, last = map(np.concatenate, zip(*found))

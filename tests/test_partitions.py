@@ -598,6 +598,141 @@ def test_gram_tiles_lie_within_half_the_band_of_exact_squares(d, offset, seed):
                     assert abs(Fraction(float(v)) - _exact_sq(X[i], c)) <= half
 
 
+def _spy_gram_decide(mp):
+    """Patch `_gram_decide` to record, per call, the dtypes of its tiles and
+    the rows of the candidate pairs whose direct distances it asks for."""
+    decide = partitions._gram_decide
+    calls = []
+
+    def spy(tiles, R, band, d, distances):
+        dtypes, rows = set(), []
+
+        def seen_tiles():
+            for j, d2 in tiles:
+                dtypes.add(d2.dtype)
+                yield j, d2
+
+        def seen_distances(row, col):
+            rows.append(row.copy())
+            return distances(row, col)
+
+        calls.append((dtypes, rows))
+        return decide(seen_tiles(), R, band, d, seen_distances)
+
+    mp.setattr(partitions, "_gram_decide", spy)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 50),
+    offset=st.sampled_from([0.0, 1e2, 1e4, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=50, offset=1e6, seed=0)
+def test_gram_tiles_are_float32_on_the_band_test_inputs(d, offset, seed):
+    # the inputs of the band test above: centered at the net's first center
+    # the data spread over a few units whatever its offset, so the float32
+    # band stays below R^2 / 16 and both kernels filter in float32
+    rng = np.random.default_rng(seed)
+    count, n = 12, 5
+    centers = rng.standard_normal((count, d)) + offset
+    net = EpsilonNet(centers=centers, epsilon=0.25, source_count=count)
+    parts = [BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=rng.permutation(count))
+             for _ in range(n)]
+    X = centers[rng.integers(0, count, n)] + rng.standard_normal((n, d)) * 0.3
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_gram_decide(mp)
+        _ball_assign_dense(parts[0], X)
+        parts[0]._assign_trials(parts, X[:, None, :])
+    assert [dtypes for dtypes, _ in calls] == [{np.dtype(np.float32)}] * 2
+
+
+def _filtered_in_float64(parts, pts):
+    """Both kernels on a block of trials: each filters in float64, in one
+    `_gram_decide` call (no point goes alone), with the reference's bits."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_gram_decide(mp)
+        batched = parts[0]._assign_trials(parts, pts)
+        dense = [_ball_assign_dense(q, x) for q, x in zip(parts, pts)]
+    assert [dtypes for dtypes, _ in calls] == [{np.dtype(np.float64)}] * (1 + len(parts))
+    captured = 0
+    for i, (q, x) in enumerate(zip(parts, pts)):
+        want = _direct_reference(q, x)
+        _assert_same_bits(dense[i], want)
+        _assert_same_bits(tuple(a[i] for a in batched), want)
+        captured += int(np.count_nonzero(~want[1]))
+    assert 0 < captured < pts.shape[0] * pts.shape[1]
+
+
+def test_a_net_wide_against_its_radius_takes_the_float64_filter():
+    # two clusters of centers 1e5 R apart in d=3: the float32 band,
+    # (d + 8) 2^-23 (|x - o| + max |c - o|)^2, is then far above R^2 / 16,
+    # so the kernels filter in float64 (whose band is 2^29 times narrower)
+    rng = np.random.default_rng(23)
+    d, R, trials, p = 3, 0.3, 3, 40
+    near = rng.random((150, d)) * 8.0 * R
+    centers = np.vstack([near, near + 1e5 * R])
+    net = EpsilonNet(centers=centers, epsilon=R / 2.0, source_count=len(centers))
+    parts = [BallCarvingPartition(net=net, epsilon=2.0 * R, radius=R, order=rng.permutation(len(centers)))
+             for _ in range(trials)]
+    pts = centers[rng.integers(0, len(centers), (trials, p))] + rng.standard_normal((trials, p, d)) * R
+    assert partitions._lift32(pts.reshape(-1, d), centers[0], net.lifted32, R * R) is None
+    _filtered_in_float64(parts, pts)
+
+
+def test_ball_kernels_filter_rows_whose_centered_squared_norms_overflow_float32_in_float64():
+    # a d=4 net of spread 1e18 and R = 1e18, whose float32 columns are
+    # finite, and queries of which every third is moved 3e19 out: their
+    # squared norms about the net's first center overflow float32 (and
+    # would leave sums of the float32 product infinite) but not float64, so
+    # the batch filters in float64 and no point goes alone; casting those
+    # rows to float32 would raise a RuntimeWarning
+    rng = np.random.default_rng(29)
+    d, R, trials, p = 4, 1e18, 3, 30
+    centers = rng.standard_normal((200, d)) * R
+    net = EpsilonNet(centers=centers, epsilon=R / 2.0, source_count=len(centers))
+    parts = [BallCarvingPartition(net=net, epsilon=2.0 * R, radius=R, order=rng.permutation(len(centers)))
+             for _ in range(trials)]
+    pts = centers[rng.integers(0, len(centers), (trials, p))] + rng.standard_normal((trials, p, d)) * (0.2 * R)
+    pts[:, ::3, 0] += 3e19
+    X = pts.reshape(-1, d)
+    Y = X - centers[0]
+    assert np.isfinite(net.lifted32).all()
+    assert (np.einsum("ij,ij->i", Y, Y) > np.finfo(np.float32).max).any()
+    assert np.isfinite(_lift(X, net.lifted)[1]).all()
+    _filtered_in_float64(parts, pts)
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e6])
+def test_gram_filter_proposes_few_centers_per_off_support_row_far_from_the_origin(offset):
+    # 1200 centers and 512 queries on the unit sphere in d=20, moved by
+    # offset: nearly every query is off support. Centered at the net's first
+    # center, the float32 band is that of data at the origin, so the filter
+    # asks for the direct distances of at most 3 centers per such row; about
+    # the origin the band would grow with offset^2
+    rng = np.random.default_rng(16)
+    d, count, n = 20, 1200, 512
+
+    def sphere(k):
+        v = rng.standard_normal((k, d))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    net = EpsilonNet(centers=sphere(count) + offset, epsilon=0.2, source_count=count)
+    parts = [BallCarvingPartition(net=net, epsilon=0.8, radius=0.4, order=rng.permutation(count))
+             for _ in range(2)]
+    X = sphere(n) + offset
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_gram_decide(mp)
+        dense = _ball_assign_dense(parts[0], X)
+        batched = parts[0]._assign_trials(parts, np.stack([X, X]))
+    for (dtypes, rows), off in zip(calls, (dense[1], batched[1].reshape(-1))):
+        assert dtypes == {np.dtype(np.float32)}
+        assert off.mean() > 0.9
+        assert np.bincount(np.concatenate(rows), minlength=len(off))[off].max() <= 3
+    _assert_same_bits(dense, _direct_reference(parts[0], X))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(1, 20),
