@@ -756,6 +756,8 @@ def execute(name: str, config: dict, out_dir: Path) -> dict:
     info = EXPERIMENTS[name]
     cfg = dict(info.defaults)
     cfg.update({k: v for k, v in config.items() if k not in ("experiment", "seed", "out")})
+    if len(cfg) > len(info.defaults):
+        raise KeyError(f"unknown config keys for {name!r}: {sorted(set(cfg) - set(info.defaults))}")
     seed = int(config["seed"])
     out = info.runner(cfg, seed)
     rows = []

@@ -9,11 +9,11 @@ center.
 Squared distances have two formulas: the lifted Gram product of `_lift`
 rows and `_lifted` columns filters, within a rounding band that tests check
 against exact squares, and direct differences decide every net center and
-every carving capture and margin. The carving and blocked-net filters run
-in float32 on data centered at the net's first center (`_lift32`,
-`EpsilonNet.lifted32`) and fall back to the float64 product of the data as
-given where the float32 band is too wide or a centered squared norm would
-overflow float32; `_sq_distances` and its callers stay in float64.
+every carving capture and margin. `_lift` is one lift in two dtypes, of
+the data less an origin (the net's first center for the carving and
+blocked-net filters, 0 for `_sq_distances`), with one band (`_band`);
+`_gram_lift` filters in float32 where every band is below R^2 / 16
+(epsilon^2 / 16 for a net), else in float64.
 """
 
 from __future__ import annotations
@@ -126,16 +126,15 @@ class EpsilonNet:
 
     @cached_property
     def lifted(self) -> Array:
-        """`_lifted` columns of the centers, shared like the tree."""
-        return _lifted(self.centers)
+        """`_lifted` columns of the centers less the first one, the origin of
+        the carving filter (`_gram_lift`), shared like the tree."""
+        with np.errstate(over="ignore"):
+            return _lifted(self.centers - self.centers[0])
 
     @cached_property
     def lifted32(self) -> Array:
-        """Float32 `_lifted` columns of the centers less the first one, the
-        origin of the float32 filter (`_lift32`); inf where a centered
-        squared norm overflows float32, which sends every batch to float64."""
-        with np.errstate(over="ignore"):
-            return _lifted(self.centers - self.centers[0]).astype(np.float32)
+        """`lifted` in float32 (`_single`)."""
+        return _single(self.lifted)
 
 
 def _lifted(C):
@@ -145,47 +144,62 @@ def _lifted(C):
     return np.vstack([-2.0 * C.T, np.ones(len(c2)), c2])
 
 
-def _lift(X, cols):
-    """(rows, band) of points X: rows [x, |x|^2, 1], whose product with
-    `_lifted` columns cols holds the Gram squared distances, and each row's
-    filter band (d + 3) eps_machine (|x| + max |c|)^2 (`partitions._gram_decide`),
-    inf where the squared norms overflow and the Gram d2 prove nothing.
-
-    Each d2 is one float64 dot product of length d + 2, within
-    gamma_{d+2} (|x| + |c|)^2 of the exact square (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3); the band covers that twice
-    over and the rounding of direct differences."""
-    x2 = np.einsum("ij,ij->i", X, X)
-    span = np.sqrt(x2) + math.sqrt(cols[-1].max(initial=0.0))
+def _single(cols):
+    """Float32 copy of float64 columns or rows, inf where an entry overflows
+    float32 (the float32 `_band` is then inf)."""
     with np.errstate(over="ignore"):
-        band = (X.shape[1] + 3) * np.finfo(np.float64).eps * span**2
-    return np.column_stack([X, x2, np.ones(len(X))]), band
+        return cols.astype(np.float32)
 
 
-def _lift32(X, origin, cols, scale2):
-    """(rows, band) of the float32 Gram filter of points X against the
-    centers c whose float32 `_lifted` columns of c - origin are cols, or
-    None when a row's band is not below scale2 / 16 (scale2 a scalar or one
-    per point): the caller then filters in float64 with `_lift`.
+def _lift(X, origin, cols):
+    """(rows, band) of points X against the centers c whose `_lifted`
+    columns of c - origin are cols: rows [y, |y|^2, 1] of y = x - origin in
+    the dtype of cols, whose product with cols holds the Gram squared
+    distances, and each row's filter band (`_band`)."""
+    n, d = X.shape
+    rows = np.empty((n, d + 2))  # filled in place: a second array the size of X costs page faults
+    with np.errstate(over="ignore"):
+        Y = np.subtract(X, origin, out=rows[:, :d])
+        rows[:, d] = y2 = np.einsum("ij,ij->i", Y, Y)
+    rows[:, d + 1] = 1.0
+    return rows.astype(cols.dtype, copy=False), _band(y2, cols)
 
-    The rows are [y, |y|^2, 1] of y = x - origin, cast to float32 only once
-    every band has passed that test. Distances do not change under the shift,
-    and the band depends on the spread of the data about the origin, not
-    on its offset: (d + 8) 2^-23 ((|y| + max |c - origin|)^2 + 2^-100). It
-    covers twice over the float32 product of length d + 2 (gamma_{d+2} as
-    in `_lift`), the float32 casts of y, c - origin and their squared norms
-    (2^-24 each), the float64 shift and the direct differences, and with the
-    2^-100 term float32 underflow. It is inf where |y| + max |c - origin|
-    reaches 2^60, so every sum the float32 product forms stays finite.
+
+def _band(y2, cols):
+    """Filter band (`partitions._gram_decide`) of rows whose |y|^2 are y2
+    against the `_lift` columns cols: (d + 8) eps ((|y| + max |c - origin|)^2
+    + 2^26 tiny), with eps the machine epsilon and tiny the least normal
+    number of the dtype of cols (2^-23 and 2^-100 in float32). It depends
+    on the spread of the data about the origin, not on its offset.
+
+    Each d2 is one dot product of length d + 2, within gamma_{d+2}
+    (|y| + |c - origin|)^2 of the exact square (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3). The band covers that twice
+    over, the casts of y, c - origin and their squared norms to the dtype,
+    the float64 shift, the rounding of direct differences and, with the
+    tiny term, underflow. It is inf where |y| + max |c - origin| reaches
+    2^(maxexp / 2 - 4), about sqrt(max) / 16 (2^60 in float32), so every
+    sum the product forms stays finite; there the Gram d2 prove nothing.
     """
+    d, fi = len(cols) - 2, np.finfo(cols.dtype)
     with np.errstate(over="ignore"):
-        Y = X - origin
-        y2 = np.einsum("ij,ij->i", Y, Y)
         span = np.sqrt(y2) + math.sqrt(cols[-1].max(initial=0.0))
-        band = np.where(span < 2.0**60, (X.shape[1] + 8) * 2.0**-23 * (span**2 + 2.0**-100), np.inf)
-    if not (band < scale2 / 16.0).all():
-        return None
-    return np.column_stack([Y, y2, np.ones(len(Y))]).astype(np.float32), band
+        wide = (d + 8) * float(fi.eps) * (span**2 + float(fi.tiny) * 2.0**26)
+        return np.where(span < 2.0 ** (fi.maxexp // 2 - 4), wide, np.inf)
+
+
+def _gram_lift(X, origin, scale2, cols, cols32):
+    """(rows, band, cols) of the Gram filter of points X against the centers
+    whose `_lift` columns about origin are cols (float64) and cols32 (their
+    cast): float32 when every float32 band is below scale2 / 16 (R^2, or
+    epsilon^2 for a net; a scalar or one per point), else float64, else
+    None, where a spread about the origin overflows. X is lifted once, in
+    float64. The precision changes only which pairs are proposed."""
+    rows, band = _lift(X, origin, cols)
+    band32 = _band(rows[:, -2], cols32)
+    if (band32 < scale2 / 16.0).all():
+        return _single(rows), band32, cols32
+    return (rows, band, cols) if np.isfinite(band).all() else None
 
 
 def _ceil(t, dtype):
@@ -202,7 +216,7 @@ def _ceil(t, dtype):
 def _sq_distances(X, cols) -> Array:
     """(n, k) Gram squared distances of points X to the centers whose
     `_lifted` columns are cols, clipped at 0 in place."""
-    d2 = _lift(X, cols)[0] @ cols
+    d2 = _lift(X, 0.0, cols)[0] @ cols
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -246,27 +260,23 @@ def _net_block(k: int) -> int:
 def _greedy_net_blocked(pts: Array, epsilon: float) -> Array:
     """Centers of the input-order greedy net, one block of points at a time.
 
-    One product of `_lift32` rows (centered at the first point) or, where
-    their band is not below epsilon**2 / 16, of `_lift` rows gives a block's
-    Gram squared distances to the k centers accepted before it and to its
-    own points, m (k + m) entries in one reused buffer. They only filter: a
-    pair is a candidate when its d2 is below epsilon**2 plus the block's
-    widest band, which covers the rounding of the Gram d2 and of the direct
-    one. Candidates take the loop's own test, the squared difference below
-    epsilon**2: a point that an earlier center covers dies. Alive points
-    with no candidate among the alive points before them in the block
+    One product of `_gram_lift` rows, centered at the first point, gives a
+    block's Gram squared distances to the k centers accepted before it and
+    to its own points, m (k + m) entries in one reused buffer. They only
+    filter: a pair is a candidate when its d2 is below epsilon**2 plus the
+    block's widest band, which covers the rounding of the Gram d2 and of the
+    direct one. Candidates take the loop's own test, the squared difference
+    below epsilon**2: a point that an earlier center covers dies. Alive
+    points with no candidate among the alive points before them in the block
     become centers at once; the others are resolved in order against the
     earlier ones that became centers.
     """
     n, d = pts.shape
     e2 = epsilon * epsilon
     with np.errstate(over="ignore"):
-        src = _lifted(pts - pts[0]).astype(np.float32)  # lifted columns of every point
-    lifted = _lift32(pts, pts[0], src, e2)
-    if lifted is None:
-        src = _lifted(pts)
-        lifted = _lift(pts, src)
-    rows, band = lifted
+        src = _lifted(pts - pts[0])  # lifted columns of every point
+    lifted = _gram_lift(pts, pts[0], e2, src, _single(src))
+    rows, band, src = lifted or (None, np.full(n, np.inf), src)  # a spread that overflows: every pair a candidate
     cols = np.empty_like(src)  # lifted columns of the centers, then of the block
     keep = np.empty(n, dtype=np.intp)  # source row of each center
     buf = np.empty(max(_TILE, n), dtype=src.dtype)
@@ -279,7 +289,7 @@ def _greedy_net_blocked(pts: Array, epsilon: float) -> Array:
         lim = e2 + band[i : i + m].max()
         if lim < math.inf:
             np.matmul(rows[i : i + m], cols[:, : k + m], out=d2)
-        else:  # squared norms overflow, so the Gram d2 proves nothing: every pair is a candidate
+        else:  # the Gram d2 prove nothing
             d2.fill(0.0)
         lim = _ceil(lim, d2.dtype)
         alive = np.ones(m, dtype=bool)

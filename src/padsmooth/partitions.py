@@ -36,13 +36,13 @@ never exceed the exact ones, and off support the nearest center, the
 earlier in carving order on ties. Callers differ only in how they find
 candidate (point, center) pairs: a KD-tree over the net for batches of at
 least 64 points in dimension <= 4, every center for one point (and for
-each point of a batch in which a squared norm overflows float64), else a
+each point of a batch whose spread overflows float64), else a
 filter of one Gram product per row tile within a forward-error band that
 stops a captured row at its first capture (`_gram_decide`); the query
-game takes its pool's pairs once. The Gram filter runs in float32 on
-points and centers less the net's first center when every band is below
-R^2 / 16, else in float64; its precision changes only which pairs are
-proposed. All of them return the same bits.
+game takes its pool's pairs once. The Gram filter is one lift of points
+and centers less the net's first center (`_gram_lift`), in float32 when
+every band is below R^2 / 16, else in float64; its precision changes only
+which pairs are proposed. All of them return the same bits.
 
 The Monte-Carlo estimators (estimate_paddedness, estimate_lipschitz_constant)
 draw a fresh partition and point or pair per trial, in the order of a
@@ -50,8 +50,8 @@ per-trial loop, and batch only the geometry: a block of trials (sized by
 _BLOCK) is answered by one `_assign_trials` call per net, or per lattice
 dimension. For lattices that call applies the per-partition formulas to
 stacked shifts and widths, for carvings it filters one Gram product
-against the net, float32 or float64, as the dense kernel does; both give
-the bits of one call per trial.
+against the net as the dense kernel does; both give the bits of one call
+per trial.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ from .geometry import (
     Array,
     EpsilonNet,
     _ceil,
-    _lift,
-    _lift32,
+    _gram_lift,
     _search_radius,
     _sq_distances,
     _unit_rows,
@@ -317,14 +316,12 @@ class BallCarvingPartition:
         """ball_assign of pts[i], a (p, d) block, under carving parts[i],
         for carvings over one net.
 
-        One product of the lifted rows against the net's columns gives
-        every row's Gram squared distances, in float32 centered at the net's
-        first center (`_lift32`, `lifted32`) when every row's band allows,
-        else in float64 (`_lift`, `lifted`). Each trial's rows are gathered
-        into its own carving's order and go through `_gram_decide` with its
-        R. The Gram entries only pick candidates, so the results are the
-        bits of one call per trial. Where a squared norm overflows float64,
-        each trial is one `_ball_assign_dense` call.
+        One product of the `_gram_lift` rows against the net's columns
+        gives every row's Gram squared distances. Each trial's rows are
+        gathered into its own carving's order and go through `_gram_decide`
+        with its R. The Gram entries only pick candidates, so the results
+        are the bits of one call per trial. Where a spread overflows the
+        filter, each trial is one `_ball_assign_dense` call.
         """
         net = parts[0].net
         count = len(net)
@@ -332,11 +329,10 @@ class BallCarvingPartition:
         orders = np.stack([q.order for q in parts])
         R = np.repeat([q.radius for q in parts], p)
         X = pts.reshape(-1, d)
-        lifted = _lift32(X, net.centers[0], net.lifted32, R * R)
-        cols = net.lifted if lifted is None else net.lifted32
-        rows, band = lifted or _lift(X, cols)
-        if not np.isfinite(band).all():  # squared norms overflow
+        lifted = _gram_lift(X, net.centers[0], R * R, net.lifted, net.lifted32)
+        if lifted is None:
             return tuple(map(np.stack, zip(*(_ball_assign_dense(q, x) for q, x in zip(parts, pts)))))
+        rows, band, cols = lifted
         d2 = rows @ cols
         starts = np.arange(0, d2.size, count)
         # each row gathered into its trial's carving order by flat indices,
@@ -390,7 +386,7 @@ class BallCarvingPartition:
 
         def toward_second(X):
             if len(centers) >= 2:
-                j = np.argpartition(_sq_distances(X, self.net.lifted), 1, axis=1)[:, 1]
+                j = np.argpartition(_sq_distances(X - centers[0], self.net.lifted), 1, axis=1)[:, 1]
             else:
                 j = np.zeros(len(X), dtype=np.intp)
             return _unit_rows(centers[j] - X)
@@ -445,10 +441,9 @@ def _direct_distances(A, B):
 def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
     """ball_assign with candidate pairs from Gram-expansion distances to
     every center in carving order, decided by `_gram_decide`: each row tile
-    of about _TILE entries is one product into one reused buffer, of
-    float32 rows centered at the net's first center (`_lift32`) when every
-    band is below R^2 / 16, else of float64 `_lift` rows. A batch in which a
-    float64 band is not finite goes one point at a time."""
+    of about _TILE entries is one product of `_gram_lift` rows into one
+    reused buffer. A batch whose spread overflows the filter goes one point
+    at a time."""
     net, order, R = part.net, part.order, part.radius
     count, n, d = len(net), len(pts), part.dim
     if n == 1:
@@ -456,14 +451,11 @@ def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
         row = np.zeros(count, dtype=np.intp)
         pos, off, margins = _decide(row, row[:1], _direct_distances(net.centers, pts), part.ranks, R, d, 1, count)
         return order[pos], off, margins
-    lifted = _lift32(pts, net.centers[0], net.lifted32, R * R)
-    if lifted is None:
-        cols = net.lifted[:, order]  # columns in carving order
-        rows, band = _lift(pts, cols)
-        if not np.isfinite(band).all():  # squared norms overflow, so the Gram d2 propose nothing
-            return tuple(map(np.concatenate, zip(*(_ball_assign_dense(part, x) for x in pts[:, None]))))
-    else:
-        (rows, band), cols = lifted, net.lifted32[:, order]
+    lifted = _gram_lift(pts, net.centers[0], R * R, net.lifted, net.lifted32)
+    if lifted is None:  # the Gram d2 propose nothing
+        return tuple(map(np.concatenate, zip(*(_ball_assign_dense(part, x) for x in pts[:, None]))))
+    rows, band, cols = lifted
+    cols = cols[:, order]  # columns in carving order
     step = max(1, _TILE // count)
     buf = np.empty((min(step, n), count), dtype=rows.dtype)
     tiles = ((j, np.matmul(rows[j : j + step], cols, out=buf[: min(step, n - j)]))
@@ -478,7 +470,7 @@ def _gram_decide(tiles, R, band, d: int, distances):
     squared distances (rows j, j + 1, ..., C-contiguous, columns in carving
     order, float32 or float64), on the direct distances(row, col) of
     candidate pairs; R is a scalar or per point, band per point from
-    `_lift32` or `_lift`.
+    `_gram_lift`.
 
     Each d2 lies within band / 2 of the exact square, and the band covers
     the rounding of direct differences too. So a row is captured exactly
@@ -684,12 +676,10 @@ the estimators fill at a time.
 A block of trials ends before its points times the partitions' `_columns`
 (the net size of a carving, d for a lattice) would pass it, and holds at
 least one trial. The carving kernel peaks at about four such arrays (by
-tracemalloc), so a block stays near 4 MB however many carvings a curve draws. Measured on 2
-cores with one BLAS thread, carving-kernel time per two-point trial over
-nets of 282 centers (d=2, unit square) and 2382 / 6340 centers (d=8, unit
-ball), best of 5 over 400 trials: budgets of 16K entries 15.7 / 111 / 293 us, 32K 13.2 / 93 / 219
-us, 64K 11.8 / 84 / 175 us, 128K 11.0 / 78 / 158 us, 256K 16.9 / 155 /
-365 us; the largest budget whose arrays stay in a 2 MB L2 cache wins.
+tracemalloc), so a block stays near 4 MB however many carvings a curve
+draws. The largest budget whose arrays stay in a 2 MB L2 cache wins: with
+the float64 filter, 128K entries beat both 64K and 256K on two-point
+trials over nets of 282 to 6340 centers (BENCH_17.json).
 """
 
 

@@ -460,10 +460,8 @@ _PROPOSALS = 8
 """Chord positions a scheme-B walk proposes at a time, of its 64 retries.
 
 Larger blocks make fewer numpy calls per step but test more points that
-are then thrown away. Sampling the 37 carved cells of the benchmark's
-scheme-B square (s=3, k=16, one thread, three sets of five rounds) took
-160-200, 107-126, 76-95, 66-80 and 68-75 ms with blocks of 1, 2, 4, 8 and
-16; past 8 the gain is gone.
+are then thrown away; sampling the benchmark's scheme-B square, the gain
+ends at 8 (BENCH_17.json).
 """
 
 _START_BLOCK = 64

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc
 
-from .geometry import _lifted, _sq_distances, as_points
+from .geometry import _lifted, _sq_distances, as_points, greedy_net
 
 Labels = np.ndarray
 
@@ -347,25 +347,16 @@ def sphere_packing(
     Stops at target points or after `trials` candidate draws, whichever
     comes first. Returns (points, trials_used).
     """
-    accepted = [radius * _unit_vectors(rng, 1, dim)[0]]
+    accepted = radius * _unit_vectors(rng, 1, dim)
     used = 1
-    batch = 512
     while len(accepted) < target and used < trials:
-        m = min(batch, trials - used)
+        m = min(512, trials - used)
         cand = radius * _unit_vectors(rng, m, dim)
         used += m
-        acc = np.asarray(accepted)
-        ok = _sq_distances(cand, _lifted(acc)).min(axis=1) >= min_sep * min_sep
-        for i in np.flatnonzero(ok):
-            p = cand[i]
-            # re-check against centers accepted inside this batch
-            new = np.asarray(accepted[len(acc):]) if len(accepted) > len(acc) else None
-            if new is not None and len(new) and np.min(np.linalg.norm(new - p, axis=1)) < min_sep:
-                continue
-            accepted.append(p)
-            if len(accepted) >= target:
-                break
-    return np.asarray(accepted), used
+        ok = _sq_distances(cand, _lifted(accepted)).min(axis=1) >= min_sep * min_sep
+        if ok.any():  # the greedy rule again among this batch's survivors, in draw order
+            accepted = np.vstack([accepted, greedy_net(cand[ok], min_sep).centers[: target - len(accepted)]])
+    return accepted, used
 
 
 def hard_distribution_task(

@@ -89,6 +89,12 @@ def test_execute_unknown_name():
         execute("nonesuch", {"seed": 1}, "/tmp/never-used")
 
 
+def test_execute_rejects_an_unknown_config_key_before_writing(tmp_path):
+    with pytest.raises(KeyError, match="bogus_key"):
+        execute("two_discs", {"seed": 3, "n": 2000, "bogus_key": 5}, tmp_path / "r")
+    assert not (tmp_path / "r").exists()
+
+
 def test_execute_writes_replayable_bundle(tmp_path):
     summary = execute("two_discs", {"seed": 3, "n": 2000}, tmp_path / "r")
     assert summary["failed"] == []

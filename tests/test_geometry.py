@@ -218,13 +218,18 @@ def test_greedy_net_blocked_decides_pairs_within_the_band_by_direct_differences(
     assert np.array_equal(centers, _loop_reference(pts, eps))
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e154, 1e160])
+@pytest.mark.parametrize("scale", [1e150, 1e154, 1e160, -1e160])
 def test_greedy_net_blocked_equals_loop_where_squared_norms_overflow(scale):
-    # beyond about 1.3e154 |x|^2 overflows and the Gram d2 are inf or nan;
-    # the direct differences, and so the centers, are still finite
+    # beyond about 1.3e154 |x|^2 overflows, but the filter squares the data
+    # less the first point, whose spread is 1e-10 of the scale. At -1e160
+    # every other point moves to +1e160, so the spread overflows too and
+    # every pair is a candidate. The direct differences, and so the
+    # centers, are still finite.
     rng = np.random.default_rng(11)
-    pts = scale + rng.random((300, 12)) * (scale * 1e-10)
-    eps = scale * 1.2e-10
+    pts = abs(scale) + rng.random((300, 12)) * (abs(scale) * 1e-10)
+    if scale < 0:
+        pts[::2] *= -1.0
+    eps = abs(scale) * 1.2e-10
     loop = _loop_reference(pts, eps)
     assert 1 < len(loop) < len(pts)
     assert np.array_equal(_greedy_net_blocked(pts, eps), loop)

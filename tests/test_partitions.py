@@ -11,7 +11,7 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 from padsmooth import partitions
-from padsmooth.geometry import EpsilonNet, _lift, _lifted, _sq_distances, greedy_net
+from padsmooth.geometry import EpsilonNet, _gram_lift, _lift, _lifted, _sq_distances, greedy_net
 from padsmooth.partitions import (
     CONTAINED,
     CUT,
@@ -340,6 +340,14 @@ def _assert_same_bits(got, want):
         assert np.array_equal(a, b)
 
 
+def _dense_filter(part, X):
+    """The Gram d2 and bands the dense kernel filters X with, columns in
+    carving order."""
+    net, R = part.net, part.radius
+    rows, band, cols = _gram_lift(X, net.centers[0], R * R, net.lifted, net.lifted32)
+    return rows @ cols[:, part.order], band
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     d=st.integers(1, 21),
@@ -418,12 +426,10 @@ def test_ball_dense_kernel_matches_reference_at_radius_ulps(d, offset):
 
 
 def test_ball_dense_kernel_redecides_a_gram_capture_the_direct_test_rejects():
-    # near offset 1e4 the Gram band, (d + 3) eps (|x| + max |c|)^2, is about
-    # 1e-6 in squared units: a query 1e-9 beyond R of the first center in
-    # carving order has a Gram squared distance within the band of R^2, so
-    # that center is the row's first Gram capture F, and the direct test
-    # rejects it. The row then keeps its columns after F, and the second
-    # center captures it.
+    # a query 1e-9 beyond R of the first center in carving order has a Gram
+    # squared distance within the band of R^2, so that center is the row's
+    # first Gram capture F, and the direct test rejects it. The row then
+    # keeps its columns after F, and the second center captures it.
     d, R = 3, 0.25
     first = np.full(d, 1e4)
     x = first + np.array([R + 1e-9, 0.0, 0.0])
@@ -431,9 +437,8 @@ def test_ball_dense_kernel_redecides_a_gram_capture_the_direct_test_rejects():
     net = EpsilonNet(centers=np.stack([first, second]), epsilon=R / 2.0, source_count=2)
     part = BallCarvingPartition(net=net, epsilon=2.0 * R, radius=R, order=np.arange(2))
     X = np.stack([x, x])  # two rows: the Gram path
-    d2 = (x @ x + first @ first) - 2.0 * (x @ first)
-    band = (d + 3) * np.finfo(np.float64).eps * (np.linalg.norm(x) + np.linalg.norm(second)) ** 2
-    assert d2 <= R * R + band
+    d2, band = _dense_filter(part, X)
+    assert d2[0, 0] <= R * R + band[0]
     assert np.linalg.norm(x - first) > R
     cells, off, margins = _ball_assign_dense(part, X)
     assert cells.tolist() == [1, 1] and not off.any() and (margins > 0.0).all()
@@ -444,12 +449,14 @@ def _prefix_case():
     """A carving of six centers near 1e4 in d=3, R = 0.25, columns in index
     order, and five queries: two captured at column 0, one captured at the
     last column with its nearest earlier center at the one before, one off
-    support nearest the last column, and one 1e-9 beyond R of center 1,
+    support nearest the last column, and one an ulp (about 2e-12) beyond R
+    of center 1, within the band of the float64 filter these queries take,
     which its Gram distance captures and the direct test rejects (center 2
     captures it)."""
     R = 0.25
     base = np.full(3, 1e4)
-    redo = base + [10.0 + R + 1e-9, 0.0, 0.0]
+    redo = base + [10.0 + R, 0.0, 0.0]
+    redo[0] = math.nextafter(redo[0], math.inf)
     centers = np.stack([base, base + [10.0, 0.0, 0.0], redo + [0.0, 0.1, 0.0], base + [20.0, 0.0, 0.0],
                         base + [30.0, 0.0, 0.0], base + [30.0, 0.3, 0.0]])
     net = EpsilonNet(centers=centers, epsilon=R / 2.0, source_count=6)
@@ -469,8 +476,8 @@ def test_ball_dense_kernel_compares_captured_rows_up_to_their_capture():
     R = part.radius
     want = _direct_reference(part, X)
     assert want[0].tolist() == [0, 0, 5, 5, 2] and want[1].tolist() == [False, False, False, True, False]
-    rows, band = _lift(X, part.net.lifted)
-    assert (rows @ part.net.lifted)[4, 1] <= R * R + band[4] and np.linalg.norm(X[4] - part.net.centers[1]) > R
+    d2, band = _dense_filter(part, X)
+    assert d2[4, 1] <= R * R + band[4] and np.linalg.norm(X[4] - part.net.centers[1]) > R
     for keep in ([0, 1, 2, 3, 4], [0, 1, 3]):
         _assert_same_bits(_ball_assign_dense(part, X[keep]), _direct_reference(part, X[keep]))
 
@@ -491,20 +498,22 @@ def test_batched_trial_kernel_keeps_a_capture_at_the_last_column():
 
 @pytest.mark.parametrize("offset", [1.0, 1e10])
 def test_ball_kernels_decide_rows_whose_squared_norms_overflow(offset):
-    # a d=12 net at spacing 1.2e150 of 400 points offset by 1e160: every
-    # squared norm overflows, so every band is inf and no Gram d2 can
-    # propose a candidate; each point takes every center, as a one-point
-    # call does. With the points offset by 1e150, only the queries moved
-    # out by 1e160 overflow, in a batch with captured rows.
+    # a d=12 net at spacing 1.2e150 of 400 points offset by +-1e160 in
+    # turn: about the net's first center the other cluster's squared norms
+    # overflow, so every band is inf and no Gram d2 can propose a
+    # candidate; each point takes every center, as a one-point call does.
+    # With the points offset by 1e150, only the queries moved out by 1e160
+    # overflow, in a batch with captured rows.
     rng = np.random.default_rng(41)
     d, s, trials, p = 12, 1e150, 3, 50
-    src = (rng.standard_normal((400, d)) + offset) * s
+    sign = (-1.0) ** np.arange(400)[:, None] if offset > 1.0 else 1.0
+    src = (rng.standard_normal((400, d)) + sign * offset) * s
     net = greedy_net(src, 1.2 * s)
     parts = [sample_ball_carving(net, 4.8 * s, rng) for _ in range(trials)]
     pts = src[rng.integers(0, 400, (trials, p))] + rng.standard_normal((trials, p, d)) * (0.1 * s)
     if offset == 1.0:
         pts[:, ::3] += 1e160
-    wide = ~np.isfinite(_lift(pts.reshape(-1, d), net.lifted)[1])
+    wide = ~np.isfinite(_lift(pts.reshape(-1, d), net.centers[0], net.lifted)[1])
     assert wide.all() if offset > 1.0 else 0 < wide.sum() < len(wide)
     cells, off, margins = parts[0]._assign_trials(parts, pts)
     captured = 0
@@ -556,17 +565,23 @@ def _exact_sq(x, c):
 @given(
     d=st.integers(1, 50),
     offset=st.sampled_from([0.0, 1e2, 1e4, 1e6]),
+    wide=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(d=50, offset=1e6, seed=0)
-def test_gram_tiles_lie_within_half_the_band_of_exact_squares(d, offset, seed):
+@example(d=50, offset=1e6, wide=False, seed=0)
+@example(d=50, offset=1e6, wide=True, seed=0)
+def test_gram_tiles_lie_within_half_the_band_of_exact_squares(d, offset, wide, seed):
     # every d2 that `_gram_decide` filters, from the dense kernel's 2-row
     # tiles and from the batched trials, and every d2 of `_sq_distances`
     # lies within band / 2 of the exact square of x - c: the band covers
-    # the product's rounding twice over
+    # the product's rounding twice over. Every other center moved 1e4 R
+    # out (wide) makes the float32 band too wide, so the kernels filter in
+    # float64.
     rng = np.random.default_rng(seed)
     count, n = 12, 5
     centers = rng.standard_normal((count, d)) + offset
+    if wide:
+        centers[1::2, 0] += 1e4 * 0.5
     net = EpsilonNet(centers=centers, epsilon=0.25, source_count=count)
     parts = [BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=rng.permutation(count))
              for _ in range(n)]
@@ -586,11 +601,12 @@ def test_gram_tiles_lie_within_half_the_band_of_exact_squares(d, offset, seed):
         parts[0]._assign_trials(parts, X[:, None, :])
     (dense, dense_band), (trials, trials_band) = seen
     assert [j for j, _ in dense] == [0, 2, 4] and len(trials) == 1
-    assert _lifted(centers).tobytes() == net.lifted.tobytes()
+    assert {d2.dtype for _, d2 in dense + trials} == {np.dtype(np.float64 if wide else np.float32)}
+    assert _lifted(centers - centers[0]).tobytes() == net.lifted.tobytes()
     for tiles, band, order_of in ((dense, dense_band, lambda i: parts[0].order),
                                   (trials, trials_band, lambda i: parts[i].order),
-                                  ([(0, _sq_distances(X, net.lifted))], _lift(X, net.lifted)[1],
-                                   lambda i: np.arange(count))):
+                                  ([(0, _sq_distances(X - centers[0], net.lifted))],
+                                   _lift(X, centers[0], net.lifted)[1], lambda i: np.arange(count))):
         for j, d2 in tiles:
             for i, row in enumerate(d2, start=j):
                 half = Fraction(float(band[i])) / 2
@@ -677,7 +693,24 @@ def test_a_net_wide_against_its_radius_takes_the_float64_filter():
     parts = [BallCarvingPartition(net=net, epsilon=2.0 * R, radius=R, order=rng.permutation(len(centers)))
              for _ in range(trials)]
     pts = centers[rng.integers(0, len(centers), (trials, p))] + rng.standard_normal((trials, p, d)) * R
-    assert partitions._lift32(pts.reshape(-1, d), centers[0], net.lifted32, R * R) is None
+    assert not (_lift(pts.reshape(-1, d), centers[0], net.lifted32)[1] < R * R / 16.0).all()
+    _filtered_in_float64(parts, pts)
+
+
+def test_a_wide_net_far_from_the_origin_takes_the_float64_filter():
+    # the clusters above, 1e4 R apart with R = 3e147, offset by 1e160:
+    # about the origin every squared norm overflows, about the net's first
+    # center the spread does not, so the batch filters in float64 in one
+    # call, and no point goes alone
+    rng = np.random.default_rng(23)
+    d, R, trials, p = 3, 3e147, 3, 40
+    near = rng.random((150, d)) * 8.0 * R
+    centers = np.vstack([near, near + 1e4 * R]) + 1e160
+    net = EpsilonNet(centers=centers, epsilon=R / 2.0, source_count=len(centers))
+    parts = [BallCarvingPartition(net=net, epsilon=2.0 * R, radius=R, order=rng.permutation(len(centers)))
+             for _ in range(trials)]
+    pts = centers[rng.integers(0, len(centers), (trials, p))] + rng.standard_normal((trials, p, d)) * R
+    assert not np.isfinite(_lift(pts.reshape(-1, d), 0.0, _lifted(centers))[1]).any()
     _filtered_in_float64(parts, pts)
 
 
@@ -700,7 +733,7 @@ def test_ball_kernels_filter_rows_whose_centered_squared_norms_overflow_float32_
     Y = X - centers[0]
     assert np.isfinite(net.lifted32).all()
     assert (np.einsum("ij,ij->i", Y, Y) > np.finfo(np.float32).max).any()
-    assert np.isfinite(_lift(X, net.lifted)[1]).all()
+    assert np.isfinite(_lift(X, centers[0], net.lifted)[1]).all()
     _filtered_in_float64(parts, pts)
 
 
