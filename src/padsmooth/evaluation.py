@@ -39,7 +39,7 @@ from .partitions import (
     sample_cube_partition,
     wilson_interval,
 )
-from .smoothing import SmoothedClassifier, _cell_index, _find, _sgn, smooth_exact
+from .smoothing import SmoothedClassifier, _table_keys, smooth_exact
 from .tasks import (
     SPHERE_MIDDLE,
     BlackBoxClassifier,
@@ -415,8 +415,12 @@ def _pool_carver(X, net, reach: float):
     <= reach, part.cells(X) bit for bit. The tree kernel's candidate pairs,
     every center within reach of a point or within its nearest-neighbour
     distance (widened by `_search_radius`), and their direct distances are
-    taken once per game, so a refresh is one `_first_capture` over them."""
+    taken once per game, so a refresh is one `_first_capture` over them.
+    Where the tree would overflow (`_search_radius`), a refresh is
+    part.cells(X)."""
     r = _search_radius(np.maximum(reach, net.tree.query(X)[0]), X, net.centers)
+    if np.isinf(r).any():
+        return lambda part: part.cells(X)
     row, starts, dist, cand = _tree_pairs(net, X, r)
 
     def cells(part):
@@ -461,6 +465,11 @@ def oblivious_game_simulate(
     An out-of-ball proposal is a fault: the round is answered on the clean
     point and the fault is counted.
 
+    Both families answer by one rule, scheme A over the pool: the sign of
+    the sum of f over the pool points in the query's cell, or, when the
+    cell holds none, f at the cell's anchor. f is asked about each distinct
+    anchor at most once per game.
+
     Every random draw (pool, net source, carvings or lattices, rounds) keeps
     its order. For the ball family each pool point's candidate centers
     (within partition_epsilon / 2, the largest carving radius, or its
@@ -475,57 +484,22 @@ def oblivious_game_simulate(
         raise ValueError("family must be 'ball' or 'cube'")
     Xp, _ = task.sample(rng, pool)
     f_pool = f(Xp).astype(np.float64)
-
     if family == "ball":
         src, _ = task.sample(rng, net_source)
-        net = greedy_net(src, partition_epsilon / 4.0)
-        base = sample_ball_carving(net, partition_epsilon, rng)
-        pool_cells = _pool_carver(Xp, net, partition_epsilon / 2.0)
-        f_centers = f(net.centers).astype(np.float64)
-        nc = len(net.centers)
-        state: dict = {}
-
-        def refresh():
-            part = resample_ball_carving(base, rng)
-            cells = pool_cells(part)
-            votes = np.bincount(cells, weights=f_pool, minlength=nc)
-            counts = np.bincount(cells, minlength=nc)
-            labels = np.where(counts > 0, _sgn(votes), _sgn(f_centers))
-            state["part"] = part
-            state["labels"] = labels.astype(np.int8)
-
-        def answer(x: np.ndarray) -> int:
-            return int(state["labels"][state["part"].cells(x[None])[0]])
-
+        base = sample_ball_carving(greedy_net(src, partition_epsilon / 4.0), partition_epsilon, rng)
+        pool_cells = _pool_carver(Xp, base.net, partition_epsilon / 2.0)
+        draw = lambda: resample_ball_carving(base, rng)
     else:
-        d = Xp.shape[1]
-        state = {}
-
-        def refresh():
-            part = sample_cube_partition(d, partition_epsilon, rng)
-            keys, _, inverse = _cell_index(part, Xp)
-            state["part"] = part
-            state["keys"] = keys
-            state["labels"] = _sgn(np.bincount(inverse, weights=f_pool))
-            state["fallback"] = {}  # key bytes -> f at the anchor, until the next refresh
-
-        def answer(x: np.ndarray) -> int:
-            part = state["part"]
-            key, cell, _ = _cell_index(part, x[None, :])
-            at, known = _find(state["keys"], key)
-            if known[0]:
-                return int(state["labels"][at[0]])
-            fallback = state["fallback"]
-            key_bytes = key.tobytes()
-            if key_bytes not in fallback:
-                fallback[key_bytes] = int(f(part.anchor(cell))[0])
-            return fallback[key_bytes]
+        pool_cells = lambda part: part.cells(Xp)
+        draw = lambda: sample_cube_partition(Xp.shape[1], partition_epsilon, rng)
+    at_anchor: dict = {}  # anchor bytes -> f there
 
     errors = np.zeros(rounds, dtype=bool)
     faults = 0
     for i in range(rounds):
         if i % refresh_every == 0:
-            refresh()
+            part = draw()
+            pool_keys = _table_keys(pool_cells(part))
             adversary.notify_refresh()
         x, yl = task.sample(rng, 1)
         x = x[0]
@@ -534,7 +508,16 @@ def oblivious_game_simulate(
         if float(np.linalg.norm(xp - x)) > epsilon * (1.0 + 1e-9):
             faults += 1
             xp = x
-        ans = answer(xp)
+        cell = part.cells(xp[None])
+        voters = pool_keys == _table_keys(cell)[0]
+        if voters.any():  # sums of +-1 are exact in any order
+            ans = 1 if f_pool[voters].sum() >= 0 else -1
+        else:
+            anchor = part.anchor(cell)
+            key = anchor.tobytes()
+            if key not in at_anchor:
+                at_anchor[key] = int(f(anchor)[0])
+            ans = at_anchor[key]
         errors[i] = ans != truth
         adversary.observe(x, xp, ans)
     lo, hi = wilson_interval(int(errors.sum()), rounds)

@@ -71,8 +71,12 @@ it at 2048 (BENCH_16.json).
 def _search_radius(radius: float, *arrays: Array) -> float:
     """A KD-tree query radius whose result holds every point within `radius`
     by any direct-difference computation: `radius` widened by 1e-9 of itself
-    and by a few ulps of the largest coordinate magnitude."""
+    and by a few ulps of the largest coordinate magnitude. inf from a
+    magnitude of 2^508 (about sqrt(max) / 16) on, where the tree's squared
+    distances may overflow and it raises: callers then go without it."""
     scale = max(float(np.abs(a).max()) for a in arrays)
+    if scale >= 2.0**508:
+        return math.inf
     return radius * (1.0 + 1e-9) + 4.0 * float(np.spacing(scale))
 
 
@@ -239,9 +243,10 @@ def greedy_net(points, epsilon: float) -> EpsilonNet:
     The first point is always a center; each later point becomes a center
     exactly when it is >= epsilon from all existing centers. Deterministic
     given the input order. Up to dimension 8 the centers come from cover
-    marking over a KD-tree, above it from blocks of points filtered by one
-    Gram product each; both decide with the same squared-difference test
-    and give the same center set, bit for bit.
+    marking over a KD-tree, above it (or where coordinates reach 2^508) from
+    blocks of points filtered by one Gram product each; both decide with
+    the same squared-difference test and give the same center set, bit for
+    bit.
     """
     pts = as_points(points)
     _check_spacing(epsilon)
@@ -331,10 +336,13 @@ def _greedy_net_tree(pts: Array, epsilon: float) -> Array:
     A point is a center exactly when no earlier center covered it; each new
     center marks the points strictly within epsilon of it as covered. The
     tree only proposes neighbours; the mark is the loop's own test, the
-    squared difference from the center below epsilon**2.
+    squared difference from the center below epsilon**2. Points the tree
+    cannot hold (`_search_radius` inf) go to `_greedy_net_blocked`.
     """
-    tree = cKDTree(pts)
     reach = _search_radius(epsilon, pts)
+    if reach == math.inf:
+        return _greedy_net_blocked(pts, epsilon)
+    tree = cKDTree(pts)
     covered = np.zeros(len(pts), dtype=bool)
     keep = []
     for i in range(len(pts)):

@@ -421,9 +421,10 @@ def ball_assign(part: BallCarvingPartition, points):
       margins: (n,) float certificate margins (0.0 off support).
 
     Batches of at least 64 points in dimension <= 4 take their candidate
-    centers from the net's KD-tree (`_ball_assign_tree`), everything else
-    from `_ball_assign_dense` (every center for one point, else a Gram
-    filter). All hand them to `_decide`, so all return the same bits.
+    centers from the net's KD-tree (`_ball_assign_tree`), unless their
+    coordinates or the net's reach 2^508, everything else from
+    `_ball_assign_dense` (every center for one point, else a Gram filter).
+    All hand them to `_decide`, so all return the same bits.
     """
     pts = _points_of(part, points)
     if part.dim <= _TREE_MAX_DIM and len(pts) >= _TREE_MIN_BATCH:
@@ -527,13 +528,16 @@ def _ball_assign_tree(part: BallCarvingPartition, pts: Array):
     margin min(R - d(x, u), d(x, w) - R), as a farther earlier w has
     d(x, w) - R > R >= R - d(x, u). An off-support point with no center
     within 2R takes its nearest centers from a second query within its
-    nearest-neighbour distance. Points go 4096 at a time.
+    nearest-neighbour distance. Points go 4096 at a time, and a batch the
+    tree cannot hold (`_search_radius` inf) goes to `_ball_assign_dense`.
     """
     if not len(pts):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), np.empty(0)
     net, R, ranks = part.net, part.radius, part.ranks
     count = len(net)
     reach = _search_radius(2.0 * R, pts, net.centers)
+    if reach == math.inf:
+        return _ball_assign_dense(part, pts)
     out = []
     for i in range(0, len(pts), 4096):
         blk = pts[i : i + 4096]

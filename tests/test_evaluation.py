@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from padsmooth import evaluation
 from padsmooth.evaluation import (
+    Adversary,
     BoundarySeekAdversary,
     BracketingError,
     IdentityAdversary,
@@ -24,7 +26,7 @@ from padsmooth.evaluation import (
     estimate_risk,
     oblivious_game_simulate,
 )
-from padsmooth.geometry import greedy_net
+from padsmooth.geometry import EpsilonNet, greedy_net
 from padsmooth.partitions import (
     BallCarvingPartition,
     ball_assign,
@@ -32,7 +34,7 @@ from padsmooth.partitions import (
     sample_ball_carving,
     sample_cube_partition,
 )
-from padsmooth.smoothing import _sgn, smooth_exact
+from padsmooth.smoothing import _sgn, scheme_a_estimate, smooth_exact
 from padsmooth.tasks import (
     BlackBoxClassifier,
     concentric_spheres_task,
@@ -270,6 +272,64 @@ def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
         assert np.array_equal(labels(got), labels(want))
         at_edge += int(np.count_nonzero((D > eps / 2 * 0.98) & (D <= part.radius)))
     assert at_edge > 0  # some captures come from the outermost candidates
+
+
+def test_pool_carver_where_the_tree_would_overflow():
+    # centers at (+-1e160, 0) overflow the KD-tree's pair query, where
+    # cKDTree raises ValueError, so each refresh carves the pool whole
+    centers = np.array([[1e160, 0.0], [-1e160, 0.0], [0.0, 0.0]])
+    net = EpsilonNet(centers=centers, epsilon=0.25, source_count=3)
+    X = np.random.default_rng(6).uniform(-1.0, 1.0, (100, 2))
+    pool_cells = _pool_carver(X, net, 0.5)
+    for order in ([0, 1, 2], [2, 1, 0]):
+        part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array(order))
+        assert np.array_equal(pool_cells(part), ball_assign(part, X)[0])
+
+
+class _Recorder(Adversary):
+    """Identity adversary that records each round's x' and answer."""
+
+    def __init__(self):
+        self.rounds = []
+
+    def observe(self, x, x_prime, answer):
+        self.rounds.append((x_prime, answer))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("family", ["ball", "cube"])
+def test_game_answers_are_scheme_a_votes_or_f_at_the_anchor_once(family, k):
+    # every round against the recorded partitions: the scheme-A label of
+    # the pool where the query's cell holds pool points, else f at the
+    # cell's anchor; beyond the pool, f is asked once per distinct anchor,
+    # not at every net center
+    task = intersecting_circles_task(2)
+    f = task.ground_truth_classifier()
+    ref = task.ground_truth_classifier()
+    seed, pool = 41, 300
+    parts = []
+    adversary = _Recorder()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("resample_ball_carving", "sample_cube_partition"):
+            real = getattr(evaluation, name)
+            mp.setattr(evaluation, name, lambda *a, real=real: parts.append(real(*a)) or parts[-1])
+        oblivious_game_simulate(task, f, 0.3, refresh_every=k, rounds=160, adversary=adversary,
+                                rng=np.random.default_rng(seed), family=family,
+                                partition_epsilon=0.2, pool=pool, net_source=1000)
+    Xp = task.sample(np.random.default_rng(seed), pool)[0]  # the game's first draw
+    assert len(parts) == 160 // k and len(adversary.rounds) == 160
+    anchors = set()
+    for i, (xp, answer) in enumerate(adversary.rounds):
+        part = parts[i // k]
+        cell = part.cells(xp[None])
+        if (part.cells(Xp).reshape(pool, -1) == cell.reshape(1, -1)).all(axis=1).any():
+            assert answer == scheme_a_estimate(ref, part, Xp).evaluate(xp[None])[0]
+        else:
+            anchor = part.anchor(cell)
+            assert answer == ref(anchor)[0]
+            anchors.add(anchor.tobytes())
+    assert anchors
+    assert f.eval_count - pool == len(anchors)
 
 
 def test_game_cube_family_and_validation():

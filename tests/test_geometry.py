@@ -235,6 +235,23 @@ def test_greedy_net_blocked_equals_loop_where_squared_norms_overflow(scale):
     assert np.array_equal(_greedy_net_blocked(pts, eps), loop)
 
 
+@pytest.mark.parametrize("spread", ["uniform", "clusters"])
+def test_greedy_net_in_low_dimension_where_the_tree_would_overflow(spread):
+    # coordinates of 1e160 overflow the KD-tree's squared distances, where
+    # cKDTree raises ValueError, so d = 3 takes the blocked builder: uniform in
+    # +-1e160 every point is a center, in two clusters 1e150 wide most are
+    # covered
+    rng = np.random.default_rng(17)
+    if spread == "uniform":
+        pts = rng.uniform(-1e160, 1e160, (200, 3))
+    else:
+        pts = (-1.0) ** np.arange(200)[:, None] * 1e160 + rng.standard_normal((200, 3)) * 1e150
+    loop = _loop_reference(pts, 1.2e150)
+    assert (len(loop) == len(pts)) if spread == "uniform" else (1 < len(loop) < len(pts) // 4)
+    assert np.array_equal(greedy_net(pts, 1.2e150).centers, loop)
+    assert np.array_equal(_greedy_net_tree(pts, 1.2e150), loop)
+
+
 @pytest.mark.parametrize("d,kernel", [(8, "_greedy_net_tree"), (9, "_greedy_net_blocked")])
 def test_greedy_net_dispatches_on_dimension(d, kernel):
     rng = np.random.default_rng(d)

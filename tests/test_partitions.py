@@ -525,6 +525,22 @@ def test_ball_kernels_decide_rows_whose_squared_norms_overflow(offset):
     assert captured > 0
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+def test_ball_assign_in_low_dimension_where_the_tree_would_overflow(order):
+    # centers at (+-1e160, 0) overflow the KD-tree's squared distances, where
+    # cKDTree raises ValueError, so a batch of 64 points or more takes the
+    # dense kernel, as a 10-point call does
+    centers = np.array([[1e160, 0.0], [-1e160, 0.0], [0.0, 0.0]])
+    net = EpsilonNet(centers=centers, epsilon=0.25, source_count=3)
+    part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array(order))
+    X = np.random.default_rng(5).uniform(-1.0, 1.0, (100, 2))
+    want = _direct_reference(part, X)
+    assert 0 < np.count_nonzero(want[1]) < len(X)
+    _assert_same_bits(ball_assign(part, X), want)
+    _assert_same_bits(_ball_assign_tree(part, X), want)
+    _assert_same_bits(ball_assign(part, X[:10]), tuple(a[:10] for a in want))
+
+
 def _equal_root_centers(d):
     """Two centers whose squared direct distances from the origin differ by
     one ulp, the second's larger, but share a root."""
