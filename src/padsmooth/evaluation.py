@@ -389,9 +389,17 @@ class ReplayAdversary(BoundarySeekAdversary):
     def __init__(self, task: Task, f: BlackBoxClassifier):
         super().__init__(task, f)
         self.memory: list[tuple[np.ndarray, int]] = []
+        self._last = (b"", 0)  # (x bytes, f(x)) of the latest x asked about
+
+    def _f_at(self, x: np.ndarray) -> int:
+        """f(x), asked once for the x that a round's propose and observe share."""
+        key = x.tobytes()
+        if self._last[0] != key:
+            self._last = (key, int(self.f(x[None, :])[0]))
+        return self._last[1]
 
     def propose(self, x: np.ndarray, epsilon: float) -> np.ndarray:
-        fx = int(self.f(x[None, :])[0])
+        fx = self._f_at(x)
         best = None
         for xp, ans in reversed(self.memory):
             if ans != fx and float(np.linalg.norm(xp - x)) <= 0.999 * epsilon:
@@ -402,7 +410,7 @@ class ReplayAdversary(BoundarySeekAdversary):
         return super().propose(x, epsilon)
 
     def observe(self, x: np.ndarray, x_prime: np.ndarray, answer: int) -> None:
-        if answer != int(self.f(x[None, :])[0]):
+        if answer != self._f_at(x):
             if len(self.memory) < 4096:
                 self.memory.append((np.array(x_prime), answer))
 
@@ -415,12 +423,8 @@ def _pool_carver(X, net, reach: float):
     <= reach, part.cells(X) bit for bit. The tree kernel's candidate pairs,
     every center within reach of a point or within its nearest-neighbour
     distance (widened by `_search_radius`), and their direct distances are
-    taken once per game, so a refresh is one `_first_capture` over them.
-    Where the tree would overflow (`_search_radius`), a refresh is
-    part.cells(X)."""
+    taken once per game, so a refresh is one `_first_capture` over them."""
     r = _search_radius(np.maximum(reach, net.tree.query(X)[0]), X, net.centers)
-    if np.isinf(r).any():
-        return lambda part: part.cells(X)
     row, starts, dist, cand = _tree_pairs(net, X, r)
 
     def cells(part):

@@ -14,6 +14,9 @@ the data less an origin (the net's first center for the carving and
 blocked-net filters, 0 for `_sq_distances`), with one band (`_band`);
 `_gram_lift` filters in float32 where every band is below R^2 / 16
 (epsilon^2 / 16 for a net), else in float64.
+
+Coordinates lie in (-2^480, 2^480) (`_MAX_COORD`), checked where points and
+net centers come in (`as_points`), so no float64 square overflows.
 """
 
 from __future__ import annotations
@@ -26,6 +29,20 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 Array = np.ndarray
+
+_MAX_COORD = 2.0**480
+"""Bound B on every coordinate of points and net centers: `as_points`
+accepts only (-B, B), B = 2^480 (about 3.1e144), so NaN and +-Inf fail too.
+
+In d < 2^52 no float64 square the kernels form can overflow. A difference
+of two points, or of a point and an origin, has norm below sqrt(d) 2^481 <
+2^507, so direct squared differences and the KD-tree's squared distances
+(cKDTree raises where one overflows) stay below d 2^962 < 2^1014; the
+uncentered `_sq_distances` adds terms of at most 4 d 2^960 in all; and the
+float64 `_band`'s span |y| + max |c - origin| stays below sqrt(d) 2^482 <
+2^508, where it would turn inf, so `_gram_lift` always has a filter.
+Float32 still overflows inside the domain (`_single`, `_ceil`, `_band`).
+"""
 
 _TREE_MAX_DIM = 4
 """Largest dimension in which `ball_assign` takes a batch's candidate
@@ -71,12 +88,10 @@ it at 2048 (BENCH_16.json).
 def _search_radius(radius: float, *arrays: Array) -> float:
     """A KD-tree query radius whose result holds every point within `radius`
     by any direct-difference computation: `radius` widened by 1e-9 of itself
-    and by a few ulps of the largest coordinate magnitude. inf from a
-    magnitude of 2^508 (about sqrt(max) / 16) on, where the tree's squared
-    distances may overflow and it raises: callers then go without it."""
+    and by a few ulps of the largest coordinate magnitude. Inside the
+    coordinate domain (`_MAX_COORD`) the tree's squared distances stay
+    finite, so every caller can take the tree."""
     scale = max(float(np.abs(a).max()) for a in arrays)
-    if scale >= 2.0**508:
-        return math.inf
     return radius * (1.0 + 1e-9) + 4.0 * float(np.spacing(scale))
 
 
@@ -86,14 +101,15 @@ def _check_spacing(epsilon) -> None:
 
 
 def as_points(data) -> Array:
-    """Coerce to a finite float64 (n, d) array; reject NaN/Inf and d == 0."""
+    """Coerce to a float64 (n, d) array, d >= 1, with every coordinate in
+    (-_MAX_COORD, _MAX_COORD), so no NaN or Inf."""
     pts = np.asarray(data, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] == 0:
         raise ValueError(f"expected (n, d) points with d >= 1, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite (no NaN/Inf)")
+    if not (-_MAX_COORD < pts.min(initial=0.0) and pts.max(initial=0.0) < _MAX_COORD):  # False on NaN
+        raise ValueError("points must be finite with coordinates in (-2^480, 2^480)")
     return pts
 
 
@@ -112,6 +128,7 @@ class EpsilonNet:
 
     def __post_init__(self):
         _check_spacing(self.epsilon)
+        object.__setattr__(self, "centers", as_points(self.centers))
         if len(self.centers) == 0:
             raise ValueError("net must have at least one center")
 
@@ -132,8 +149,7 @@ class EpsilonNet:
     def lifted(self) -> Array:
         """`_lifted` columns of the centers less the first one, the origin of
         the carving filter (`_gram_lift`), shared like the tree."""
-        with np.errstate(over="ignore"):
-            return _lifted(self.centers - self.centers[0])
+        return _lifted(self.centers - self.centers[0])
 
     @cached_property
     def lifted32(self) -> Array:
@@ -162,9 +178,8 @@ def _lift(X, origin, cols):
     distances, and each row's filter band (`_band`)."""
     n, d = X.shape
     rows = np.empty((n, d + 2))  # filled in place: a second array the size of X costs page faults
-    with np.errstate(over="ignore"):
-        Y = np.subtract(X, origin, out=rows[:, :d])
-        rows[:, d] = y2 = np.einsum("ij,ij->i", Y, Y)
+    Y = np.subtract(X, origin, out=rows[:, :d])
+    rows[:, d] = y2 = np.einsum("ij,ij->i", Y, Y)
     rows[:, d + 1] = 1.0
     return rows.astype(cols.dtype, copy=False), _band(y2, cols)
 
@@ -184,26 +199,26 @@ def _band(y2, cols):
     tiny term, underflow. It is inf where |y| + max |c - origin| reaches
     2^(maxexp / 2 - 4), about sqrt(max) / 16 (2^60 in float32), so every
     sum the product forms stays finite; there the Gram d2 prove nothing.
+    In float64 that takes coordinates beyond `_MAX_COORD`.
     """
     d, fi = len(cols) - 2, np.finfo(cols.dtype)
-    with np.errstate(over="ignore"):
-        span = np.sqrt(y2) + math.sqrt(cols[-1].max(initial=0.0))
-        wide = (d + 8) * float(fi.eps) * (span**2 + float(fi.tiny) * 2.0**26)
-        return np.where(span < 2.0 ** (fi.maxexp // 2 - 4), wide, np.inf)
+    span = np.sqrt(y2) + math.sqrt(cols[-1].max(initial=0.0))
+    wide = (d + 8) * float(fi.eps) * (span**2 + float(fi.tiny) * 2.0**26)
+    return np.where(span < 2.0 ** (fi.maxexp // 2 - 4), wide, np.inf)
 
 
 def _gram_lift(X, origin, scale2, cols, cols32):
     """(rows, band, cols) of the Gram filter of points X against the centers
     whose `_lift` columns about origin are cols (float64) and cols32 (their
     cast): float32 when every float32 band is below scale2 / 16 (R^2, or
-    epsilon^2 for a net; a scalar or one per point), else float64, else
-    None, where a spread about the origin overflows. X is lifted once, in
-    float64. The precision changes only which pairs are proposed."""
+    epsilon^2 for a net; a scalar or one per point), else float64, whose
+    bands are finite inside `_MAX_COORD`. X is lifted once, in float64.
+    The precision changes only which pairs are proposed."""
     rows, band = _lift(X, origin, cols)
     band32 = _band(rows[:, -2], cols32)
     if (band32 < scale2 / 16.0).all():
         return _single(rows), band32, cols32
-    return (rows, band, cols) if np.isfinite(band).all() else None
+    return rows, band, cols
 
 
 def _ceil(t, dtype):
@@ -243,10 +258,9 @@ def greedy_net(points, epsilon: float) -> EpsilonNet:
     The first point is always a center; each later point becomes a center
     exactly when it is >= epsilon from all existing centers. Deterministic
     given the input order. Up to dimension 8 the centers come from cover
-    marking over a KD-tree, above it (or where coordinates reach 2^508) from
-    blocks of points filtered by one Gram product each; both decide with
-    the same squared-difference test and give the same center set, bit for
-    bit.
+    marking over a KD-tree, above it from blocks of points filtered by one
+    Gram product each; both decide with the same squared-difference test
+    and give the same center set, bit for bit.
     """
     pts = as_points(points)
     _check_spacing(epsilon)
@@ -276,12 +290,10 @@ def _greedy_net_blocked(pts: Array, epsilon: float) -> Array:
     become centers at once; the others are resolved in order against the
     earlier ones that became centers.
     """
-    n, d = pts.shape
+    n = len(pts)
     e2 = epsilon * epsilon
-    with np.errstate(over="ignore"):
-        src = _lifted(pts - pts[0])  # lifted columns of every point
-    lifted = _gram_lift(pts, pts[0], e2, src, _single(src))
-    rows, band, src = lifted or (None, np.full(n, np.inf), src)  # a spread that overflows: every pair a candidate
+    src = _lifted(pts - pts[0])  # lifted columns of every point
+    rows, band, src = _gram_lift(pts, pts[0], e2, src, _single(src))
     cols = np.empty_like(src)  # lifted columns of the centers, then of the block
     keep = np.empty(n, dtype=np.intp)  # source row of each center
     buf = np.empty(max(_TILE, n), dtype=src.dtype)
@@ -290,13 +302,8 @@ def _greedy_net_blocked(pts: Array, epsilon: float) -> Array:
         m = min(_net_block(k), n - i)
         blk = pts[i : i + m]
         cols[:, k : k + m] = src[:, i : i + m]
-        d2 = buf[: m * (k + m)].reshape(m, k + m)
-        lim = e2 + band[i : i + m].max()
-        if lim < math.inf:
-            np.matmul(rows[i : i + m], cols[:, : k + m], out=d2)
-        else:  # the Gram d2 prove nothing
-            d2.fill(0.0)
-        lim = _ceil(lim, d2.dtype)
+        d2 = np.matmul(rows[i : i + m], cols[:, : k + m], out=buf[: m * (k + m)].reshape(m, k + m))
+        lim = _ceil(e2 + band[i : i + m].max(), d2.dtype)
         alive = np.ones(m, dtype=bool)
         row, col = (d2[:, :k] < lim).nonzero()
         if row.size:
@@ -336,12 +343,9 @@ def _greedy_net_tree(pts: Array, epsilon: float) -> Array:
     A point is a center exactly when no earlier center covered it; each new
     center marks the points strictly within epsilon of it as covered. The
     tree only proposes neighbours; the mark is the loop's own test, the
-    squared difference from the center below epsilon**2. Points the tree
-    cannot hold (`_search_radius` inf) go to `_greedy_net_blocked`.
+    squared difference from the center below epsilon**2.
     """
     reach = _search_radius(epsilon, pts)
-    if reach == math.inf:
-        return _greedy_net_blocked(pts, epsilon)
     tree = cKDTree(pts)
     covered = np.zeros(len(pts), dtype=bool)
     keep = []

@@ -35,14 +35,14 @@ margins lowered by a rounding slack of 2 (d + 4) R eps_machine so they
 never exceed the exact ones, and off support the nearest center, the
 earlier in carving order on ties. Callers differ only in how they find
 candidate (point, center) pairs: a KD-tree over the net for batches of at
-least 64 points in dimension <= 4, every center for one point (and for
-each point of a batch whose spread overflows float64), else a
+least 64 points in dimension <= 4, every center for one point, else a
 filter of one Gram product per row tile within a forward-error band that
 stops a captured row at its first capture (`_gram_decide`); the query
 game takes its pool's pairs once. The Gram filter is one lift of points
 and centers less the net's first center (`_gram_lift`), in float32 when
 every band is below R^2 / 16, else in float64; its precision changes only
-which pairs are proposed. All of them return the same bits.
+which pairs are proposed. All of them return the same bits, and none meets
+a float64 square that overflows: `as_points` bounds every coordinate.
 
 The Monte-Carlo estimators (estimate_paddedness, estimate_lipschitz_constant)
 draw a fresh partition and point or pair per trial, in the order of a
@@ -118,7 +118,7 @@ class CubePartition:
         s = np.asarray(self.shift, dtype=np.float64)
         if s.shape != (self.dim,):
             raise ValueError(f"shift must have shape ({self.dim},)")
-        if (s < 0).any() or (s >= self.width).any():
+        if not ((s >= 0) & (s < self.width)).all():  # False on NaN too
             raise ValueError("shift entries must lie in [0, width)")
         object.__setattr__(self, "shift", s)
 
@@ -320,8 +320,7 @@ class BallCarvingPartition:
         gives every row's Gram squared distances. Each trial's rows are
         gathered into its own carving's order and go through `_gram_decide`
         with its R. The Gram entries only pick candidates, so the results
-        are the bits of one call per trial. Where a spread overflows the
-        filter, each trial is one `_ball_assign_dense` call.
+        are the bits of one call per trial.
         """
         net = parts[0].net
         count = len(net)
@@ -329,10 +328,7 @@ class BallCarvingPartition:
         orders = np.stack([q.order for q in parts])
         R = np.repeat([q.radius for q in parts], p)
         X = pts.reshape(-1, d)
-        lifted = _gram_lift(X, net.centers[0], R * R, net.lifted, net.lifted32)
-        if lifted is None:
-            return tuple(map(np.stack, zip(*(_ball_assign_dense(q, x) for q, x in zip(parts, pts)))))
-        rows, band, cols = lifted
+        rows, band, cols = _gram_lift(X, net.centers[0], R * R, net.lifted, net.lifted32)
         d2 = rows @ cols
         starts = np.arange(0, d2.size, count)
         # each row gathered into its trial's carving order by flat indices,
@@ -421,10 +417,9 @@ def ball_assign(part: BallCarvingPartition, points):
       margins: (n,) float certificate margins (0.0 off support).
 
     Batches of at least 64 points in dimension <= 4 take their candidate
-    centers from the net's KD-tree (`_ball_assign_tree`), unless their
-    coordinates or the net's reach 2^508, everything else from
-    `_ball_assign_dense` (every center for one point, else a Gram filter).
-    All hand them to `_decide`, so all return the same bits.
+    centers from the net's KD-tree (`_ball_assign_tree`), everything else
+    from `_ball_assign_dense` (every center for one point, else a Gram
+    filter). All hand them to `_decide`, so all return the same bits.
     """
     pts = _points_of(part, points)
     if part.dim <= _TREE_MAX_DIM and len(pts) >= _TREE_MIN_BATCH:
@@ -443,8 +438,7 @@ def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
     """ball_assign with candidate pairs from Gram-expansion distances to
     every center in carving order, decided by `_gram_decide`: each row tile
     of about _TILE entries is one product of `_gram_lift` rows into one
-    reused buffer. A batch whose spread overflows the filter goes one point
-    at a time."""
+    reused buffer."""
     net, order, R = part.net, part.order, part.radius
     count, n, d = len(net), len(pts), part.dim
     if n == 1:
@@ -452,10 +446,7 @@ def _ball_assign_dense(part: BallCarvingPartition, pts: Array):
         row = np.zeros(count, dtype=np.intp)
         pos, off, margins = _decide(row, row[:1], _direct_distances(net.centers, pts), part.ranks, R, d, 1, count)
         return order[pos], off, margins
-    lifted = _gram_lift(pts, net.centers[0], R * R, net.lifted, net.lifted32)
-    if lifted is None:  # the Gram d2 propose nothing
-        return tuple(map(np.concatenate, zip(*(_ball_assign_dense(part, x) for x in pts[:, None]))))
-    rows, band, cols = lifted
+    rows, band, cols = _gram_lift(pts, net.centers[0], R * R, net.lifted, net.lifted32)
     cols = cols[:, order]  # columns in carving order
     step = max(1, _TILE // count)
     buf = np.empty((min(step, n), count), dtype=rows.dtype)
@@ -528,16 +519,13 @@ def _ball_assign_tree(part: BallCarvingPartition, pts: Array):
     margin min(R - d(x, u), d(x, w) - R), as a farther earlier w has
     d(x, w) - R > R >= R - d(x, u). An off-support point with no center
     within 2R takes its nearest centers from a second query within its
-    nearest-neighbour distance. Points go 4096 at a time, and a batch the
-    tree cannot hold (`_search_radius` inf) goes to `_ball_assign_dense`.
+    nearest-neighbour distance. Points go 4096 at a time.
     """
     if not len(pts):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), np.empty(0)
     net, R, ranks = part.net, part.radius, part.ranks
     count = len(net)
     reach = _search_radius(2.0 * R, pts, net.centers)
-    if reach == math.inf:
-        return _ball_assign_dense(part, pts)
     out = []
     for i in range(0, len(pts), 4096):
         blk = pts[i : i + 4096]

@@ -650,9 +650,9 @@ def gaussian_smoothing(
     is deterministic. With a task: density-weighted smoothing over a pool
     of n task samples, sign of sum_i f(Z_i) * exp(-||x - Z_i||^2 / (2
     sigma^2)), with each query's squared distances shifted by their minimum
-    before the exp so its nearest pool point keeps weight 1. A query whose
-    squared distances to the pool overflow (a norm above about 1.3e154)
-    raises ValueError, and so does a sigma whose 1 / (2 sigma^2) overflows.
+    before the exp so its nearest pool point keeps weight 1 (`as_points`
+    bounds queries, so those squares are finite). A sigma whose
+    1 / (2 sigma^2) overflows raises ValueError.
     """
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
@@ -693,10 +693,7 @@ def gaussian_smoothing(
         for i in range(0, len(points), chunk):
             blk = points[i : i + chunk]
             d2 = _sq_distances(blk, pool_cols)
-            nearest = d2.min(axis=1, keepdims=True)
-            if not np.isfinite(nearest).all():
-                raise ValueError("query too far from the pool: its squared distances overflow")
-            d2 -= nearest  # rescale before exp; sign is scale-free
+            d2 -= d2.min(axis=1, keepdims=True)  # rescale before exp; sign is scale-free
             with np.errstate(under="ignore", over="ignore"):  # an overflow to inf is weight 0
                 w = np.exp(-d2 * inv)
             out[i : i + chunk] = _sgn(w @ pool_votes)

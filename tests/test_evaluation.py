@@ -275,9 +275,12 @@ def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
 
 
 def test_pool_carver_where_the_tree_would_overflow():
-    # centers at (+-1e160, 0) overflow the KD-tree's pair query, where
-    # cKDTree raises ValueError, so each refresh carves the pool whole
-    centers = np.array([[1e160, 0.0], [-1e160, 0.0], [0.0, 0.0]])
+    # centers at (+-1e160, 0) would overflow the KD-tree's pair query
+    # (cKDTree raises ValueError): the net rejects them. At (+-2^479, 0), the
+    # edge of the domain, the pool's tree pairs give ball_assign's cells
+    with pytest.raises(ValueError, match="2\\^480"):
+        EpsilonNet(centers=np.array([[1e160, 0.0], [-1e160, 0.0], [0.0, 0.0]]), epsilon=0.25, source_count=3)
+    centers = np.array([[2.0**479, 0.0], [-(2.0**479), 0.0], [0.0, 0.0]])
     net = EpsilonNet(centers=centers, epsilon=0.25, source_count=3)
     X = np.random.default_rng(6).uniform(-1.0, 1.0, (100, 2))
     pool_cells = _pool_carver(X, net, 0.5)
@@ -397,3 +400,12 @@ def test_replay_adversary_memory_mechanics():
     assert len(adv.memory) == 1
     adv.notify_refresh()
     assert adv.memory == []
+
+
+def test_replay_adversary_asks_its_classifier_once_per_round():
+    # propose and observe of a round take the same x, so they share one f(x)
+    task = intersecting_circles_task(2)
+    own = task.ground_truth_classifier()
+    oblivious_game_simulate(task, task.ground_truth_classifier(), 0.3, refresh_every=4, rounds=150,
+                            adversary=ReplayAdversary(task, own), rng=np.random.default_rng(34), family="cube")
+    assert own.eval_count == 150

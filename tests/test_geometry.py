@@ -1,5 +1,7 @@
 """Geometry primitives against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,10 +52,22 @@ def brute_net_ok(points, net, epsilon):
 def test_as_points_shapes_and_validation():
     assert as_points([1.0, 2.0]).shape == (1, 2)
     assert as_points([[1.0], [2.0]]).shape == (2, 1)
-    with pytest.raises(ValueError):
-        as_points(np.array([[np.nan, 0.0]]))
+    assert as_points(np.empty((0, 3))).shape == (0, 3)
+    edge = math.nextafter(2.0**480, 0.0)  # the largest coordinate inside the domain
+    assert np.array_equal(as_points([[edge, -edge]]), [[edge, -edge]])
+    for bad in (np.nan, np.inf, -np.inf, 2.0**480, -(2.0**480), 1e300):
+        with pytest.raises(ValueError, match="2\\^480"):
+            as_points(np.array([[0.0, 1.0], [bad, 0.0]]))
     with pytest.raises(ValueError):
         as_points(np.empty((3, 0)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**480])
+def test_epsilon_net_rejects_centers_outside_the_domain(bad):
+    # the net's constructor takes its centers through as_points, so a net
+    # cannot hold a center whose squares the kernels could not form
+    with pytest.raises(ValueError, match="2\\^480"):
+        EpsilonNet(centers=np.array([[bad, 0.0], [1.0, 0.0]]), epsilon=0.25, source_count=2)
 
 
 @pytest.mark.parametrize("d,eps", [(1, 0.5), (2, 0.3), (3, 0.7)])
@@ -220,36 +234,52 @@ def test_greedy_net_blocked_decides_pairs_within_the_band_by_direct_differences(
 
 @pytest.mark.parametrize("scale", [1e150, 1e154, 1e160, -1e160])
 def test_greedy_net_blocked_equals_loop_where_squared_norms_overflow(scale):
-    # beyond about 1.3e154 |x|^2 overflows, but the filter squares the data
-    # less the first point, whose spread is 1e-10 of the scale. At -1e160
-    # every other point moves to +1e160, so the spread overflows too and
-    # every pair is a candidate. The direct differences, and so the
-    # centers, are still finite.
+    # points at a scale whose squared norms (beyond about 1.3e154) or, with
+    # every other point mirrored, whose spread would overflow are outside
+    # the domain (|x_i| < 2^480, about 3.1e144): greedy_net rejects them.
+    # At its edge, 2^479 with the same sign, the blocked builder's filter,
+    # centered at the first point, gives the loop's centers: a spread of
+    # 1e-10 of the scale, or one of 2^480 when mirrored.
     rng = np.random.default_rng(11)
-    pts = abs(scale) + rng.random((300, 12)) * (abs(scale) * 1e-10)
-    if scale < 0:
-        pts[::2] *= -1.0
-    eps = abs(scale) * 1.2e-10
+
+    def cloud(s):
+        pts = abs(s) + rng.random((300, 12)) * (abs(s) * 1e-10)
+        if s < 0:
+            pts[::2] *= -1.0
+        return pts, abs(s) * 1.2e-10
+
+    with pytest.raises(ValueError, match="2\\^480"):
+        greedy_net(*cloud(scale))
+    pts, eps = cloud(math.copysign(2.0**479, scale))
     loop = _loop_reference(pts, eps)
     assert 1 < len(loop) < len(pts)
     assert np.array_equal(_greedy_net_blocked(pts, eps), loop)
+    assert np.array_equal(greedy_net(pts, eps).centers, loop)
 
 
 @pytest.mark.parametrize("spread", ["uniform", "clusters"])
 def test_greedy_net_in_low_dimension_where_the_tree_would_overflow(spread):
-    # coordinates of 1e160 overflow the KD-tree's squared distances, where
-    # cKDTree raises ValueError, so d = 3 takes the blocked builder: uniform in
-    # +-1e160 every point is a center, in two clusters 1e150 wide most are
-    # covered
+    # coordinates of 1e160 would overflow the KD-tree's squared distances
+    # (cKDTree raises ValueError): greedy_net rejects them. At 2^479, the
+    # edge of the domain, d = 3 takes the tree: uniform in +-2^479 every
+    # point is a center, in two clusters 1e-10 of it wide most are covered,
+    # and the blocked builder agrees
     rng = np.random.default_rng(17)
-    if spread == "uniform":
-        pts = rng.uniform(-1e160, 1e160, (200, 3))
-    else:
-        pts = (-1.0) ** np.arange(200)[:, None] * 1e160 + rng.standard_normal((200, 3)) * 1e150
-    loop = _loop_reference(pts, 1.2e150)
+
+    def cloud(s):
+        if spread == "uniform":
+            return rng.uniform(-s, s, (200, 3))
+        return (-1.0) ** np.arange(200)[:, None] * s + rng.standard_normal((200, 3)) * (s * 1e-10)
+
+    with pytest.raises(ValueError, match="2\\^480"):
+        greedy_net(cloud(1e160), 1.2e150)
+    s = 2.0**479
+    pts, eps = cloud(s), s * 1.2e-10
+    loop = _loop_reference(pts, eps)
     assert (len(loop) == len(pts)) if spread == "uniform" else (1 < len(loop) < len(pts) // 4)
-    assert np.array_equal(greedy_net(pts, 1.2e150).centers, loop)
-    assert np.array_equal(_greedy_net_tree(pts, 1.2e150), loop)
+    assert np.array_equal(greedy_net(pts, eps).centers, loop)
+    assert np.array_equal(_greedy_net_tree(pts, eps), loop)
+    assert np.array_equal(_greedy_net_blocked(pts, eps), loop)
 
 
 @pytest.mark.parametrize("d,kernel", [(8, "_greedy_net_tree"), (9, "_greedy_net_blocked")])

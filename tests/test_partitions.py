@@ -1,6 +1,8 @@
 """Partition families: exactness oracles, soundness properties, law checks."""
 
+import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,17 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 from padsmooth import partitions
-from padsmooth.geometry import EpsilonNet, _gram_lift, _lift, _lifted, _sq_distances, greedy_net
+from padsmooth.evaluation import _pool_carver
+from padsmooth.geometry import (
+    EpsilonNet,
+    _gram_lift,
+    _greedy_net_blocked,
+    _greedy_net_tree,
+    _lift,
+    _lifted,
+    _sq_distances,
+    greedy_net,
+)
 from padsmooth.partitions import (
     CONTAINED,
     CUT,
@@ -37,6 +49,7 @@ from padsmooth.partitions import (
     wilson_interval,
 )
 from padsmooth.rng import stream
+from padsmooth.smoothing import _blockers
 
 
 def _rand_ball(rng, n, d, radius):
@@ -161,6 +174,22 @@ def test_cube_rejects_bad_construction():
         sample_cube_partition(2, -1.0, stream(5, 4))
     with pytest.raises(ValueError):
         CubePartition(epsilon=1.0, dim=2, shift=np.array([0.9, 0.0]))  # >= width
+
+
+def test_cube_and_carving_reject_nan_from_a_dict():
+    # a NaN shift used to pass the range check, giving int64-min cells and
+    # NaN margins; a NaN center gave NaN margins. JSON's NaN reaches both
+    # through partition_from_dict
+    with pytest.raises(ValueError, match="shift"):
+        CubePartition(epsilon=1.0, dim=2, shift=np.array([np.nan, 0.1]))
+    cube = '{"family": "cube", "epsilon": 1.0, "dim": 2, "shift": [NaN, 0.1], "seed": null}'
+    with pytest.raises(ValueError, match="shift"):
+        partition_from_dict(json.loads(cube))
+    part, _ = _small_carving(19)
+    payload = part.to_dict()
+    payload["net"]["centers"][1][0] = float("nan")
+    with pytest.raises(ValueError, match="2\\^480"):
+        partition_from_dict(json.loads(json.dumps(payload)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,23 +527,29 @@ def test_batched_trial_kernel_keeps_a_capture_at_the_last_column():
 
 @pytest.mark.parametrize("offset", [1.0, 1e10])
 def test_ball_kernels_decide_rows_whose_squared_norms_overflow(offset):
-    # a d=12 net at spacing 1.2e150 of 400 points offset by +-1e160 in
-    # turn: about the net's first center the other cluster's squared norms
-    # overflow, so every band is inf and no Gram d2 can propose a
-    # candidate; each point takes every center, as a one-point call does.
-    # With the points offset by 1e150, only the queries moved out by 1e160
-    # overflow, in a batch with captured rows.
+    # a d=12 net of 400 points at spacing 1.2 s, s = 1e150, either offset
+    # by +-1e160 in turn or with every third query moved out by 1e160,
+    # would square beyond float64 about the net's first center: the net, or
+    # the carving's margins of those queries, reject them. At the edge of
+    # the domain (s = 1e-10 2^479, moves of 2^479) every band about the
+    # first center is finite, for the other cluster's points as for the
+    # moved queries, so the float64 filter takes the batch and both kernels
+    # give the reference's bits, with captured rows among them.
     rng = np.random.default_rng(41)
-    d, s, trials, p = 12, 1e150, 3, 50
+    d, trials, p = 12, 3, 50
     sign = (-1.0) ** np.arange(400)[:, None] if offset > 1.0 else 1.0
+    with pytest.raises(ValueError, match="2\\^480"):
+        greedy_net((rng.standard_normal((400, d)) + sign * offset) * 1e150, 1.2e150)
+    s = 2.0**479 * 1e-10
     src = (rng.standard_normal((400, d)) + sign * offset) * s
     net = greedy_net(src, 1.2 * s)
     parts = [sample_ball_carving(net, 4.8 * s, rng) for _ in range(trials)]
     pts = src[rng.integers(0, 400, (trials, p))] + rng.standard_normal((trials, p, d)) * (0.1 * s)
     if offset == 1.0:
-        pts[:, ::3] += 1e160
-    wide = ~np.isfinite(_lift(pts.reshape(-1, d), net.centers[0], net.lifted)[1])
-    assert wide.all() if offset > 1.0 else 0 < wide.sum() < len(wide)
+        with pytest.raises(ValueError, match="2\\^480"):
+            parts[0].margins(pts[0] + 1e160)
+        pts[:, ::3] += 2.0**479
+    assert np.isfinite(_lift(pts.reshape(-1, d), net.centers[0], net.lifted)[1]).all()
     cells, off, margins = parts[0]._assign_trials(parts, pts)
     captured = 0
     for q, x, c, o, m in zip(parts, pts, cells, off, margins):
@@ -527,10 +562,13 @@ def test_ball_kernels_decide_rows_whose_squared_norms_overflow(offset):
 
 @pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 def test_ball_assign_in_low_dimension_where_the_tree_would_overflow(order):
-    # centers at (+-1e160, 0) overflow the KD-tree's squared distances, where
-    # cKDTree raises ValueError, so a batch of 64 points or more takes the
-    # dense kernel, as a 10-point call does
-    centers = np.array([[1e160, 0.0], [-1e160, 0.0], [0.0, 0.0]])
+    # centers at (+-1e160, 0) would overflow the KD-tree's squared distances
+    # (cKDTree raises ValueError): the net rejects them. At (+-2^479, 0), the
+    # edge of the domain, a batch of 64 points or more takes the tree, with
+    # the bits of the dense kernel, of a 10-point call and of the reference
+    with pytest.raises(ValueError, match="2\\^480"):
+        EpsilonNet(centers=np.array([[1e160, 0.0], [-1e160, 0.0], [0.0, 0.0]]), epsilon=0.25, source_count=3)
+    centers = np.array([[2.0**479, 0.0], [-(2.0**479), 0.0], [0.0, 0.0]])
     net = EpsilonNet(centers=centers, epsilon=0.25, source_count=3)
     part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array(order))
     X = np.random.default_rng(5).uniform(-1.0, 1.0, (100, 2))
@@ -538,7 +576,48 @@ def test_ball_assign_in_low_dimension_where_the_tree_would_overflow(order):
     assert 0 < np.count_nonzero(want[1]) < len(X)
     _assert_same_bits(ball_assign(part, X), want)
     _assert_same_bits(_ball_assign_tree(part, X), want)
+    _assert_same_bits(_ball_assign_dense(part, X), want)
     _assert_same_bits(ball_assign(part, X[:10]), tuple(a[:10] for a in want))
+
+
+@pytest.mark.parametrize("d", [2, 3, 20, 300])
+def test_every_kernel_at_the_edge_of_the_coordinate_domain(d):
+    # two clusters at opposite corners +-2^479 (the domain is |x_i| < 2^480),
+    # 1e-10 of that wide, and queries near them, at the origin and on the
+    # far corner: spreads, squared norms and nearest-center distances are
+    # then near their largest. Both net builders agree, the tree, dense and
+    # trial kernels and a one-point call give the reference's bits, the
+    # game's pool carver its cells, and scheme B's blockers hold every
+    # earlier center within 2R, all with warnings as errors
+    rng = np.random.default_rng(d)
+    s = 2.0**479
+    w = s * 1e-10
+    src = (-1.0) ** np.arange(200)[:, None] * s + rng.standard_normal((200, d)) * w
+    e = w * math.sqrt(2.0 * d)  # about the distance between two points of a cluster
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = _greedy_net_tree(src, e)
+        assert 2 < len(tree) < len(src)
+        assert np.array_equal(_greedy_net_blocked(src, e), tree)
+        net = EpsilonNet(centers=tree, epsilon=e, source_count=len(src))
+        parts = [sample_ball_carving(net, 4.0 * e, rng) for _ in range(2)]
+        X = np.vstack([src[rng.integers(0, 200, 60)] + rng.standard_normal((60, d)) * w,
+                       np.zeros((1, d)), np.full((1, d), -s), np.full((1, d), math.nextafter(2.0**480, 0.0))])
+        trials = parts[0]._assign_trials(parts, np.stack([X, X]))
+        for i, part in enumerate(parts):
+            want = _direct_reference(part, X)
+            assert 0 < np.count_nonzero(want[1]) < len(X)
+            _assert_same_bits(_ball_assign_tree(part, X), want)
+            _assert_same_bits(_ball_assign_dense(part, X), want)
+            _assert_same_bits(_ball_assign_dense(part, X[-1:]), tuple(a[-1:] for a in want))
+            _assert_same_bits(tuple(a[i] for a in trials), want)
+            assert np.array_equal(_pool_carver(X, net, 2.0 * e)(part), want[0])
+            cells = np.arange(len(net))
+            within = np.linalg.norm(net.centers[:, None] - net.centers[None], axis=2) <= 2.0 * part.radius
+            for u, near in zip(cells, _blockers(part, cells)):
+                earlier = within[u] & (part.ranks < part.ranks[u])
+                assert set(earlier.nonzero()[0]) <= set(near.tolist())
+                assert (part.ranks[near] < part.ranks[u]).all()
 
 
 def _equal_root_centers(d):
@@ -714,19 +793,28 @@ def test_a_net_wide_against_its_radius_takes_the_float64_filter():
 
 
 def test_a_wide_net_far_from_the_origin_takes_the_float64_filter():
-    # the clusters above, 1e4 R apart with R = 3e147, offset by 1e160:
-    # about the origin every squared norm overflows, about the net's first
-    # center the spread does not, so the batch filters in float64 in one
+    # the clusters above, 1e4 R apart: offset by 1e160 (R = 3e147) the net
+    # rejects them, as every squared norm about the origin would overflow.
+    # Offset by 2^479 (R = 3e-13 2^479), the float64 band about the origin
+    # is above R^2, where a filter proposes every pair, but about the net's
+    # first center it is narrow, so the batch filters in float64 in one
     # call, and no point goes alone
     rng = np.random.default_rng(23)
-    d, R, trials, p = 3, 3e147, 3, 40
-    near = rng.random((150, d)) * 8.0 * R
-    centers = np.vstack([near, near + 1e4 * R]) + 1e160
+    d, trials, p = 3, 3, 40
+
+    def clusters(R, offset):
+        near = rng.random((150, d)) * 8.0 * R
+        return np.vstack([near, near + 1e4 * R]) + offset
+
+    with pytest.raises(ValueError, match="2\\^480"):
+        EpsilonNet(centers=clusters(3e147, 1e160), epsilon=1.5e147, source_count=300)
+    R = 2.0**479 * 3e-13
+    centers = clusters(R, 2.0**479)
     net = EpsilonNet(centers=centers, epsilon=R / 2.0, source_count=len(centers))
     parts = [BallCarvingPartition(net=net, epsilon=2.0 * R, radius=R, order=rng.permutation(len(centers)))
              for _ in range(trials)]
     pts = centers[rng.integers(0, len(centers), (trials, p))] + rng.standard_normal((trials, p, d)) * R
-    assert not np.isfinite(_lift(pts.reshape(-1, d), 0.0, _lifted(centers))[1]).any()
+    assert (_lift(pts.reshape(-1, d), 0.0, _lifted(centers))[1] > R * R).all()
     _filtered_in_float64(parts, pts)
 
 

@@ -810,14 +810,19 @@ def test_gaussian_conditioned_small_sigma_tracks_data():
 
 
 def test_gaussian_conditioned_rejects_overflowing_queries():
+    # a query whose squared distances to the pool would overflow is outside
+    # the domain (|x_i| < 2^480): the classifier rejects it before any
+    # arithmetic. At the domain's edge the nearest pool point keeps weight 1
     task = two_discs_task()
     g = gaussian_smoothing(task.ground_truth_classifier(), sigma=0.5, n=200,
                            rng=np.random.default_rng(57), task=task)
+    edge = math.nextafter(2.0**480, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the ValueError comes before any RuntimeWarning
-        with pytest.raises(ValueError, match="overflow"):
-            g(np.array([[0.0, 0.0], [1e300, 1e300]]))
-        assert g(np.array([[1e150, 1e150]]))[0] in (-1, 1)
+        for far in (1e150, 1e300):
+            with pytest.raises(ValueError, match="2\\^480"):
+                g(np.array([[0.0, 0.0], [far, far]]))
+        assert set(g(np.array([[edge, -edge], [-(2.0**479), 2.0**479]])).tolist()) <= {-1, 1}
 
 
 def test_gaussian_conditioned_tiny_sigma_labels_by_nearest_pool_point_or_raises():
