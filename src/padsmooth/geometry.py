@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -48,9 +49,10 @@ _TREE_MAX_DIM = 4
 """Largest dimension in which `ball_assign` takes a batch's candidate
 centers from a KD-tree over the net instead of the Gram filter.
 
-With the float32 filter the tree is level with the dense kernel on a d=3
-net of 2866 centers, 1.3x ahead at 6275 and about 3x at d=4, but behind
-at d=5 and on nets of a few hundred centers (BENCH_16.json).
+With the dual-tree candidate pairs the tree is 1.5x ahead of the dense
+kernel on d=3 nets of 2909 centers, 1.7x at 6321 and about 3x on a d=4
+net of 13780, but 2x behind at d=5 (21526 centers) and up to 18x behind on
+nets of a few hundred centers whose 2R-balls span the data (BENCH_20.json).
 """
 
 _NET_TREE_MAX_DIM = 8
@@ -58,20 +60,21 @@ _NET_TREE_MAX_DIM = 8
 over a KD-tree; above it, a block of points at a time with one Gram product
 per block (`_greedy_net_blocked`).
 
-The crossover depends on the number of points as well as on d: with its
-float32 filter the blocked kernel wins from d=4 on at 4000 unit-ball points
-(3.6x at d=8), while at lipschitz_curves' 30000 the two are level at d=4
-and 5, the tree wins at d=6 and the blocked kernel at d=8 by 1.3x
-(BENCH_16.json), so a move has to be measured at both sizes.
+The crossover depends on the number of points as well as on d: with
+blocked cover marking the tree kernel wins at d=4 and 5 on 4000 unit-ball
+points and the blocked kernel from d=6 on (2.1x at d=8), while at
+lipschitz_curves' 30000 the tree wins up to d=7 and the two are level at
+d=8 (BENCH_20.json), so a move has to be measured at both sizes.
 """
 
 _TREE_MIN_BATCH = 64
 """Smallest batch `ball_assign` sends down the tree path, so one-point
 certificates and Lipschitz probes stay on the dense path.
 
-A tree call costs about 60 us however small its batch; in d=2 the dense
-kernel wins at 64 points on nets of up to about 300 centers and at one point
-up to about 1500, the tree beyond (BENCH_16.json).
+A dual-tree call costs about 80 us however small its batch; in d=2 the
+dense kernel wins at 64 points on nets of up to a few hundred centers, is
+level with the tree at about 1500 and loses beyond, and at one point it
+wins up to about 3300 centers (BENCH_20.json).
 """
 
 _TILE = 1 << 17
@@ -258,9 +261,10 @@ def greedy_net(points, epsilon: float) -> EpsilonNet:
     The first point is always a center; each later point becomes a center
     exactly when it is >= epsilon from all existing centers. Deterministic
     given the input order. Up to dimension 8 the centers come from cover
-    marking over a KD-tree, above it from blocks of points filtered by one
-    Gram product each; both decide with the same squared-difference test
-    and give the same center set, bit for bit.
+    marking over a KD-tree, 32 uncovered points at a time
+    (`_greedy_net_tree`), above it from blocks of points filtered by one
+    Gram product each (`_greedy_net_blocked`); both decide with the same
+    squared-difference test and give the same center set, bit for bit.
     """
     pts = as_points(points)
     _check_spacing(epsilon)
@@ -314,9 +318,7 @@ def _greedy_net_blocked(pts: Array, epsilon: float) -> Array:
         if row.size:
             row, col = a[row], a[col]
             close = _sq_diffs(blk, col, blk, row) < e2
-            for p, q in zip(row[close].tolist(), col[close].tolist()):
-                if alive[q]:
-                    alive[p] = False
+            _in_order(alive, row[close], col[close])
             a = alive.nonzero()[0]
         cols[:, k : k + len(a)] = cols[:, k + a]
         keep[k : k + len(a)] = i + a
@@ -337,26 +339,50 @@ def _sq_diffs(A, ia, B, ib):
     return out
 
 
-def _greedy_net_tree(pts: Array, epsilon: float) -> Array:
-    """Centers of the input-order greedy net by cover marking.
+def _in_order(alive, row, col) -> None:
+    """The greedy loop inside a block: for each pair (p, q) of its points
+    within epsilon, q earlier, sorted by p, p dies where q is still alive.
+    So each point sees the points before it decided."""
+    for p, q in zip(row.tolist(), col.tolist()):
+        if alive[q]:
+            alive[p] = False
 
-    A point is a center exactly when no earlier center covered it; each new
-    center marks the points strictly within epsilon of it as covered. The
-    tree only proposes neighbours; the mark is the loop's own test, the
-    squared difference from the center below epsilon**2.
+
+def _greedy_net_tree(pts: Array, epsilon: float) -> Array:
+    """Centers of the input-order greedy net by cover marking, a block of up
+    to 32 uncovered points at a time.
+
+    A point is a center exactly when no earlier center covers it. A block
+    takes the next uncovered points in input order, up to 32 of the next
+    512. No earlier center covers them, so their pairwise squared
+    differences decide in order which of them become centers (`_in_order`).
+    Then one batched tree query from the block's new centers marks every
+    point they cover: `query_ball_point` over the batch, since the centers
+    lie scattered, where a dual-tree query prunes little and took twice as
+    long. The tree only proposes neighbours; every decision is the loop's
+    own test, the squared difference below epsilon**2.
     """
+    e2 = epsilon * epsilon
     reach = _search_radius(epsilon, pts)
     tree = cKDTree(pts)
     covered = np.zeros(len(pts), dtype=bool)
     keep = []
-    for i in range(len(pts)):
-        if covered[i]:
-            continue
-        keep.append(i)
-        near = np.asarray(tree.query_ball_point(pts[i], reach), dtype=np.intp)
-        diff = pts[i] - pts[near]
-        covered[near[np.einsum("ij,ij->i", diff, diff) < epsilon * epsilon]] = True
-    return pts[keep]
+    below = np.tril_indices(32, -1)  # (p, q), q < p, by p: a block of m takes the first m (m - 1) / 2
+    i = 0
+    while i < len(pts):
+        blk = i + np.flatnonzero(~covered[i : i + 512])[:32]
+        i = blk[-1] + 1 if len(blk) == 32 else i + 512
+        row, col = (a[: len(blk) * (len(blk) - 1) // 2] for a in below)
+        close = _sq_diffs(pts, blk[col], pts, blk[row]) < e2
+        alive = np.ones(len(blk), dtype=bool)
+        _in_order(alive, row[close], col[close])
+        new = blk[alive]
+        keep.append(new)
+        near = tree.query_ball_point(pts[new], reach, return_sorted=False)
+        sizes = np.fromiter(map(len, near), dtype=np.intp, count=len(new))
+        pt = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(sizes.sum()))
+        covered[pt[_sq_diffs(pts, np.repeat(new, sizes), pts, pt) < e2]] = True
+    return pts[np.concatenate(keep)]
 
 
 def estimate_doubling_dimension(points, epsilon: float) -> float:

@@ -60,10 +60,10 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import (
     _TILE,
@@ -205,7 +205,13 @@ class CubePartition:
 
 
 def _lattice_cells(pts, shift, width) -> Array:
-    return np.floor((pts - shift) / width).astype(np.int64)
+    """int64 cells floor((x - shift) / width), or ValueError where one
+    would leave int64, [-2^63, 2^63)."""
+    with np.errstate(over="ignore"):  # inf fails the check below
+        cells = np.floor((pts - shift) / width)
+    if not (-(2.0**63) <= cells.min(initial=0.0) and cells.max(initial=0.0) < 2.0**63):
+        raise ValueError("points lie too far from the lattice origin for int64 cell coordinates")
+    return cells.astype(np.int64)
 
 
 def _lattice_margins(pts, shift, width) -> Array:
@@ -542,12 +548,31 @@ def _ball_assign_tree(part: BallCarvingPartition, pts: Array):
 
 def _tree_pairs(net: EpsilonNet, X: Array, r):
     """(row, starts, dist, center) of the pairs of X's points with the
-    centers the net's KD-tree finds within r of them (a scalar or one
-    radius per point), grouped by point as `_decide` takes them."""
-    near = net.tree.query_ball_point(X, r, return_sorted=False)
-    sizes = np.fromiter(map(len, near), dtype=np.intp, count=len(X))
-    cand = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(sizes.sum()))
-    row = np.repeat(np.arange(len(X)), sizes)
+    centers within r of them (a scalar or one radius per point), grouped by
+    point as `_decide` takes them, with their direct distances.
+
+    Each band of points whose radii share a binary exponent, so lie within a
+    factor 2, is one dual-tree query of a tree over them against the net's
+    at the band's largest radius (`cKDTree.sparse_distance_matrix`), and
+    each point keeps the pairs whose tree distance is within its own radius:
+    those of `net.tree.query_ball_point` at that radius, plus at most pairs
+    whose tree distance rounds to exactly it. One far-off point does not
+    make the others pay its radius. One stable argsort groups the pairs.
+    """
+    r = np.broadcast_to(np.asarray(r, dtype=np.float64), (len(X),))
+    band = np.frexp(r)[1]
+    row, cand = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for b in np.unique(band):
+        sel = (band == b).nonzero()[0]
+        # leaves of 8, not 16: a small scattered batch's tree prunes more, and 4096 points take as long
+        found = cKDTree(X[sel], leafsize=8).sparse_distance_matrix(net.tree, r[sel].max(), output_type="ndarray")
+        found = found[found["v"] <= r[sel][found["i"]]]
+        row.append(sel[found["i"]])
+        cand.append(found["j"])
+    row, cand = np.concatenate(row), np.concatenate(cand)
+    by = np.argsort(row, kind="stable")
+    row, cand = row[by], cand[by]
+    sizes = np.bincount(row, minlength=len(X))
     starts = (np.cumsum(sizes) - sizes)[sizes > 0]
     return row, starts, _direct_distances(X[row], net.centers[cand]), cand
 

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .geometry import _lifted, _search_radius, _sq_distances, as_points
-from .partitions import CubePartition, _direct_distances, partition_from_dict
+from .partitions import CubePartition, _direct_distances, _tree_pairs, partition_from_dict
 from .tasks import BlackBoxClassifier, Task
 
 
@@ -505,13 +505,14 @@ def _cube_samples(part, cells, s: int, base_seed: int) -> np.ndarray:
 
 def _blockers(part, cells) -> list:
     """For each carved cell u, the centers before u in carving order that lie
-    within 2R of it (by the tree path's superset radius): the only ones
-    that can take a point of B_R(u) away from u."""
+    within 2R of it (by the tree path's superset radius, from `_tree_pairs`):
+    the only ones that can take a point of B_R(u) away from u."""
     net, ranks = part.net, part.ranks
     centers = net.centers[cells]
     reach = _search_radius(2.0 * part.radius, net.centers, np.abs(centers) + part.radius)
-    near = net.tree.query_ball_point(centers, reach)
-    return [np.array(ws, dtype=np.intp)[ranks[ws] < ranks[u]] for u, ws in zip(cells.tolist(), near)]
+    row, _, _, near = _tree_pairs(net, centers, reach)
+    earlier = ranks[near] < ranks[cells][row]
+    return np.split(near[earlier], np.cumsum(np.bincount(row[earlier], minlength=len(cells)))[:-1])
 
 
 def _cell_member(part, cell: int, blockers):

@@ -154,6 +154,64 @@ def test_greedy_net_tree_equals_loop_in_unit_balls(d):
         assert np.array_equal(greedy_net(pts, eps).centers, loop)
 
 
+def _isolated(k, d):
+    """k points 10 apart on the first axis, far from the origin's unit ball:
+    centers of any net of spacing <= 1, which put what follows them at a
+    chosen place in the tree kernel's blocks of 32."""
+    pts = np.zeros((k, d))
+    pts[:, 0] = 10.0 * np.arange(1, k + 1)
+    return pts
+
+
+def _assert_nets_agree(pts, eps):
+    loop = _loop_reference(pts, eps)
+    assert np.array_equal(_greedy_net_tree(pts, eps), loop)
+    assert np.array_equal(_greedy_net_blocked(pts, eps), loop)
+    return loop
+
+
+@pytest.mark.parametrize("lead", [0, 1, 29, 30, 31, 32, 63])
+@pytest.mark.parametrize("d", [1, 3])
+def test_greedy_net_tree_at_block_boundaries(lead, d):
+    # lead isolated centers first, so the cases below start at every place
+    # in and across the tree kernel's first two blocks of 32 uncovered points
+    eps = 0.5
+    head = _isolated(lead, d)
+
+    def case(tail):
+        return _assert_nets_agree(np.vstack([head, tail]), eps)[lead:]
+
+    # a chain p, q, r: p covers q, q would cover r but is no center, so r is
+    line = np.zeros((3, d))
+    line[:, 0] = [0.0, 0.3, 0.6]
+    assert np.array_equal(case(line), line[[0, 2]])
+    # a pair exactly eps apart: the test is strict, so both are centers
+    pair = np.zeros((2, d))
+    pair[1, 0] = eps
+    assert np.array_equal(case(pair), pair)
+    # duplicates: one center
+    assert np.array_equal(case(np.full((70, d), 0.25)), np.full((1, d), 0.25))
+    # a sorted line 0.1 eps apart: a center every 10 points
+    walk = np.zeros((200, d))
+    walk[:, 0] = np.arange(200) * (0.1 * eps)
+    assert np.array_equal(case(walk), walk[::10])
+    # more uncovered points than one block, then points they cover
+    many = _isolated(80, d) + 0.5
+    cover = many + 0.2 * eps
+    assert np.array_equal(case(np.vstack([many, cover])), many)
+
+
+def test_greedy_net_tree_equals_both_kernels_over_many_blocks():
+    # random and sorted inputs several blocks long, with clusters whose
+    # points fall in one block and across blocks
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 5):
+        pts = np.vstack([rng.random((1500, d)), rng.random((3, d))[rng.integers(0, 3, 300)] + rng.standard_normal((300, d)) * 0.01])
+        for eps in (0.02, 0.1, 0.3):
+            _assert_nets_agree(pts[rng.permutation(len(pts))], eps)
+            _assert_nets_agree(pts[np.argsort(pts[:, 0], kind="stable")], eps)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     d=st.integers(9, 50),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from padsmooth import partitions
@@ -21,6 +22,7 @@ from padsmooth.geometry import (
     _greedy_net_tree,
     _lift,
     _lifted,
+    _search_radius,
     _sq_distances,
     greedy_net,
 )
@@ -33,6 +35,7 @@ from padsmooth.partitions import (
     _TILE,
     _ball_assign_dense,
     _ball_assign_tree,
+    _tree_pairs,
     ball_assign,
     ball_cell_member,
     cells_of,
@@ -174,6 +177,34 @@ def test_cube_rejects_bad_construction():
         sample_cube_partition(2, -1.0, stream(5, 4))
     with pytest.raises(ValueError):
         CubePartition(epsilon=1.0, dim=2, shift=np.array([0.9, 0.0]))  # >= width
+
+
+def test_cube_cells_reject_points_whose_cells_leave_int64():
+    # floor((x - shift) / width) beyond int64 used to wrap to -2^63 with only
+    # a RuntimeWarning, so far points shared a bogus cell key; every entry
+    # that computes cells raises instead, at 1e19 and at the domain's edge
+    part = CubePartition(epsilon=1.0, dim=2, shift=np.zeros(2))
+    for far in (1e19, -1e19, 2.0**479, -(2.0**479)):
+        with pytest.raises(ValueError, match="int64"):
+            part.cells([[far, 0.0]])
+        with pytest.raises(ValueError, match="int64"):
+            cells_of(part, [[0.0, 0.0], [0.0, far]])
+        with pytest.raises(ValueError, match="int64"):
+            estimate_lipschitz_constant(lambda r: part, lambda r, dist: ([0.0, 0.0], [far, 0.0]), [1.0], 2,
+                                        stream(5, 5), epsilon=1.0)
+    # just inside the bound: the largest x with x / width below 2^63, and
+    # -2^63 itself in one dimension, where the width is 1
+    x = 2.0**63 * part.width
+    while x / part.width >= 2.0**63:
+        x = math.nextafter(x, 0.0)
+    assert part.cells([[x, -x]]).tolist() == [[int(math.floor(x / part.width)), int(math.floor(-x / part.width))]]
+    line = CubePartition(epsilon=1.0, dim=1, shift=np.zeros(1))
+    edge = math.nextafter(2.0**63, 0.0)
+    assert line.cells([[-(2.0**63)], [edge]]).ravel().tolist() == [-(2**63), int(edge)]
+    cells, _, _ = CubePartition._assign_trials([line], np.array([[[-(2.0**63)], [edge]]]))
+    assert cells.ravel().tolist() == [-(2**63), int(edge)]
+    with pytest.raises(ValueError, match="int64"):
+        line.cells([[2.0**63]])
 
 
 def test_cube_and_carving_reject_nan_from_a_dict():
@@ -334,6 +365,43 @@ def test_ball_kernels_capture_points_at_exactly_r(d):
         assert not off.any()
         assert np.array_equal(cells, want)
         assert (margins == 0.0).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_tree_pairs_equal_per_point_ball_queries(d):
+    # _tree_pairs' contract: for a scalar radius and for one radius per point
+    # (the lost-point query's nearest-neighbour radii, with one point 100x
+    # farther off than the rest, and radii spread within a factor 2, which
+    # share a band), the pairs of net.tree.query_ball_point at each point's
+    # own radius, grouped by point as _decide takes them
+    rng = np.random.default_rng(40 + d)
+    net = greedy_net(rng.random((400, d)), 0.1)
+    X = rng.random((300, d)) * 1.4 - 0.2
+    X[7] = 100.0  # about 100x as far from the net as any other point
+    near = net.tree.query(X)[0]
+    assert near[7] > 50.0 * np.delete(near, 7).max()
+    queries = []
+
+    class Spy(cKDTree):
+        def sparse_distance_matrix(self, other, max_distance, **kw):
+            queries.append((self.data.copy(), max_distance))
+            return super().sparse_distance_matrix(other, max_distance, **kw)
+
+    index = {x.tobytes(): i for i, x in enumerate(X)}
+    for r in (0.15, _search_radius(near, X, net.centers), 0.15 * rng.uniform(1.0, 1.9, len(X))):
+        queries.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partitions, "cKDTree", Spy)
+            row, starts, dist, cand = _tree_pairs(net, X, r)
+        radius = np.broadcast_to(r, len(X))
+        for data, top in queries:  # each query's radius is within a factor 2 of its points' own
+            assert top < 2.0 * radius[[index[x.tobytes()] for x in data]].min()
+        want = [(i, j) for i in range(len(X)) for j in net.tree.query_ball_point(X[i], radius[i])]
+        assert len(row) == len(want) and set(zip(row.tolist(), cand.tolist())) == set(want)
+        assert (np.diff(row) >= 0).all()  # one contiguous run per point
+        assert np.array_equal(starts, np.flatnonzero(np.diff(row, prepend=-1)))
+        assert np.array_equal(dist, partitions._direct_distances(X[row], net.centers[cand]))
+        assert (dist <= radius[row] * (1.0 + 1e-12)).all()  # no pair beyond its own radius
 
 
 def _direct_reference(part, X, rows=64):
