@@ -39,7 +39,7 @@ from .partitions import (
     sample_cube_partition,
     wilson_interval,
 )
-from .smoothing import SmoothedClassifier, _table_keys, smooth_exact
+from .smoothing import SmoothedClassifier, smooth_exact
 from .tasks import (
     SPHERE_MIDDLE,
     BlackBoxClassifier,
@@ -503,7 +503,7 @@ def oblivious_game_simulate(
     for i in range(rounds):
         if i % refresh_every == 0:
             part = draw()
-            pool_keys = _table_keys(pool_cells(part))
+            pooled = pool_cells(part)  # the pool's cells under this partition
             adversary.notify_refresh()
         x, yl = task.sample(rng, 1)
         x = x[0]
@@ -513,7 +513,7 @@ def oblivious_game_simulate(
             faults += 1
             xp = x
         cell = part.cells(xp[None])
-        voters = pool_keys == _table_keys(cell)[0]
+        voters = (pooled == cell).reshape(pool, -1).all(axis=1)
         if voters.any():  # sums of +-1 are exact in any order
             ans = 1 if f_pool[voters].sum() >= 0 else -1
         else:

@@ -13,11 +13,15 @@ captures it: in 26% of the occupied cells of a d=2 circles carving and
 another cell.
 
 The classifier keeps its cells in one table of arrays sorted by cell key
-(a cube cell's int64 row viewed as one np.void, a carved cell's center
-index) and looks queries up with np.searchsorted, so no path that builds,
-tallies or evaluates cells makes a Python object per cell. The
-cell_labels, sample_counts and flagged_cells dicts are views of the
-table, built on first access; assigning cell_labels rebuilds the table.
+(a cube cell's uint64 fingerprint, a carved cell's center index) and
+looks queries up with np.searchsorted, so no path that builds, tallies or
+evaluates cells makes a Python object per cell. A cube cell's int64 row
+is stored beside its fingerprint and confirms every match the
+fingerprint proposes; distinct rows with one fingerprint are ordered and
+matched by their row bytes, so a fingerprint collision costs time but
+never changes an output. The cell_labels, sample_counts and
+flagged_cells dicts are views of the table, built on first access;
+assigning cell_labels rebuilds the table.
 
 Estimators:
 
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from itertools import compress
 from pathlib import Path
 from typing import Callable
@@ -65,13 +70,16 @@ def _sgn(values) -> np.ndarray:
 class SmoothedClassifier:
     """Piecewise-constant classifier over a partition.
 
-    The cell table is four aligned arrays sorted by cell key: the keys (a
-    cube cell's (d,) int64 row viewed as one np.void of 8 d bytes, a carved
-    cell's int64 center index), int8 labels, int64 vote counts (-1 where
-    none is recorded) and a bool mask of the cells that missed their vote
-    quota (scheme B: a stuck walk, or no start found and the anchor
-    fallback). evaluate finds cells with np.searchsorted; unknown cells are
-    labeled by the base classifier at the cell anchor.
+    The cell table is five aligned arrays in table order (see _distinct):
+    the keys (a cube cell's uint64 fingerprint, a carved cell's int64
+    center index), the cells (a cube cell's (d,) int64 row; a carving's
+    keys again), int8 labels, int64 vote counts (-1 where none is
+    recorded) and a bool mask of the cells that missed their vote quota
+    (scheme B: a stuck walk, or no start found and the anchor fallback).
+    evaluate finds cells with np.searchsorted on the keys and confirms a
+    cube cell's match on its row, so cells are equal exactly when their
+    rows are; unknown cells are labeled by the base classifier at the
+    cell anchor.
 
     cell_labels, sample_counts and flagged_cells are dict and set views of
     the table, keyed by tuples of ints for cubes and ints for carvings.
@@ -79,8 +87,8 @@ class SmoothedClassifier:
     editing a view's dict does not reach the table. Assigning a mapping to
     cell_labels rebuilds the table, keeping the counts and flags of the
     cells it still holds. The constructor rejects labels other than -1 and
-    +1, negative counts, keys that are not cells of the partition, and
-    counts or flags of cells without a label.
+    +1, counts that are not integers in [0, 2^63), keys that are not cells
+    of the partition, and counts or flags of cells without a label.
 
     A scheme-B classifier resolves fresh cells into the classifier that
     evaluate is called on, so a copy.copy resolves into its own table and
@@ -106,22 +114,23 @@ class SmoothedClassifier:
 
     @classmethod
     def _of_table(cls, partition, table, base, scheme: str, provenance: dict) -> "SmoothedClassifier":
-        """A classifier over (keys, labels, counts, flagged) arrays, keys
-        sorted and distinct."""
+        """A classifier over (keys, cells, labels, counts, flagged) arrays,
+        cells distinct and in table order."""
         clf = cls(partition, {}, base, scheme, provenance=provenance)
         clf._set_table(*table)
         return clf
 
-    def _set_table(self, keys, labels, counts, flagged) -> None:
-        self._keys, self._labels, self._counts, self._flagged = keys, labels, counts, flagged
+    def _set_table(self, keys, cells, labels, counts, flagged) -> None:
+        self._keys, self._cells, self._labels, self._counts, self._flagged = keys, cells, labels, counts, flagged
         self._views = {}  # replaced, never cleared: a shallow copy may share the old one
 
-    def _insert(self, keys, labels, counts, flagged) -> None:
-        """Add cells that are not in the table, keys sorted and distinct, at
-        their searchsorted positions."""
-        at = np.searchsorted(self._keys, keys)
-        old = (self._keys, self._labels, self._counts, self._flagged)
-        self._set_table(*(np.insert(a, at, v) for a, v in zip(old, (keys, labels, counts, flagged))))
+    def _insert(self, keys, cells, labels, counts, flagged) -> None:
+        """Add cells that are not in the table, distinct and in table
+        order, at the positions _find gives them."""
+        at, _ = _find(self._keys, self._cells, keys, cells)
+        old = (self._keys, self._cells, self._labels, self._counts, self._flagged)
+        new = (keys, cells, labels, counts, flagged)
+        self._set_table(*(np.insert(a, at, v, axis=0) for a, v in zip(old, new)))
 
     @property
     def cell_count(self) -> int:
@@ -134,7 +143,7 @@ class SmoothedClassifier:
         views = self._views
         if name not in views:
             if "keys" not in views:  # one list of key objects for all three views
-                cells = _key_cells(self._keys)
+                cells = self._cells
                 views["keys"] = list(map(tuple, cells.tolist())) if cells.ndim == 2 else cells.tolist()
             views[name] = build(views["keys"])
         return views[name]
@@ -163,7 +172,7 @@ class SmoothedClassifier:
 
     def evaluate(self, points) -> np.ndarray:
         keys, cells, inverse = _cell_index(self.partition, as_points(points))
-        at, known = _find(self._keys, keys)
+        at, known = _find(self._keys, self._cells, keys, cells)
         labels = np.empty(len(keys), dtype=np.int8)
         labels[known] = self._labels[at[known]]
         fresh = ~known
@@ -199,7 +208,7 @@ class SmoothedClassifier:
             cell_labels={key(k): int(lab) for k, lab in payload["cell_labels"].items()},
             base=base,
             scheme=payload.get("scheme", "exact"),
-            sample_counts={key(k): int(c) for k, c in payload.get("sample_counts", {}).items()},
+            sample_counts={key(k): c for k, c in payload.get("sample_counts", {}).items()},
             flagged_cells={key(k) for k in payload.get("flagged_cells", [])},
             provenance=payload.get("provenance", {}),
         )
@@ -212,69 +221,122 @@ class SmoothedClassifier:
         return cls.from_dict(json.loads(Path(path).read_text()), base=base)
 
 
-def _table_keys(cells) -> np.ndarray:
-    """Table keys of part.cells rows: each (d,) int64 cube row viewed as one
-    np.void of 8 d bytes, or the int64 center indices of a carving. np.unique
-    and np.searchsorted order both (voids bytewise, not as tuples)."""
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64 increment, 2^64 / golden ratio
+
+
+def _mix64(z):
+    """splitmix64's output function on a uint64 array, wrapping."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def _fingerprints(rows) -> np.ndarray:
+    """uint64 fingerprint of each (d,) int64 cube row: one wrapping
+    multiply-add of its coordinates with odd splitmix64 weights, through
+    _mix64. Distinct rows may share one; the table then decides on rows."""
+    weights = _mix64(np.arange(1, rows.shape[1] + 1, dtype=np.uint64) * _GAMMA) | np.uint64(1)
+    return _mix64(rows.view(np.uint64) @ weights)
+
+
+def _keyed(cells) -> tuple:
+    """(keys, cells) of part.cells rows: a carving's int64 center indices
+    are their own keys; cube rows, made contiguous int64, are keyed by
+    their fingerprints."""
     if cells.ndim == 1:
-        return cells.astype(np.int64, copy=False)
+        cells = cells.astype(np.int64, copy=False)
+        return cells, cells
     cells = np.ascontiguousarray(cells, dtype=np.int64)
-    return cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1]))).reshape(len(cells))
+    return _fingerprints(cells), cells
 
 
-def _key_cells(keys) -> np.ndarray:
-    """The cells of table keys, the inverse of _table_keys, without a copy."""
-    if keys.dtype.kind != "V":
-        return keys
-    return np.ascontiguousarray(keys).view(np.int64).reshape(len(keys), keys.itemsize // 8)
+def _row_order(keys, cells) -> np.ndarray:
+    """One np.void per cube cell whose bytewise order is the table order:
+    the fingerprint big-endian, then the row's bytes."""
+    n, d = cells.shape
+    both = np.concatenate(
+        (keys.astype(">u8").view(np.uint8).reshape(n, 8), cells.view(np.uint8).reshape(n, 8 * d)), axis=1
+    )
+    return both.view(np.dtype((np.void, 8 + 8 * d))).reshape(n)
+
+
+def _distinct(keys, cells):
+    """(keys, cells, inverse): the distinct cells of keyed cells (see
+    _keyed) in table order, and the position of every input among them.
+
+    Table order is key order; cube cells that share a fingerprint follow
+    the byte order of their rows (_row_order). Rows that share a
+    fingerprint are compared, so two cells are one exactly when their
+    rows are equal.
+    """
+    if cells.ndim == 1:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        return keys, keys, inverse
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    lead = np.ones(len(keys), dtype=bool)  # first of its fingerprint in sorted order
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=lead[1:])
+    twin = np.flatnonzero(~lead[1:])  # order[twin + 1] has the fingerprint of order[twin]
+    if not (cells[order[twin]] == cells[order[twin + 1]]).all():  # a collision: sort by rows too
+        _, first, inverse = np.unique(_row_order(keys, cells), return_index=True, return_inverse=True)
+        return keys[first], cells[first], inverse
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(lead) - 1
+    return sorted_keys[lead], cells[order[lead]], inverse
 
 
 def _cell_index(part, points):
-    """Distinct cells of a batch: (keys, cells, inverse).
-
-    keys are the sorted distinct table keys (see _table_keys), cells the
-    matching rows of part.cells and inverse the key position of every
-    point.
-    """
-    keys, inverse = np.unique(_table_keys(part.cells(points)), return_inverse=True)
-    return keys, _key_cells(keys), inverse
+    """Distinct cells of a batch: (keys, cells, inverse), as _distinct
+    gives them for the rows of part.cells."""
+    return _distinct(*_keyed(part.cells(points)))
 
 
-def _find(table, keys):
-    """(at, found): the searchsorted positions of keys in the sorted table
-    and whether each key is there. Where it is not, `at` is clipped to a
-    valid position, or 0 in an empty table."""
-    at = np.searchsorted(table, keys)
-    if not len(table):
-        return at, np.zeros(len(keys), dtype=bool)
-    np.minimum(at, len(table) - 1, out=at)
-    return at, table[at] == keys
+def _find(table_keys, table_cells, keys, cells):
+    """(at, found): the position of each keyed cell in a table in table
+    order (where an absent cell would be inserted) and whether it is
+    there. A key match is confirmed on the rows for cube cells; where the
+    rows differ, the cell is searched for by (fingerprint, row bytes)."""
+    at = np.searchsorted(table_keys, keys)
+    found = np.zeros(len(keys), dtype=bool)
+    if not len(table_keys):
+        return at, found
+    hit = np.flatnonzero(table_keys[np.minimum(at, len(table_keys) - 1)] == keys)
+    if cells.ndim == 1:
+        found[hit] = True
+        return at, found
+    found[hit] = (table_cells[at[hit]] == cells[hit]).all(axis=1)
+    clash = hit[~found[hit]]
+    if len(clash):
+        table, query = _row_order(table_keys, table_cells), _row_order(keys[clash], cells[clash])
+        at[clash] = np.searchsorted(table, query)
+        found[clash] = table[np.minimum(at[clash], len(table) - 1)] == query
+    return at, found
 
 
 def _table_of(part, cell_labels, sample_counts, flagged_cells) -> tuple:
-    """(keys, labels, counts, flagged) arrays of the dict form, sorted by
-    key; ValueError on what the table cannot hold."""
+    """(keys, cells, labels, counts, flagged) arrays of the dict form, in
+    table order; ValueError on what the table cannot hold."""
     labels = np.array(list(cell_labels.values()))
     if not np.isin(labels, (-1, 1)).all():
         raise ValueError("cell labels must be -1 or +1")
-    keys = _table_keys(part.key_cells(cell_labels))
-    order = np.argsort(keys)
-    keys = keys[order]
+    keys, cells, inverse = _distinct(*_keyed(part.key_cells(cell_labels)))
+    table_labels = np.empty(len(keys), dtype=np.int8)
+    table_labels[inverse] = labels
 
-    def positions(cells, name):
-        at, found = _find(keys, _table_keys(part.key_cells(cells)))
+    def positions(mapping, name):
+        at, found = _find(keys, cells, *_keyed(part.key_cells(mapping)))
         if not found.all():
             raise ValueError(f"{name} holds a cell without a label")
         return at
 
+    values = list(sample_counts.values())
+    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) and 0 <= c < 2**63 for c in values):
+        raise ValueError("sample counts must be integers >= 0 and below 2^63")
     counts = np.full(len(keys), -1, dtype=np.int64)
-    values = np.array(list(sample_counts.values()), dtype=np.int64)
-    if (values < 0).any():
-        raise ValueError("sample counts must be >= 0")
-    counts[positions(sample_counts, "sample_counts")] = values
+    counts[positions(sample_counts, "sample_counts")] = np.array(values, dtype=np.int64)
     flagged = np.zeros(len(keys), dtype=bool)
     flagged[positions(flagged_cells, "flagged_cells")] = True
-    return keys, labels[order].astype(np.int8), counts, flagged
+    return keys, cells, table_labels, counts, flagged
 
 
 def smooth_exact(
@@ -295,7 +357,7 @@ def smooth_exact(
     """
     if per_cell < 1:
         raise ValueError("per_cell must be >= 1")
-    keys = _table_keys(part.key_cells([]))
+    keys, cells = _keyed(part.key_cells([]))
     sums = np.zeros(0)
     counts = np.zeros(0, dtype=np.int64)
     drawn = 0
@@ -304,20 +366,20 @@ def smooth_exact(
         X, _ = task.sample(rng, m)
         drawn += m
         votes = f(X).astype(np.float64)
-        new, _, inverse = _cell_index(part, X)
+        new, new_cells, inverse = _cell_index(part, X)
         new_sums = np.bincount(inverse, weights=votes)
         new_counts = np.bincount(inverse)
         if len(keys):  # merge: vote sums are integers, exact in any order
-            keys, merged = np.unique(np.concatenate((keys, new)), return_inverse=True)
+            keys, cells, merged = _distinct(np.concatenate((keys, new)), np.concatenate((cells, new_cells)))
             sums = np.bincount(merged, weights=np.concatenate((sums, new_sums)))
             counts = np.bincount(merged, weights=np.concatenate((counts, new_counts))).astype(np.int64)
         else:
-            keys, sums, counts = new, new_sums, new_counts
+            keys, cells, sums, counts = new, new_cells, new_sums, new_counts
         if counts.min() >= per_cell:
             break
     return SmoothedClassifier._of_table(
         part,
-        (keys, _sgn(sums), counts, counts < per_cell),
+        (keys, cells, _sgn(sums), counts, counts < per_cell),
         base=f,
         scheme="exact",
         provenance={"per_cell": per_cell, "draws": drawn, "max_draws": max_draws},
@@ -354,10 +416,10 @@ def scheme_a_estimate(f: BlackBoxClassifier, part, unlabeled) -> SmoothedClassif
     if len(pool) == 0:
         raise ValueError("unlabeled pool is empty")
     votes = f(pool).astype(np.float64)
-    keys, _, inverse = _cell_index(part, pool)
+    keys, cells, inverse = _cell_index(part, pool)
     return SmoothedClassifier._of_table(
         part,
-        (keys, _sgn(np.bincount(inverse, weights=votes)), np.bincount(inverse), np.zeros(len(keys), dtype=bool)),
+        (keys, cells, _sgn(np.bincount(inverse, weights=votes)), np.bincount(inverse), np.zeros(len(keys), dtype=bool)),
         base=f,
         scheme="A",
         provenance={"pool": len(pool)},
@@ -473,16 +535,6 @@ _START_ROUNDS = 16
 hit gets the fallback label. A cell filling a share p of its ball is
 missed by all 1024 draws with probability (1 - p)^1024: 36% at p = 1/1000,
 0.003% at p = 1/100."""
-
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64 increment, 2^64 / golden ratio
-
-
-def _mix64(z):
-    """splitmix64's output function on a uint64 array, wrapping."""
-    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> 31)
-
 
 def _cube_samples(part, cells, s: int, base_seed: int) -> np.ndarray:
     """s uniform points in each cube cell, (len(cells) * s, d), cell-major.
@@ -619,7 +671,7 @@ def scheme_b_estimate(
         labels = np.empty(len(keys), dtype=np.int8)
         labels[hit] = _sgn(votes[: len(pts)].astype(np.float64).reshape(-1, s).sum(axis=1))
         labels[~hit] = votes[len(pts) :]
-        clf._insert(np.asarray(keys), labels, np.where(hit, s, 0), stuck | ~hit)
+        clf._insert(np.asarray(keys), cells, labels, np.where(hit, s, 0), stuck | ~hit)
         return labels
 
     clf = SmoothedClassifier(

@@ -170,6 +170,25 @@ def test_cube_shift_is_uniform():
         assert ks.pvalue > 1e-3
 
 
+class _TopDraw:
+    """A generator stand-in whose every uniform draw is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("dim, epsilon", [(1, 1.0), (2, 0.3), (np.int64(7), 3), (20, 0.29), (5, 1e-300)])
+def test_drawn_lattice_equals_the_validated_one(dim, epsilon):
+    for rng in (stream(5, 5, int(dim)), _TopDraw()):
+        part = sample_cube_partition(dim, epsilon, rng)
+        built = CubePartition(epsilon=epsilon, dim=dim, shift=part.shift)  # validates the shift
+        assert type(part.epsilon) is float and type(part.dim) is int and part.seed is None
+        assert (part.epsilon, part.dim, part.width) == (built.epsilon, built.dim, built.width)
+        assert part.shift.dtype == np.float64 and part.shift.tobytes() == built.shift.tobytes()
+        assert ((0 <= part.shift) & (part.shift < part.width)).all()
+        assert part.to_dict() == built.to_dict()
+
+
 def test_cube_rejects_bad_construction():
     with pytest.raises(ValueError):
         sample_cube_partition(0, 1.0, stream(5, 4))

@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from padsmooth import smoothing
+from padsmooth.evaluation import IdentityAdversary, oblivious_game_simulate
 from padsmooth.geometry import EpsilonNet, greedy_net
 from padsmooth.partitions import (
     BallCarvingPartition,
@@ -38,6 +40,7 @@ from padsmooth.smoothing import (
     _carved_starts,
     _cell_member,
     _cube_samples,
+    _fingerprints,
     _walk,
     ball_chord,
     gaussian_smoothing,
@@ -211,13 +214,11 @@ def test_lazy_resolver_gets_every_fresh_cell_once_in_one_call(family):
     g._lazy_resolver = resolve
     labels = g.evaluate(X)
     assert len(calls) == 1
-    fresh, cells = calls[0]
-    # a cube key is its int64 row viewed as one void; compare the rows
-    rows = fresh.view(np.int64).reshape(len(fresh), -1) if fresh.dtype.kind == "V" else fresh
-    fresh = [tuple(row) for row in rows.tolist()] if rows.ndim == 2 else rows.tolist()
+    fresh_keys, cells = calls[0]
+    fresh = [tuple(row) for row in cells.tolist()] if cells.ndim == 2 else cells.tolist()
     assert len(fresh) == len(set(fresh)) and set(fresh) == set(keys) - {keys[0]}
-    want = [tuple(row) for row in cells.tolist()] if cells.ndim == 2 else cells.tolist()
-    assert fresh == want
+    # a cube cell's key is its row's fingerprint, a carved cell's its index
+    assert np.array_equal(fresh_keys, _fingerprints(cells) if cells.ndim == 2 else cells)
     assert np.array_equal(labels, [-1 if key == keys[0] else 1 for key in keys])
 
 
@@ -305,6 +306,64 @@ def test_carving_table_evaluate_equals_dict_reference(seed, data):
     _check_against_reference(part, table, X)
 
 
+def _cube_table_outputs():
+    """Outputs and f-query counts of every path that keys cube cells, on a
+    2-D lattice whose cells hold many points each."""
+    task = two_discs_task()
+    f = BlackBoxClassifier(lambda p: np.where(np.sin(3.0 * p).sum(axis=1) > 0, 1, -1).astype(np.int8))
+    part = sample_cube_partition(2, 0.6, np.random.default_rng(140))
+    X = np.concatenate((task.sample(np.random.default_rng(141), 400)[0],
+                        np.random.default_rng(142).uniform(-6.0, 6.0, (200, 2))))  # unseen cells too
+    out = {}
+    # 20000 draws come in three rounds, so the table is merged twice
+    g = smooth_exact(f, part, task, per_cell=10**6, rng=np.random.default_rng(143), max_draws=20000)
+    out["exact"] = (g.cell_labels, g.sample_counts, g.flagged_cells, g.evaluate(X), f.eval_count)
+    a = scheme_a_estimate(f, part, X[:300])
+    out["A"] = (a.cell_labels, a.sample_counts, a.flagged_cells, a.evaluate(X), f.eval_count)
+    b = scheme_b_estimate(f, part, s=3, k=None, rng=np.random.default_rng(144))
+    first = b.evaluate(X[:150])
+    h = copy.copy(b)  # resolves into its own table
+    out["B"] = (first, h.evaluate(X), h.evaluate(X[::-1]), b.evaluate(X[100:300]), f.eval_count,
+                b.cell_labels, b.sample_counts, b.flagged_cells, h.cell_labels, h.sample_counts, h.flagged_cells)
+    c = SmoothedClassifier(part, h.cell_labels, base=f, scheme="B", sample_counts=h.sample_counts,
+                           flagged_cells=h.flagged_cells)
+    back = SmoothedClassifier.from_dict(c.to_dict(), base=f)
+    c.cell_labels = {**a.cell_labels, **g.cell_labels}
+    out["dicts"] = (c.to_dict(), back.to_dict(), back.evaluate(X), c.evaluate(X), c.sample_counts,
+                    c.flagged_cells, f.eval_count)
+    game = oblivious_game_simulate(task, f, 0.2, 7, 80, IdentityAdversary(), np.random.default_rng(145),
+                                   family="cube", partition_epsilon=0.6, pool=300)
+    out["game"] = (game.errors, f.eval_count)
+    return out
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@pytest.mark.parametrize("fingerprint", [
+    lambda rows: np.zeros(len(rows), dtype=np.uint64),
+    lambda rows: np.where(rows[:, 0] % 2 == 0, np.uint64(7), np.uint64(3)),
+], ids=["constant", "two-valued"])
+def test_cube_outputs_do_not_depend_on_fingerprint_collisions(monkeypatch, fingerprint):
+    want = _cube_table_outputs()
+    monkeypatch.setattr(smoothing, "_fingerprints", fingerprint)
+    got = _cube_table_outputs()
+    for path in want:
+        assert _same(got[path], want[path]), path
+    # every cell collides, and rows keep the table distinct and searchable
+    g = scheme_a_estimate(BlackBoxClassifier(lambda p: np.ones(len(p), dtype=np.int8)),
+                          sample_cube_partition(2, 0.6, np.random.default_rng(146)),
+                          np.random.default_rng(147).uniform(-3.0, 3.0, (500, 2)))
+    assert len(np.unique(g._keys)) <= 2 < g.cell_count == len(np.unique(g._cells, axis=0))
+
+
 @pytest.mark.parametrize("family", ["cube", "ball"])
 def test_views_follow_scheme_b_inserts(family):
     if family == "cube":
@@ -355,11 +414,18 @@ def test_assigning_cell_labels_rebuilds_the_table():
     ("cube", {(0, 0): 2}, {}, (), "-1 or \\+1"),
     ("cube", {(0, 0): 1, (0, 0, 1): -1}, {}, (), "tuples of 2 integers"),
     ("cube", {(0, 0): 1}, {(0, 0): -4}, (), ">= 0"),
+    ("cube", {(0, 0): 1}, {(0, 0): 2.5}, (), "integers >= 0"),
+    ("cube", {(0, 0): 1}, {(0, 0): 2.0}, (), "integers >= 0"),
+    ("cube", {(0, 0): 1}, {(0, 0): "3"}, (), "integers >= 0"),
+    ("cube", {(0, 0): 1}, {(0, 0): 1e30}, (), "integers >= 0"),
+    ("cube", {(0, 0): 1}, {(0, 0): 2**63}, (), "integers >= 0"),
+    ("cube", {(0, 0): 1}, {(0, 0): True}, (), "integers >= 0"),
     ("cube", {(0, 0): 1}, {(0, 1): 4}, (), "sample_counts holds a cell without a label"),
     ("ball", {0: 1, 31: -1}, {}, (), "center indices"),
     ("ball", {-1: 1}, {}, (), "center indices"),
     ("ball", {0: 1}, {}, (3,), "flagged_cells holds a cell without a label"),
-], ids=["label-2", "cube-key-length", "negative-count", "count-without-label",
+], ids=["label-2", "cube-key-length", "negative-count", "fractional-count", "float-count", "text-count",
+        "huge-float-count", "count-past-int64", "bool-count", "count-without-label",
         "carving-index-past-net", "carving-index-negative", "flag-without-label"])
 def test_constructor_rejects_what_the_table_cannot_answer(family, labels, counts, flagged, message):
     if family == "cube":
@@ -375,6 +441,14 @@ def test_constructor_rejects_what_the_table_cannot_answer(family, labels, counts
                "flagged_cells": [text(k) for k in flagged]}
     with pytest.raises(ValueError, match=message):
         SmoothedClassifier.from_dict(payload)
+
+
+@pytest.mark.parametrize("count", [0, 3, np.int32(3), np.uint64(5), 2**63 - 1])
+def test_constructor_keeps_integer_counts(count):
+    part = CubePartition(epsilon=1.0, dim=2, shift=np.zeros(2))
+    g = SmoothedClassifier(part, {(0, 1): 1}, base=None, scheme="exact", sample_counts={(0, 1): count})
+    assert g.sample_counts == {(0, 1): int(count)}
+    assert SmoothedClassifier.from_dict(g.to_dict()).sample_counts == {(0, 1): int(count)}
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +729,7 @@ def test_scheme_b_copy_resolves_into_itself(family):
     g = scheme_b_estimate(f, part, s=3, k=None, rng=np.random.default_rng(128))
     queries = np.random.default_rng(129).random((50, 2))
     g.evaluate(queries[:5])
-    table = [a.copy() for a in (g._keys, g._labels, g._counts, g._flagged)]
+    table = [a.copy() for a in (g._keys, g._cells, g._labels, g._counts, g._flagged)]
     known, asked = dict(g.cell_labels), f.eval_count
     h = copy.copy(g)
     first = h.evaluate(queries)
@@ -663,7 +737,7 @@ def test_scheme_b_copy_resolves_into_itself(family):
     # the copy holds each distinct cell once, sorted; the original is as it was
     assert np.array_equal(h._keys, np.unique(h._keys))
     assert h.cell_count == len(np.unique(cells_of(part, queries), axis=0)) > len(known)
-    assert all(np.array_equal(a, b) for a, b in zip(table, (g._keys, g._labels, g._counts, g._flagged)))
+    assert all(np.array_equal(a, b) for a, b in zip(table, (g._keys, g._cells, g._labels, g._counts, g._flagged)))
     assert g.cell_labels == known
     # f saw s points per fresh cell (its anchor where no start was found), once
     fresh = [c for key, c in h.sample_counts.items() if key not in known]

@@ -6,16 +6,20 @@ Pair i runs `python3 bench/run.py --workload W --seed K+i --seconds S --trace 0`
 in both checkout directories, one after the other, the parent first in
 even pairs and the change first in odd ones, so a drift of the machine's
 speed falls on both sides alike. Each run's end-to-end metrics are printed
-as it ends; then, per metric, the median of each side and the number of
-pairs in which the change read lower (all end-to-end metrics are lower is
-better). The last line of standard output is one JSON object with every
-run. Exits 1 if any run fails or reports "correct": false.
+as it ends; then, per metric, the median and quartiles of each side, the
+number of pairs in which the change read lower (all end-to-end metrics are
+lower is better) and whether the gain rule holds: the change lower in at
+least 90% of the pairs (9 of 10), and the parent's median above the
+change's by more than the parent's interquartile range. The last line of
+standard output is one JSON object with every run and that summary. Exits
+1 if any run fails or reports "correct": false.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -35,6 +39,20 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.stderr.write(proc.stderr)
         return {"correct": False, "metrics": {}}
     return json.loads(lines[-1])
+
+
+def quartiles(values: list) -> list:
+    """[first quartile, median, third quartile] by the `statistics`
+    default (exclusive) method; a single value is all three."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+
+
+def gain_holds(parent: list, change: list) -> bool:
+    """The change reads lower in at least 90% of the pairs, and its median
+    is below the parent's by more than the parent's interquartile range."""
+    q1, med, q3 = quartiles(parent)
+    wins = sum(c < p for p, c in zip(parent, change))
+    return wins >= math.ceil(0.9 * len(parent)) and med - statistics.median(change) > q3 - q1
 
 
 def main(argv=None) -> int:
@@ -60,11 +78,16 @@ def main(argv=None) -> int:
     if ok:
         for name in runs["parent"][0]["metrics"]:
             value = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+            quart = {side: quartiles(value[side]) for side in SIDES}
             med = {side: statistics.median(value[side]) for side in SIDES}
             wins = sum(c < p for p, c in zip(value["parent"], value["change"]))
-            summary[name] = {"median": med, "change_wins": wins}
-            print(f"{name}: median parent {med['parent']:.4g}, change {med['change']:.4g} "
-                  f"({med['change'] / med['parent'] - 1.0:+.1%}), change lower in {wins} of {args.pairs} pairs")
+            gain = gain_holds(value["parent"], value["change"])
+            summary[name] = {"median": med, "quartiles": quart, "change_wins": wins, "gain_rule": gain}
+            change = med["change"] / med["parent"] - 1.0 if med["parent"] else math.nan
+            shown = "; ".join(f"{side} [{q[0]:.4g}, {q[2]:.4g}]" for side, q in quart.items())
+            print(f"{name}: median parent {med['parent']:.4g}, change {med['change']:.4g} ({change:+.1%}), "
+                  f"change lower in {wins} of {args.pairs} pairs; quartiles {shown}; "
+                  f"gain rule {'holds' if gain else 'does not hold'}")
     else:
         print("a run failed or reported correct: false", file=sys.stderr)
     print(json.dumps({"workload": args.workload, "seconds": args.seconds, "seed_base": args.seed_base,
