@@ -32,13 +32,11 @@ from .partitions import (
     certificate_margins,
     estimate_lipschitz_constant,
     estimate_paddedness,
-    load_partition,
     padding_certificate,
     partition_from_dict,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
-    save_partition,
 )
 from .smoothing import (
     SmoothedClassifier,
@@ -102,7 +100,6 @@ __all__ = [
     "hit_and_run",
     "intersecting_circles_task",
     "left_disc_indicator",
-    "load_partition",
     "oblivious_game_simulate",
     "optimal_robust_classifier",
     "padding_certificate",
@@ -111,7 +108,6 @@ __all__ = [
     "resample_ball_carving",
     "sample_ball_carving",
     "sample_cube_partition",
-    "save_partition",
     "scheme_a_estimate",
     "scheme_a_sample_size",
     "scheme_b_estimate",

@@ -63,12 +63,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 def _coerce(key: str, value: str, default, source: str) -> object:
     kind = type(default)
     try:
-        if kind is bool:
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
         if kind is int:
             return int(value)
         if kind is float:
@@ -141,6 +135,9 @@ def _cmd_run(args) -> int:
     except (BracketingError, RuntimeError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"{summary['experiment']}: {summary['rows']} rows, "
           f"{summary['checks']} checks, {len(summary['failed'])} failed -> {summary['out_dir']}")
     for name in summary["failed"]:
@@ -225,6 +222,9 @@ def _cmd_verify(args) -> int:
             except (BracketingError, RuntimeError) as exc:
                 print(f"infeasible: {exc}", file=sys.stderr)
                 return EXIT_INFEASIBLE
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
             fresh = (Path(tmp) / "results.csv").read_bytes()
     finally:
         if saved_env is not None:

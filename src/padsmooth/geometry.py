@@ -78,13 +78,17 @@ wins up to about 3300 centers (BENCH_20.json).
 """
 
 _TILE = 1 << 17
-"""Entries of the Gram product that `partitions`'s dense carving kernel
-writes into its reused buffer and filters with one fixed run of numpy calls;
-`greedy_net` sizes its blocks by it too (`_net_block`).
+"""Entries (1 MB of float64) per working array of the batched kernels: the
+Gram product that `partitions`'s dense carving kernel writes into its
+reused buffer and filters with one fixed run of numpy calls, the blocks of
+`greedy_net` (`_net_block`), and the arrays of the estimators' batched
+trials (`partitions._trial_blocks`).
 
 With float32 tiles on d=20 nets of 2048 and 8192 centers, 128K entries beat
 64K by 17-34%, and 256K beat 128K by 8-13% at 8192 centers but only level
-it at 2048 (BENCH_16.json).
+it at 2048 (BENCH_16.json). With the float64 filter, 128K entries beat both
+64K and 256K on two-point trials over nets of 282 to 6340 centers
+(BENCH_17.json).
 """
 
 

@@ -47,7 +47,7 @@ a float64 square that overflows: `as_points` bounds every coordinate.
 The Monte-Carlo estimators (estimate_paddedness, estimate_lipschitz_constant)
 draw a fresh partition and point or pair per trial, in the order of a
 per-trial loop, and batch only the geometry: a block of trials (sized by
-_BLOCK) is answered by one `_assign_trials` call per net, or per lattice
+`_TILE`) is answered by one `_assign_trials` call per net, or per lattice
 dimension. For lattices that call applies the per-partition formulas to
 stacked shifts and widths, for carvings it filters one Gram product
 against the net as the dense kernel does; both give the bits of one call
@@ -56,11 +56,9 @@ per trial.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -695,23 +693,15 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return lo, hi
 
 
-_BLOCK = 1 << 17
-"""Entries (1 MB of float64) per array of the batched trial kernels that
-the estimators fill at a time.
-
-A block of trials ends before its points times the partitions' `_columns`
-(the net size of a carving, d for a lattice) would pass it, and holds at
-least one trial. The carving kernel peaks at about four such arrays (by
-tracemalloc), so a block stays near 4 MB however many carvings a curve
-draws. The largest budget whose arrays stay in a 2 MB L2 cache wins: with
-the float64 filter, 128K entries beat both 64K and 256K on two-point
-trials over nets of 282 to 6340 centers (BENCH_17.json).
-"""
-
-
 def _trial_blocks(family, draw, trials: int, rng: np.random.Generator):
     """Draw `trials` trials in order, each a partition family(rng) and then
     its points draw(rng), and answer them a block at a time.
+
+    A block ends before its points times the partitions' `_columns` (the
+    net size of a carving, d for a lattice) would pass `_TILE` entries, and
+    holds at least one trial. The carving kernel peaks at about four arrays
+    of that size (by tracemalloc), so a block stays near 4 MB however many
+    carvings a curve draws.
 
     Yields, for each group of a block's trials that share a net (for
     lattices, a dimension), the `_assign_trials` outputs (cells,
@@ -726,7 +716,7 @@ def _trial_blocks(family, draw, trials: int, rng: np.random.Generator):
         x = np.asarray(draw(rng), dtype=np.float64)
         x = x.reshape(-1, x.shape[-1])
         cost = len(x) * part._columns
-        if block and used + cost > _BLOCK:
+        if block and used + cost > _TILE:
             yield from _assign_block(block)
             block, used = [], 0
         block.append((part, x))
@@ -850,11 +840,3 @@ def partition_from_dict(payload: dict):
             seed=payload.get("seed"),
         )
     raise ValueError(f"unknown partition family {family!r}")
-
-
-def save_partition(path, part) -> None:
-    Path(path).write_text(json.dumps(part.to_dict(), indent=1, sort_keys=True))
-
-
-def load_partition(path):
-    return partition_from_dict(json.loads(Path(path).read_text()))

@@ -47,11 +47,9 @@ pool of task samples by the Gaussian kernel around the query.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from itertools import compress
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -213,13 +211,6 @@ class SmoothedClassifier:
             provenance=payload.get("provenance", {}),
         )
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))
-
-    @classmethod
-    def load(cls, path, base: BlackBoxClassifier | None = None) -> "SmoothedClassifier":
-        return cls.from_dict(json.loads(Path(path).read_text()), base=base)
-
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)  # splitmix64 increment, 2^64 / golden ratio
 
@@ -365,16 +356,11 @@ def smooth_exact(
         m = min(8192, max_draws - drawn)
         X, _ = task.sample(rng, m)
         drawn += m
-        votes = f(X).astype(np.float64)
-        new, new_cells, inverse = _cell_index(part, X)
-        new_sums = np.bincount(inverse, weights=votes)
-        new_counts = np.bincount(inverse)
-        if len(keys):  # merge: vote sums are integers, exact in any order
-            keys, cells, merged = _distinct(np.concatenate((keys, new)), np.concatenate((cells, new_cells)))
-            sums = np.bincount(merged, weights=np.concatenate((sums, new_sums)))
-            counts = np.bincount(merged, weights=np.concatenate((counts, new_counts))).astype(np.int64)
-        else:
-            keys, cells, sums, counts = new, new_cells, new_sums, new_counts
+        new, new_cells = _keyed(part.cells(X))
+        # fold the batch's votes into the table: vote sums are integers, exact in any order
+        keys, cells, merged = _distinct(np.concatenate((keys, new)), np.concatenate((cells, new_cells)))
+        sums = np.bincount(merged, weights=np.concatenate((sums, f(X))))
+        counts = np.bincount(merged, weights=np.concatenate((counts, np.ones(m)))).astype(np.int64)
         if counts.min() >= per_cell:
             break
     return SmoothedClassifier._of_table(
@@ -390,11 +376,11 @@ def smooth_exact(
 # scheme A: majority vote over a fixed unlabeled pool
 
 
-def scheme_a_sample_size(cells: int, risk_f: float, *, risk_floor: float = 1e-3) -> int:
+def scheme_a_sample_size(cells: int, risk_f: float) -> int:
     """Pool budget for scheme A with all hidden constants set to 1.
 
     budget = (Q/r) log2(Q/r) + (Q log2 Q / r) log2 log2 (Q/r), where Q is
-    the cell count and r the base risk (floored at risk_floor when zero).
+    the cell count and r the base risk (floored at 1e-3 when zero).
     Under this budget every cell of mass >= r/Q receives on the order of
     log2(Q) votes with high probability.
     """
@@ -402,7 +388,7 @@ def scheme_a_sample_size(cells: int, risk_f: float, *, risk_floor: float = 1e-3)
         raise ValueError("cells must be >= 1")
     if risk_f < 0 or risk_f > 1:
         raise ValueError("risk_f must lie in [0, 1]")
-    r = max(float(risk_f), risk_floor)
+    r = max(float(risk_f), 1e-3)
     x = cells / r
     t1 = x * math.log2(x) if x > 1 else x
     inner = max(math.log2(x), 1.0) if x > 1 else 1.0

@@ -507,36 +507,26 @@ def plant_error_classifier(task: Task, delta: float, rng: np.random.Generator) -
             return labels
 
         region = {"kind": "cap", "direction": v, "cos_threshold": c}
-    elif task.planted_family == "circles":
+    elif task.planted_family in ("circles", "discs"):
         phi0 = float(rng.random() * 2.0 * math.pi)
         half = math.pi * delta
+        circles = task.planted_family == "circles"
         center2 = np.array([1.0, 0.0])
 
         def predict(points):
             labels = np.asarray(truth(points), dtype=np.int8).copy()
-            d_minus, d_plus = _circle_distances(points, center2)
-            own = np.where((d_minus < d_plus)[:, None], np.zeros(2), center2)
+            if circles:  # the center of the nearer circle
+                d_minus, d_plus = _circle_distances(points, center2)
+                own = np.where((d_minus < d_plus)[:, None], np.zeros(2), center2)
+            else:  # the center of the disc on the point's side
+                own = DISC_CENTERS[(points[:, 0] >= 0).astype(int)]
             rel = points[:, :2] - own
             ang = np.arctan2(rel[:, 1], rel[:, 0])
             flip = np.abs(_wrap(ang - phi0)) <= half
             labels[flip] = -labels[flip]
             return labels
 
-        region = {"kind": "arc", "angle": phi0, "half_width": half}
-    elif task.planted_family == "discs":
-        phi0 = float(rng.random() * 2.0 * math.pi)
-        half = math.pi * delta
-
-        def predict(points):
-            labels = np.asarray(truth(points), dtype=np.int8).copy()
-            own = DISC_CENTERS[(points[:, 0] >= 0).astype(int)]
-            rel = points[:, :2] - own
-            ang = np.arctan2(rel[:, 1], rel[:, 0])
-            flip = np.abs(_wrap(ang - phi0)) <= half
-            labels[flip] = -labels[flip]
-            return labels
-
-        region = {"kind": "sector", "angle": phi0, "half_width": half}
+        region = {"kind": "arc" if circles else "sector", "angle": phi0, "half_width": half}
     else:
         raise ValueError(f"planted errors not supported for task {task.name!r}")
 

@@ -162,6 +162,24 @@ def test_run_infeasible_budget_exits_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("per_cell", 0), ("sigma", "nan")])
+def test_run_out_of_range_value_exits_2(key, value, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.txt", experiment="two_discs", seed=1, **{key: value})
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not (out / "results.csv").exists()
+
+
+def test_verify_out_of_range_config_echo_exits_2(tmp_path, capsys):
+    _, out = run_small(tmp_path)
+    echo = out / "config.txt"
+    echo.write_text(echo.read_text().replace("per_cell = 25", "per_cell = 0"))
+    assert main(["verify", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == EXIT_CONFIG
     assert main(["frobnicate"]) == EXIT_CONFIG

@@ -129,7 +129,9 @@ def test_cube_theorem_writes_replayable_artifacts(tmp_path, monkeypatch):
     assert main(["verify", str(out)]) == EXIT_OK
     task = two_discs_task()
     saved = built[0]  # the discs block at delta 0 and its first epsilon
-    back = SmoothedClassifier.load(out / "classifier.json", base=task.ground_truth_classifier())
+    text = (out / "classifier.json").read_text()
+    assert text.endswith("}\n")
+    back = SmoothedClassifier.from_dict(json.loads(text), base=task.ground_truth_classifier())
     assert back.cell_labels == saved.cell_labels
     X, _ = task.sample(np.random.default_rng(3), 2000)
     assert np.array_equal(back.evaluate(X), saved.evaluate(X))

@@ -42,13 +42,11 @@ from padsmooth.partitions import (
     certificate_margins,
     estimate_lipschitz_constant,
     estimate_paddedness,
-    load_partition,
     padding_certificate,
     partition_from_dict,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
-    save_partition,
     wilson_interval,
 )
 from padsmooth.rng import stream
@@ -1217,7 +1215,7 @@ def block_setting(request, monkeypatch):
     def set_budget(p, columns):
         if delta is None:
             return None
-        monkeypatch.setattr(partitions, "_BLOCK", (4 * p + delta) * columns)
+        monkeypatch.setattr(partitions, "_TILE", (4 * p + delta) * columns)
         size = (4 * p + delta) // p
         return [size] * (trials // size) + [trials % size] * (trials % size > 0)
 
@@ -1315,7 +1313,7 @@ def test_wilson_interval_edges():
 
 
 @pytest.mark.parametrize("family", ["cube", "ball"])
-def test_partition_roundtrip(family, tmp_path):
+def test_partition_roundtrip(family):
     rng = stream(17, 0)
     if family == "cube":
         part = sample_cube_partition(3, 0.7, rng)
@@ -1328,10 +1326,8 @@ def test_partition_roundtrip(family, tmp_path):
     m1, o1 = certificate_margins(part, X)
     m2, o2 = certificate_margins(back, X)
     assert np.array_equal(m1, m2) and np.array_equal(o1, o2)
-    path = tmp_path / "part.json"
-    save_partition(path, part)
-    disk = load_partition(path)
-    assert np.array_equal(cells_of(part, X), cells_of(disk, X))
+    payload = json.loads(json.dumps(part.to_dict(), indent=1, sort_keys=True))
+    assert np.array_equal(cells_of(part, X), cells_of(partition_from_dict(payload), X))
 
 
 def test_partition_from_dict_rejects_unknown():

@@ -10,6 +10,7 @@ Oracles used here:
 """
 
 import copy
+import json
 import math
 import warnings
 from pathlib import Path
@@ -154,6 +155,30 @@ def test_smooth_exact_rejects_bad_quota():
     part = sample_cube_partition(2, 1.0, np.random.default_rng(14))
     with pytest.raises(ValueError):
         smooth_exact(task.ground_truth_classifier(), part, task, per_cell=0, rng=np.random.default_rng(15))
+
+
+@pytest.mark.parametrize("family", ["cube", "carving"])
+def test_smooth_exact_rounds_equal_one_pool_vote(family):
+    # 8192 + 8192 + 3616 draws under an unreachable quota: folding each
+    # round into the table must give scheme A's vote over the same draws
+    if family == "cube":
+        task = two_discs_task()
+        part = sample_cube_partition(2, 0.5, np.random.default_rng(16))
+    else:
+        task = intersecting_circles_task(2)
+        pts, _ = task.sample(np.random.default_rng(16), 4000)
+        part = sample_ball_carving(greedy_net(pts, 0.05), 0.2, np.random.default_rng(17))
+    f = BlackBoxClassifier(
+        lambda pts: np.where(np.sin(37 * pts[:, 0] + 53 * pts[:, 1]) >= 0, 1, -1).astype(np.int8), name="ripple"
+    )
+    g = smooth_exact(f, part, task, per_cell=10**9, rng=np.random.default_rng(18), max_draws=20000)
+    rng = np.random.default_rng(18)
+    pooled = scheme_a_estimate(f, part, np.concatenate([task.sample(rng, m)[0] for m in (8192, 8192, 3616)]))
+    assert g.provenance["draws"] == 20000
+    assert set(g.cell_labels.values()) == {-1, 1}
+    assert g.cell_labels == pooled.cell_labels
+    assert g.sample_counts == pooled.sample_counts
+    assert g.flagged_cells == set(g.cell_labels)
 
 
 def test_unseen_cell_falls_back_to_base_at_anchor():
@@ -470,8 +495,8 @@ def test_scheme_a_budget_monotone_and_superlinear():
     for small, big in zip(sizes, sizes[1:]):
         assert big > 2 * small, "budget must grow faster than the cell count"
     assert scheme_a_sample_size(64, 0.05) > scheme_a_sample_size(64, 0.1)
-    # risk 0 is floored, not a division by zero
-    assert scheme_a_sample_size(64, 0.0) == scheme_a_sample_size(64, 0.0, risk_floor=1e-3)
+    # risk 0 is floored at 1e-3, not a division by zero
+    assert scheme_a_sample_size(64, 0.0) == scheme_a_sample_size(64, 1e-3)
 
 
 def test_scheme_a_budget_validation():
@@ -929,15 +954,18 @@ def test_gaussian_rejects_nan_sigma():
 # serialization
 
 
-def test_smoothed_roundtrip_cube(tmp_path):
+def roundtrip(g, base):
+    """g through the JSON text that `execute` writes, read back with base."""
+    return SmoothedClassifier.from_dict(json.loads(json.dumps(g.to_dict(), indent=1, sort_keys=True)), base=base)
+
+
+def test_smoothed_roundtrip_cube():
     task = two_discs_task()
     part = sample_cube_partition(2, 1.0, np.random.default_rng(56))
     g = smooth_exact(
         task.ground_truth_classifier(), part, task, per_cell=30, rng=np.random.default_rng(57), max_draws=600
     )
-    path = tmp_path / "clf.json"
-    g.save(path)
-    back = SmoothedClassifier.load(path, base=task.ground_truth_classifier())
+    back = roundtrip(g, task.ground_truth_classifier())
     assert back.cell_labels == g.cell_labels
     assert back.sample_counts == g.sample_counts
     assert back.flagged_cells == g.flagged_cells
@@ -946,7 +974,7 @@ def test_smoothed_roundtrip_cube(tmp_path):
     assert np.array_equal(back.evaluate(X), g.evaluate(X))
 
 
-def test_smoothed_roundtrip_carving(tmp_path):
+def test_smoothed_roundtrip_carving():
     task = intersecting_circles_task(2)
     rng = np.random.default_rng(59)
     pts, _ = task.sample(rng, 4000)
@@ -954,9 +982,7 @@ def test_smoothed_roundtrip_carving(tmp_path):
     part = sample_ball_carving(net, 0.2, rng)
     pool, _ = task.sample(rng, 3000)
     g = scheme_a_estimate(task.ground_truth_classifier(), part, pool)
-    path = tmp_path / "clf.json"
-    g.save(path)
-    back = SmoothedClassifier.load(path, base=task.ground_truth_classifier())
+    back = roundtrip(g, task.ground_truth_classifier())
     assert back.cell_labels == g.cell_labels
     X, _ = task.sample(np.random.default_rng(60), 600)
     assert np.array_equal(back.evaluate(X), g.evaluate(X))
@@ -968,17 +994,17 @@ def test_smoothed_roundtrip_carving(tmp_path):
     ("carving", lambda: intersecting_circles_task(2), (-1.2, 2.2), int,
      "-++++--++-+-++-+--++-+---++++--+-+--++-++-+-+---+++-++--+-+-+-++"),
 ], ids=["cube", "carving"])
-def test_saved_classifier_files_load_and_resave_byte_for_byte(name, make_task, box, key_type, labels, tmp_path):
-    # files written by an earlier release: the cell-key text form must not move
+def test_saved_classifier_files_load_and_resave_byte_for_byte(name, make_task, box, key_type, labels):
+    # files written by an earlier release, without a final newline: the
+    # cell-key text form must not move
     saved = DATA / f"{name}_classifier.json"
     task = make_task()
-    g = SmoothedClassifier.load(saved, base=task.ground_truth_classifier())
+    g = SmoothedClassifier.from_dict(json.loads(saved.read_text()), base=task.ground_truth_classifier())
     keys = [*g.cell_labels, *g.sample_counts, *g.flagged_cells]
     assert g.flagged_cells and all(type(k) is key_type for k in keys)
     X = np.random.default_rng(75).uniform(*box, (64, 2))
     assert "".join("+" if v > 0 else "-" for v in g.evaluate(X)) == labels
-    g.save(tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == saved.read_bytes()
+    assert json.dumps(g.to_dict(), indent=1, sort_keys=True).encode() == saved.read_bytes()
 
 
 def test_loaded_without_base_serves_known_cells_only():

@@ -1,4 +1,5 @@
-"""Print the physical and code-only line counts of src/padsmooth.
+"""Print the physical and code-only line counts of each module of
+src/padsmooth, then their total.
 
 Code-only lines hold a token other than a comment and lie outside every
 docstring (any string-literal statement, as `ast` finds them). Run from
@@ -20,6 +21,8 @@ for path in sorted((Path(__file__).resolve().parents[1] / "src" / "padsmooth").g
                  if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
                                      tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER)
                  for line in range(tok.start[0], tok.end[0] + 1)}
-    physical += len(text.splitlines())
-    code += len(lines - docs)
+    counts = len(text.splitlines()), len(lines - docs)
+    print(f"{path.name}: {counts[0]} physical, {counts[1]} code-only")
+    physical += counts[0]
+    code += counts[1]
 print(f"src/padsmooth: {physical} physical lines, {code} code-only lines")
