@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _search_radius, _unit_rows, greedy_net
+from .geometry import _unit_rows, greedy_net
 from .partitions import (
+    BallCarvingPartition,
+    _Candidates,
     _contained,
-    _first_capture,
-    _tree_pairs,
-    certificate_margins,
+    _probe_view,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
@@ -97,23 +97,43 @@ class RobustnessReport:
     attack_trials: int
 
 
-def _attack_directions(part, attack_trials: int, rng: np.random.Generator):
-    """Per-round direction generators for the probe attack.
+def _attack_directions(X, guided: list, attack_trials: int, rng: np.random.Generator):
+    """Per-round direction generators for the probe attack, functions of
+    the rows of X attacked: attack_trials random rounds, two radial rounds,
+    and the partition's guided rounds (none without a partition)."""
 
-    attack_trials random rounds, two radial rounds, and the partition's
-    guided rounds (part.guided_directions; none without a partition).
+    def rand(rows):
+        return _unit_rows(rng.standard_normal((len(rows), X.shape[1])))
+
+    return [rand] * attack_trials + [lambda rows: _unit_rows(X[rows]), lambda rows: -_unit_rows(X[rows])] + guided
+
+
+def _probes(clf, X, move: float):
+    """What the probe attack reads of clf on its sample X: (pred, certificate,
+    label, guided). pred are the labels of X, certificate its (off_support,
+    margins) or None without a partition, label(rows, Y) the labels of
+    probes Y[i] within move of X[rows[i]], and guided the partition's guided
+    rounds as functions of the rows attacked.
+
+    A carving-smoothed classifier reads all of them from one `_probe_view`
+    of its carving and labels the cells it gets by the table lookup of
+    evaluate (`_label_cells`), so it asks the base classifier what evaluate
+    would ask, in the same order. Its guided rounds push out of the assigned
+    ball, then toward the second-nearest center, as guided_directions does.
     """
-    fns = []
-
-    def rand(X):
-        return _unit_rows(rng.standard_normal(X.shape))
-
-    fns.extend([rand] * attack_trials)
-    fns.append(lambda X: _unit_rows(X.copy()))
-    fns.append(lambda X: -_unit_rows(X.copy()))
-    if part is not None:
-        fns.extend(part.guided_directions())
-    return fns
+    part = getattr(clf, "partition", None)
+    if isinstance(clf, SmoothedClassifier) and isinstance(part, BallCarvingPartition):
+        cells, off, margins, cells_at, second = _probe_view(part, X, move)
+        centers = part.net.centers
+        guided = [lambda rows: _unit_rows(X[rows] - centers[cells[rows]]),
+                  lambda rows: _unit_rows(centers[second(rows)] - X[rows])]
+        return clf._label_cells(cells), (off, margins), lambda rows, Y: clf._label_cells(cells_at(rows, Y)), guided
+    pred = predict_labels(clf, X)
+    label = lambda rows, Y: predict_labels(clf, Y)
+    if part is None:
+        return pred, None, label, []
+    margins, off = part.margins(X)
+    return pred, (off, margins), label, [lambda rows, fn=fn: fn(X[rows]) for fn in part.guided_directions()]
 
 
 def adversarial_risk_curve(
@@ -127,36 +147,34 @@ def adversarial_risk_curve(
 ) -> list[RobustnessReport]:
     """Robustness reports at several radii over one shared evaluation sample.
 
-    Sharing the sample makes ar_upper nondecreasing in eps by construction
-    and keeps the certificate work to a single margin computation.
+    Sharing the sample makes ar_upper nondecreasing in eps by construction.
+    The sample's labels and certificate are computed once for all radii.
+    For a carving-smoothed classifier whose carving takes the KD-tree path
+    (dimension <= 4, at least 64 points), one neighbour pass over the sample
+    serves them and every probe round; above dimension 4 one carving call
+    gives the labels and margins together (`_probes`). Radii must be finite
+    and >= 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     eps_list = [float(e) for e in epsilons]
-    if not all(e >= 0 for e in eps_list):
-        raise ValueError("epsilons must be >= 0")
+    if not all(0 <= e < math.inf for e in eps_list):
+        raise ValueError("epsilons must be finite and >= 0")
     X, y = task.sample(rng, n)
-    pred = predict_labels(clf, X)
+    pred, cert, label, guided = _probes(clf, X, max(eps_list, default=0.0))
     mis = pred != y
     risk_lo, risk_hi = wilson_interval(int(mis.sum()), n)
-    part = getattr(clf, "partition", None)
-    if part is not None:
-        margins, off = certificate_margins(part, X)
     reports = []
     for eps in eps_list:
-        if part is not None:
-            contained = _contained(off, margins, eps)
-        else:
-            contained = None
+        contained = None if cert is None else _contained(*cert, eps)
         target = ~mis if contained is None else (~mis) & (~contained)
         attacked = np.zeros(n, dtype=bool)
         alive = np.flatnonzero(target)
         if len(alive) and eps > 0:
-            for dirs in _attack_directions(part, attack_trials, rng):
+            for dirs in _attack_directions(X, guided, attack_trials, rng):
                 if len(alive) == 0:
                     break
-                D = dirs(X[alive])
-                lab = predict_labels(clf, X[alive] + eps * D)
+                lab = label(alive, X[alive] + eps * dirs(alive))
                 hit = lab != y[alive]
                 attacked[alive[hit]] = True
                 alive = alive[~hit]
@@ -418,22 +436,6 @@ class ReplayAdversary(BoundarySeekAdversary):
         self.memory.clear()
 
 
-def _pool_carver(X, net, reach: float):
-    """cells(part) of the game's pool X under carvings over net of radius
-    <= reach, part.cells(X) bit for bit. The tree kernel's candidate pairs,
-    every center within reach of a point or within its nearest-neighbour
-    distance (widened by `_search_radius`), and their direct distances are
-    taken once per game, so a refresh is one `_first_capture` over them."""
-    r = _search_radius(np.maximum(reach, net.tree.query(X)[0]), X, net.centers)
-    row, starts, dist, cand = _tree_pairs(net, X, r)
-
-    def cells(part):
-        first, _ = _first_capture(row, starts, dist, part.ranks[cand], part.radius, len(X), len(net))
-        return part.order[first]
-
-    return cells
-
-
 @dataclass(frozen=True)
 class GameResult:
     rounds: int
@@ -491,7 +493,7 @@ def oblivious_game_simulate(
     if family == "ball":
         src, _ = task.sample(rng, net_source)
         base = sample_ball_carving(greedy_net(src, partition_epsilon / 4.0), partition_epsilon, rng)
-        pool_cells = _pool_carver(Xp, base.net, partition_epsilon / 2.0)
+        pool_cells = _Candidates(base.net, Xp, partition_epsilon / 2.0, 1).cells
         draw = lambda: resample_ball_carving(base, rng)
     else:
         pool_cells = lambda part: part.cells(Xp)

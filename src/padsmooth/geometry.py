@@ -102,9 +102,10 @@ def _search_radius(radius: float, *arrays: Array) -> float:
     return radius * (1.0 + 1e-9) + 4.0 * float(np.spacing(scale))
 
 
-def _check_spacing(epsilon) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"net epsilon must be positive and finite, got {epsilon!r}")
+def _positive_finite(value, name: str) -> None:
+    """ValueError naming the argument unless value is positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def as_points(data) -> Array:
@@ -134,7 +135,7 @@ class EpsilonNet:
     source_count: int
 
     def __post_init__(self):
-        _check_spacing(self.epsilon)
+        _positive_finite(self.epsilon, "net epsilon")
         object.__setattr__(self, "centers", as_points(self.centers))
         if len(self.centers) == 0:
             raise ValueError("net must have at least one center")
@@ -271,7 +272,7 @@ def greedy_net(points, epsilon: float) -> EpsilonNet:
     squared-difference test and give the same center set, bit for bit.
     """
     pts = as_points(points)
-    _check_spacing(epsilon)
+    _positive_finite(epsilon, "net epsilon")
     if not len(pts):
         raise ValueError("greedy_net needs at least one source point")
     kernel = _greedy_net_tree if pts.shape[1] <= _NET_TREE_MAX_DIM else _greedy_net_blocked
@@ -398,7 +399,7 @@ def estimate_doubling_dimension(points, epsilon: float) -> float:
     covers inflate the exact covering number, so the estimate leans high.
     """
     pts = as_points(points)
-    _check_spacing(epsilon)
+    _positive_finite(epsilon, "net epsilon")
     n = len(pts)
     idx = np.unique(np.linspace(0, n - 1, num=min(64, n)).astype(int))
     worst = 1

@@ -38,7 +38,8 @@ candidate (point, center) pairs: a KD-tree over the net for batches of at
 least 64 points in dimension <= 4, every center for one point, else a
 filter of one Gram product per row tile within a forward-error band that
 stops a captured row at its first capture (`_gram_decide`); the query
-game takes its pool's pairs once. The Gram filter is one lift of points
+game and the probe attack take a fixed point set's pairs once
+(`_Candidates`). The Gram filter is one lift of points
 and centers less the net's first center (`_gram_lift`), in float32 when
 every band is below R^2 / 16, else in float64; its precision changes only
 which pairs are proposed. All of them return the same bits, and none meets
@@ -71,8 +72,8 @@ from .geometry import (
     EpsilonNet,
     _ceil,
     _gram_lift,
+    _positive_finite,
     _search_radius,
-    _sq_distances,
     _unit_rows,
     as_points,
 )
@@ -109,8 +110,7 @@ class CubePartition:
     seed: int | None = None
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        _positive_finite(self.epsilon, "epsilon")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         s = np.asarray(self.shift, dtype=np.float64)
@@ -245,8 +245,7 @@ def _points_of(part, points) -> Array:
 
 def sample_cube_partition(dim: int, epsilon: float, rng: np.random.Generator) -> CubePartition:
     """Draw the lattice shift uniformly from [0, width)^d."""
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
+    _positive_finite(epsilon, "epsilon")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     epsilon, dim = float(epsilon), int(dim)
@@ -272,8 +271,7 @@ class BallCarvingPartition:
     seed: int | None = None
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        _positive_finite(self.epsilon, "epsilon")
         if not (self.epsilon / 4.0 < self.radius <= self.epsilon / 2.0):
             raise ValueError("radius must lie in (epsilon/4, epsilon/2]")
         if abs(self.net.epsilon - self.epsilon / 4.0) > 1e-9 * self.epsilon:
@@ -387,18 +385,14 @@ class BallCarvingPartition:
 
     def guided_directions(self) -> list:
         """Certificate-guided attack rounds: out of the assigned ball, then
-        toward the second-nearest center."""
+        toward the second-nearest center (`_second_nearest_gram`)."""
         centers = self.net.centers
 
         def away(X):
             return _unit_rows(X - centers[self.cells(X)])
 
         def toward_second(X):
-            if len(centers) >= 2:
-                j = np.argpartition(_sq_distances(X - centers[0], self.net.lifted), 1, axis=1)[:, 1]
-            else:
-                j = np.zeros(len(X), dtype=np.intp)
-            return _unit_rows(centers[j] - X)
+            return _unit_rows(centers[_second_nearest_gram(self.net, _points_of(self, X))] - X)
 
         return [away, toward_second]
 
@@ -435,9 +429,14 @@ def ball_assign(part: BallCarvingPartition, points):
     filter). All hand them to `_decide`, so all return the same bits.
     """
     pts = _points_of(part, points)
-    if part.dim <= _TREE_MAX_DIM and len(pts) >= _TREE_MIN_BATCH:
+    if _tree_batch(part, len(pts)):
         return _ball_assign_tree(part, pts)
     return _ball_assign_dense(part, pts)
+
+
+def _tree_batch(part: BallCarvingPartition, n: int) -> bool:
+    """Whether ball_assign takes a batch of n points down the tree path."""
+    return part.dim <= _TREE_MAX_DIM and n >= _TREE_MIN_BATCH
 
 
 def _direct_distances(A, B):
@@ -630,6 +629,121 @@ def _first_capture(row, starts, dist, rank, R, n: int, count: int):
     return first, off
 
 
+def _second_nearest(row, starts, dist, cand):
+    """The second-nearest center of each point over candidate pairs grouped
+    as `_decide` takes them, every point with a pair: the second in order of
+    (direct distance, center index), so the lower index on an exact tie; the
+    nearest where a point has one pair. The pairs must hold every center as
+    near as the second."""
+
+    def least(dist):
+        near = np.minimum.reduceat(dist, starts)
+        return np.minimum.reduceat(np.where(dist == near[row], cand, np.iinfo(np.intp).max), starts)
+
+    return least(np.where(cand == least(dist)[row], np.inf, dist))
+
+
+def _second_nearest_gram(net: EpsilonNet, X: Array):
+    """`_second_nearest` of points X over the centers whose Gram squared
+    distance is within 2 band of the row's second least, in row tiles of
+    about _TILE entries. The filter is `_gram_lift`'s about the net's first
+    center, float32 where its bands are below epsilon^2 / 16. The two least
+    d2 are within band of their direct squares, and so is every other
+    center's, so the proposed columns hold every center as near as the
+    second by direct differences."""
+    rows, band, cols = _gram_lift(X, net.centers[0], net.epsilon**2, net.lifted, net.lifted32)
+    step = max(1, _TILE // len(net))
+    found = []
+    for j in range(0, max(len(X), 1), step):  # one empty tile when X is
+        d2 = rows[j : j + step] @ cols
+        at, low = np.arange(len(d2)), d2.argmin(1)
+        least = d2[at, low]
+        d2[at, low] = np.inf  # the second least is the least of the rest
+        lim = _ceil(d2.min(1) + 2.0 * band[j : j + step], d2.dtype)
+        d2[at, low] = least
+        row, col = (d2 <= lim[:, None]).nonzero()
+        found.append((row + j, col))
+    row, col = map(np.concatenate, zip(*found))
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    return _second_nearest(row, starts, _direct_distances(X[row], net.centers[col]), col)
+
+
+class _Candidates:
+    """Candidate pairs of a fixed point set X over a net, taken once: every
+    center within max(reach, d_k(x)) + 2 move of each point x, d_k(x) its
+    distance to its k-th nearest center, widened by `_search_radius` for
+    points up to `move` from X (`_tree_pairs`), with their direct distances.
+
+    Every center that can capture a point y within move of x lies within
+    R + move of x, and y's nearest centers within d_1(x) + 2 move. So with
+    reach at least the largest R the pairs decide the cells of X under any
+    carving over the net, and of such points y under one (`cells`), by
+    `_first_capture`. The query game keeps its pool fixed and changes the
+    carving; the probe attack keeps the carving fixed and moves the points.
+    With reach 2R they hold every earlier center within 2R too, so
+    `assign` gives X's margins, and with k = 2 its second-nearest centers
+    (`second`).
+    """
+
+    def __init__(self, net: EpsilonNet, X: Array, reach: float, k: int, move: float = 0.0):
+        near = net.tree.query(X, k=[min(k, len(net))])[0][:, 0]
+        r = _search_radius(np.maximum(reach, near) + 2.0 * move, np.abs(X) + move, net.centers)
+        self.net, self.n = net, len(X)
+        self.row, self.starts, self.dist, self.cand = _tree_pairs(net, X, r)
+        self.sizes = np.bincount(self.row, minlength=self.n)
+        self.begin = np.cumsum(self.sizes) - self.sizes
+
+    def _of(self, rows):
+        """(row, starts, pairs, n) of the pairs of X[rows], renumbered
+        0 .. len(rows) - 1, or of all of X when rows is None."""
+        if rows is None:
+            return self.row, self.starts, slice(None), self.n
+        sizes = self.sizes[rows]
+        start = np.cumsum(sizes) - sizes
+        pairs = np.repeat(self.begin[rows] - start, sizes) + np.arange(sizes.sum())
+        return np.repeat(np.arange(len(rows)), sizes), start[sizes > 0], pairs, len(rows)
+
+    def cells(self, part: BallCarvingPartition, rows=None, Y=None) -> Array:
+        """part.cells(X), or part.cells(Y) of points Y[i] within move of
+        X[rows[i]]."""
+        row, starts, pairs, n = self._of(rows)
+        cand = self.cand[pairs]
+        dist = self.dist[pairs] if Y is None else _direct_distances(Y[row], self.net.centers[cand])
+        return part.order[_first_capture(row, starts, dist, part.ranks[cand], part.radius, n, len(self.net))[0]]
+
+    def assign(self, part: BallCarvingPartition):
+        """ball_assign(part, X), for a reach of at least 2R."""
+        pos, off, margins = _decide(self.row, self.starts, self.dist, part.ranks[self.cand], part.radius, part.dim,
+                                    self.n, len(self.net))
+        return part.order[pos], off, margins
+
+    def second(self, rows) -> Array:
+        """Second-nearest centers of X[rows] (`_second_nearest`), for k = 2."""
+        row, starts, pairs, _ = self._of(rows)
+        return _second_nearest(row, starts, self.dist[pairs], self.cand[pairs])
+
+
+def _probe_view(part: BallCarvingPartition, points, move: float):
+    """What the probe attack reads of a carving on its sample X, whose probes
+    lie within `move` of it: (cells, off_support, margins, cells_at, second).
+    The first three are ball_assign(part, X); cells_at(rows, Y) is
+    part.cells(Y) for points Y[i] within move of X[rows[i]], and
+    second(rows) the second-nearest centers of X[rows].
+
+    Where ball_assign would take X down the tree path, X's candidate pairs
+    are taken once (`_Candidates`, reach 2R, k = 2) and decide all of them,
+    so a probe round needs no neighbour search. Elsewhere X is one
+    ball_assign, each batch of probes another, and second proposes by the
+    Gram filter (`_second_nearest_gram`).
+    """
+    X = _points_of(part, points)
+    if _tree_batch(part, len(X)):
+        pairs = _Candidates(part.net, X, 2.0 * part.radius, 2, move)
+        return (*pairs.assign(part), lambda rows, Y: pairs.cells(part, rows, _points_of(part, Y)), pairs.second)
+    return (*ball_assign(part, X), lambda rows, Y: part.cells(Y),
+            lambda rows: _second_nearest_gram(part.net, X[rows]))
+
+
 def ball_cell_member(part: BallCarvingPartition, cell: int, points) -> Array:
     """Exact cell membership test (no fallback): first capturing center == cell."""
     cells, off, _ = ball_assign(part, points)
@@ -788,8 +902,7 @@ def estimate_lipschitz_constant(
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    _positive_finite(epsilon, "epsilon")
     dists = [float(dist) for dist in distances]
     if not dists:
         raise ValueError("distances must not be empty")

@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .geometry import _lifted, _search_radius, _sq_distances, as_points
+from .geometry import _lifted, _positive_finite, _search_radius, _sq_distances, as_points
 from .partitions import CubePartition, _direct_distances, _tree_pairs, partition_from_dict
 from .tasks import BlackBoxClassifier, Task
 
@@ -169,7 +169,13 @@ class SmoothedClassifier:
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, points) -> np.ndarray:
-        keys, cells, inverse = _cell_index(self.partition, as_points(points))
+        return self._label_cells(self.partition.cells(points))
+
+    def _label_cells(self, cells) -> np.ndarray:
+        """Labels of rows of partition cells: one table lookup per distinct
+        cell, and the fresh cells to the lazy resolver, else to the base
+        classifier at their anchors, in one call."""
+        keys, cells, inverse = _distinct(*_keyed(cells))
         at, known = _find(self._keys, self._cells, keys, cells)
         labels = np.empty(len(keys), dtype=np.int8)
         labels[known] = self._labels[at[known]]
@@ -276,12 +282,6 @@ def _distinct(keys, cells):
     return sorted_keys[lead], cells[order[lead]], inverse
 
 
-def _cell_index(part, points):
-    """Distinct cells of a batch: (keys, cells, inverse), as _distinct
-    gives them for the rows of part.cells."""
-    return _distinct(*_keyed(part.cells(points)))
-
-
 def _find(table_keys, table_cells, keys, cells):
     """(at, found): the position of each keyed cell in a table in table
     order (where an absent cell would be inserted) and whether it is
@@ -344,10 +344,12 @@ def smooth_exact(
     Draws, 8192 at a time, until every cell touched so far holds >=
     per_cell votes or the draw cap is hit; cells still under quota keep
     their partial-vote label and are flagged (cells with no votes at all
-    defer to the fallback).
+    defer to the fallback). per_cell and max_draws must be >= 1.
     """
     if per_cell < 1:
         raise ValueError("per_cell must be >= 1")
+    if max_draws < 1:
+        raise ValueError("max_draws must be >= 1")
     keys, cells = _keyed(part.key_cells([]))
     sums = np.zeros(0)
     counts = np.zeros(0, dtype=np.int64)
@@ -402,7 +404,7 @@ def scheme_a_estimate(f: BlackBoxClassifier, part, unlabeled) -> SmoothedClassif
     if len(pool) == 0:
         raise ValueError("unlabeled pool is empty")
     votes = f(pool).astype(np.float64)
-    keys, cells, inverse = _cell_index(part, pool)
+    keys, cells, inverse = _distinct(*_keyed(part.cells(pool)))
     return SmoothedClassifier._of_table(
         part,
         (keys, cells, _sgn(np.bincount(inverse, weights=votes)), np.bincount(inverse), np.zeros(len(keys), dtype=bool)),
@@ -690,11 +692,10 @@ def gaussian_smoothing(
     of n task samples, sign of sum_i f(Z_i) * exp(-||x - Z_i||^2 / (2
     sigma^2)), with each query's squared distances shifted by their minimum
     before the exp so its nearest pool point keeps weight 1 (`as_points`
-    bounds queries, so those squares are finite). A sigma whose
-    1 / (2 sigma^2) overflows raises ValueError.
+    bounds queries, so those squares are finite). sigma must be positive
+    and finite; a sigma whose 1 / (2 sigma^2) overflows raises ValueError.
     """
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
+    _positive_finite(sigma, "sigma")
     if n < 1:
         raise ValueError("n must be >= 1")
 

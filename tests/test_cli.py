@@ -235,3 +235,17 @@ def test_verify_flags_bad_config_echo(tmp_path, capsys):
 def test_verify_missing_run_dir(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "ghost")]) == EXIT_VERIFY
     assert "missing results.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("max_draws", -5, "max_draws"), ("partition_epsilon", "inf", "epsilon"), ("sigma", "inf", "sigma"),
+])
+def test_run_invalid_argument_exits_2_with_one_error_line(key, value, name, tmp_path, capsys):
+    # each fails where it enters: smooth_exact, sample_cube_partition and
+    # gaussian_smoothing name the argument, and nothing is written
+    cfg = write_config(tmp_path / "c.txt", experiment="two_discs", seed=1, **{key: value})
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{name} must be" in err
+    assert not (out / "results.csv").exists()

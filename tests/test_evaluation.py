@@ -15,31 +15,34 @@ import pytest
 from padsmooth import evaluation
 from padsmooth.evaluation import (
     Adversary,
+    RobustnessReport,
     BoundarySeekAdversary,
     BracketingError,
     IdentityAdversary,
     ReplayAdversary,
-    _pool_carver,
     adversarial_risk_curve,
     competitive_ratio_experiment,
     estimate_adversarial_risk,
     estimate_risk,
     oblivious_game_simulate,
 )
-from padsmooth.geometry import EpsilonNet, greedy_net
+from padsmooth.geometry import EpsilonNet, _unit_rows, greedy_net
 from padsmooth.partitions import (
     BallCarvingPartition,
+    _Candidates,
     ball_assign,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
+    wilson_interval,
 )
-from padsmooth.smoothing import _sgn, scheme_a_estimate, smooth_exact
+from padsmooth.smoothing import _sgn, scheme_a_estimate, scheme_b_estimate, smooth_exact
 from padsmooth.tasks import (
     BlackBoxClassifier,
     concentric_spheres_task,
     intersecting_circles_task,
     optimal_robust_classifier,
+    plant_error_classifier,
     two_discs_task,
 )
 
@@ -157,6 +160,96 @@ def test_curve_rejects_nan_radius():
         adversarial_risk_curve(g, task, [0.1, float("nan")], 100, np.random.default_rng(22))
 
 
+def test_curve_rejects_infinite_radius():
+    task, g = make_smoothed(20)
+    with pytest.raises(ValueError, match="finite"):
+        adversarial_risk_curve(g, task, [0.1, math.inf], 100, np.random.default_rng(22))
+
+
+def _reference_curve(clf, task, epsilons, n, rng, attack_trials):
+    """adversarial_risk_curve as a loop of whole evaluations: the sample's
+    labels by clf.evaluate, its certificate by part.margins, and every
+    probe round one clf.evaluate of its probes, with the partition's
+    guided_directions."""
+    X, y = task.sample(rng, n)
+    mis = clf.evaluate(X) != y
+    part = clf.partition
+    margins, off = part.margins(X)
+    reports = []
+    for eps in epsilons:
+        contained = ~off & (margins >= eps)
+        attacked = np.zeros(n, dtype=bool)
+        alive = np.flatnonzero(~mis & ~contained)
+        rounds = [lambda Z: _unit_rows(rng.standard_normal(Z.shape))] * attack_trials
+        rounds += [lambda Z: _unit_rows(Z), lambda Z: -_unit_rows(Z), *part.guided_directions()]
+        for dirs in rounds if eps > 0 else []:
+            if not len(alive):
+                break
+            hit = clf.evaluate(X[alive] + eps * dirs(X[alive])) != y[alive]
+            attacked[alive[hit]] = True
+            alive = alive[~hit]
+        lower, upper, cert = mis | attacked, mis | ~contained, ~mis & contained
+        (lo_l, hi_l), (lo_u, hi_u), (lo_c, hi_c), (risk_lo, risk_hi) = (
+            wilson_interval(int(e.sum()), n) for e in (lower, upper, cert, mis))
+        reports.append(RobustnessReport(
+            task=task.name, epsilon=eps, n=n, risk=float(mis.mean()), risk_lo=risk_lo, risk_hi=risk_hi,
+            certified_fraction=float(cert.mean()), certified_lo=lo_c, certified_hi=hi_c,
+            attack_success=float(attacked.mean()), ar_lower=float(lower.mean()), ar_lower_lo=lo_l,
+            ar_lower_hi=hi_l, ar_upper=float(upper.mean()), ar_upper_lo=lo_u, ar_upper_hi=hi_u,
+            statistical_only=False, attack_trials=attack_trials))
+    return reports
+
+
+def _spheres_exact(d, eps_part, seed):
+    task = concentric_spheres_task(d)
+    rng = np.random.default_rng(seed)
+    f = plant_error_classifier(task, 0.05, rng)
+    part = sample_ball_carving(greedy_net(task.sample(rng, 3000)[0], eps_part / 4.0), eps_part, rng)
+    return task, f, smooth_exact(f, part, task, 8, rng, max_draws=3000)
+
+
+def _circles_scheme_b(seed):
+    task = intersecting_circles_task(2)
+    rng = np.random.default_rng(seed)
+    f = BlackBoxClassifier(task.ground_truth)
+    part = sample_ball_carving(greedy_net(task.sample(rng, 2000)[0], 0.05), 0.2, rng)
+    return task, f, scheme_b_estimate(f, part, 4, 8, rng)
+
+
+def _spheres_cube(seed):
+    task = concentric_spheres_task(3)
+    rng = np.random.default_rng(seed)
+    f = plant_error_classifier(task, 0.05, rng)
+    return task, f, smooth_exact(f, sample_cube_partition(3, 0.3, rng), task, 8, rng, max_draws=3000)
+
+
+@pytest.mark.parametrize("make, epsilons, n, trials", [
+    (lambda: _spheres_exact(3, 0.27, 71), [0.0, 0.009, 0.03], 400, 4),  # tree regime
+    (lambda: _spheres_exact(3, 0.27, 72), [0.1], 60, 3),  # below the tree's batch: dense
+    (lambda: _spheres_exact(8, 1.6, 73), [0.05, 0.2], 200, 3),  # dense regime
+    (lambda: _circles_scheme_b(74), [0.01, 0.1], 300, 2),
+    (lambda: _spheres_cube(75), [0.0, 0.01, 0.05], 400, 2),
+], ids=["carving_d3", "carving_d3_small", "carving_d8", "scheme_b_carving", "cube"])
+def test_curve_equals_the_per_round_reference_loop(make, epsilons, n, trials):
+    # the same reports field by field and the same base-classifier calls as
+    # a loop that evaluates every round's probes from scratch; each side
+    # gets a classifier of its own, so scheme B resolves fresh cells into
+    # each alike
+    task, f, g = make()
+    before = f.eval_count
+    want = _reference_curve(g, task, epsilons, n, np.random.default_rng(76), trials)
+    asked = f.eval_count - before
+    task, f, g = make()
+    before = f.eval_count
+    got = adversarial_risk_curve(g, task, epsilons, n, np.random.default_rng(76), attack_trials=trials)
+    assert got == want
+    assert f.eval_count - before == asked > 0
+    assert any(r.attack_success > 0 for r in got)
+    if g.scheme == "B":  # probes resolved cells that hold no sample point, some by the fallback
+        X = task.sample(np.random.default_rng(76), n)[0]
+        assert g.cell_count > len(np.unique(g.partition.cells(X))) and g.flagged_cells
+
+
 # ---------------------------------------------------------------------------
 # competitive radius
 
@@ -253,7 +346,7 @@ def test_game_refresh_cells_and_labels_equal_full_matrix_formula():
     f_centers = np.where(rng.random(len(net)) < 0.5, 1.0, -1.0)
     D = np.linalg.norm(Xp[:, None, :] - net.centers[None, :, :], axis=2)
     assert (D[::10] > eps / 2).all()
-    pool_cells = _pool_carver(Xp, net, eps / 2)
+    pool_cells = _Candidates(net, Xp, eps / 2, 1).cells
     nc = len(net)
 
     def labels(cells):
@@ -283,7 +376,7 @@ def test_pool_carver_where_the_tree_would_overflow():
     centers = np.array([[2.0**479, 0.0], [-(2.0**479), 0.0], [0.0, 0.0]])
     net = EpsilonNet(centers=centers, epsilon=0.25, source_count=3)
     X = np.random.default_rng(6).uniform(-1.0, 1.0, (100, 2))
-    pool_cells = _pool_carver(X, net, 0.5)
+    pool_cells = _Candidates(net, X, 0.5, 1).cells
     for order in ([0, 1, 2], [2, 1, 0]):
         part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array(order))
         assert np.array_equal(pool_cells(part), ball_assign(part, X)[0])

@@ -14,7 +14,6 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from padsmooth import partitions
-from padsmooth.evaluation import _pool_carver
 from padsmooth.geometry import (
     EpsilonNet,
     _gram_lift,
@@ -24,6 +23,7 @@ from padsmooth.geometry import (
     _lifted,
     _search_radius,
     _sq_distances,
+    _unit_rows,
     greedy_net,
 )
 from padsmooth.partitions import (
@@ -33,8 +33,10 @@ from padsmooth.partitions import (
     BallCarvingPartition,
     CubePartition,
     _TILE,
+    _Candidates,
     _ball_assign_dense,
     _ball_assign_tree,
+    _second_nearest_gram,
     _tree_pairs,
     ball_assign,
     ball_cell_member,
@@ -696,7 +698,7 @@ def test_every_kernel_at_the_edge_of_the_coordinate_domain(d):
             _assert_same_bits(_ball_assign_dense(part, X), want)
             _assert_same_bits(_ball_assign_dense(part, X[-1:]), tuple(a[-1:] for a in want))
             _assert_same_bits(tuple(a[i] for a in trials), want)
-            assert np.array_equal(_pool_carver(X, net, 2.0 * e)(part), want[0])
+            assert np.array_equal(_Candidates(net, X, 2.0 * e, 1).cells(part), want[0])
             cells = np.arange(len(net))
             within = np.linalg.norm(net.centers[:, None] - net.centers[None], axis=2) <= 2.0 * part.radius
             for u, near in zip(cells, _blockers(part, cells)):
@@ -1147,6 +1149,15 @@ def test_cube_partition_rejects_nan_epsilon():
         CubePartition(epsilon=float("nan"), dim=2, shift=np.zeros(2))
 
 
+@pytest.mark.parametrize("eps", [math.inf, -math.inf])
+def test_cube_lattices_reject_infinite_epsilon_by_name(eps):
+    # an infinite epsilon would otherwise fail far away, at the int64 cell check
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        sample_cube_partition(2, eps, stream(15, 2))
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        CubePartition(epsilon=eps, dim=2, shift=np.zeros(2))
+
+
 @pytest.mark.parametrize("eps, dists", [
     (1.0, []), (1.0, [0.1, -0.1]), (1.0, [0.1, float("nan")]), (1.0, [float("inf")]),
     (0.0, [0.1]), (-1.0, [0.1]), (float("nan"), [0.1]),
@@ -1369,3 +1380,85 @@ def test_cell_anchor_of_a_cell_array_matches_per_cell_bits():
     ids = np.unique(cells_of(bpart, bpart.net.centers))
     one_by_one = np.stack([bpart.anchor(int(c)) for c in ids])
     assert bpart.anchor(ids).tobytes() == one_by_one.tobytes()
+
+
+def _second_by_direct_differences(net, X):
+    """The second center in order of (direct distance, index), per point."""
+    D = partitions._direct_distances(X[:, None, :], net.centers[None, :, :])
+    return np.array([np.lexsort((np.arange(len(net)), row))[min(1, len(net) - 1)] for row in D])
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3, 4, 8, 20]), seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+@example(d=3, seed=0, wide=False)
+@example(d=4, seed=1, wide=True)
+@example(d=20, seed=2, wide=False)
+def test_candidates_decide_ball_assign_bits_for_points_and_moved_points(d, seed, wide):
+    # the candidate pairs of a fixed point set X, taken once with reach 2R,
+    # k = 2 and move eps, give ball_assign(part, X), part.cells of points up
+    # to eps from X and X's second-nearest centers, bit for bit: in the
+    # tree regime (d <= 4) and the dense one (d = 8, 20). The net and R lie
+    # on a 1/64 grid, so points at R from a center along an axis and steps
+    # of eps along an axis are exact; a tenth of X is off support, and a
+    # wide net has 2R above its spread, so every center is a candidate
+    rng = np.random.default_rng(seed)
+    grid = np.round(rng.random((12 if wide else 300, d)) * (32 if wide else 128)) / 64
+    centers = rng.permutation(np.unique(grid, axis=0))
+    R = int(rng.integers(17, 33)) / 64
+    eps = int(rng.integers(1, 9)) / 64
+    count = len(centers)
+    net = EpsilonNet(centers=centers, epsilon=0.25, source_count=count)
+    part = BallCarvingPartition(net=net, epsilon=1.0, radius=R, order=rng.permutation(count))
+    axis = np.eye(d)[rng.integers(0, d, 40)] * rng.choice([-1.0, 1.0], (40, 1))
+    X = np.vstack([centers[rng.integers(0, count, 50)] + rng.standard_normal((50, d)) * (R / math.sqrt(d)),
+                   centers[rng.integers(0, count, 40)] + R * axis,  # at exactly R
+                   rng.random((10, d)) + 3.0])  # off support
+    assert (partitions._direct_distances(X[50:90, None, :], centers[None, :, :]) == R).any(axis=1).all()
+    pairs = _Candidates(net, X, 2.0 * R, 2, eps)
+    want = _direct_reference(part, X)
+    assert want[1].sum() >= 10 and (~want[1]).sum() >= 40
+    _assert_same_bits(pairs.assign(part), want)
+    _assert_same_bits(pairs.assign(part), ball_assign(part, X))
+    assert np.array_equal(pairs.cells(part), want[0])
+    rows = np.sort(rng.choice(len(X), 70, replace=False))
+    step = _unit_rows(rng.standard_normal((70, d)))
+    step[::2] = np.eye(d)[rng.integers(0, d, 35)] * rng.choice([-1.0, 1.0], (35, 1))  # exactly eps
+    Y = X[rows] + eps * step
+    assert np.array_equal(pairs.cells(part, rows, Y), _direct_reference(part, Y)[0])
+    assert np.array_equal(pairs.cells(part, rows, Y), part.cells(Y))
+    second = _second_by_direct_differences(net, X[rows])
+    assert np.array_equal(pairs.second(rows), second)
+    assert np.array_equal(_second_nearest_gram(net, X[rows]), second)
+
+
+def test_second_nearest_takes_the_lower_index_on_an_exact_tie():
+    # four centers at exactly 0.5 from the origin and one at 0.25: the
+    # second is the tied center of lowest index, by the tree pairs and by
+    # the Gram proposals. The net's first center lies about 1600 away, so the
+    # Gram squares of the tied centers differ by rounding; with one center,
+    # that center
+    ring = np.array([[0.0, 0.5], [0.25, 0.0], [-0.5, 0.0], [0.5, 0.0], [0.0, -0.5]])
+    X = np.zeros((1, 2))
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        order = rng.permutation(5).tolist()
+        net = EpsilonNet(centers=np.vstack([[1234.567, -987.6543], ring[order]]), epsilon=0.1, source_count=6)
+        want = 1 + min(order.index(i) for i in (0, 2, 3, 4))
+        assert _Candidates(net, X, 0.1, 2).second(np.array([0]))[0] == want
+        assert _second_nearest_gram(net, X)[0] == want
+    one = EpsilonNet(centers=ring[:1], epsilon=0.1, source_count=1)
+    assert _Candidates(one, X, 0.1, 2).second(np.array([0]))[0] == 0
+    assert _second_nearest_gram(one, X)[0] == 0
+
+
+def test_candidates_hold_the_nearest_center_of_a_moved_off_support_point():
+    # x lies 0.61 above a row of centers 1/16 apart, beyond 2R = 0.6, and
+    # y, 0.1 to its right, is nearest to a center 0.618 from x: beyond both
+    # 2R and x's second-nearest distance, within d_1(x) + 2 move
+    centers = np.stack([np.arange(21) / 16.0, np.zeros(21)], axis=1)
+    net = EpsilonNet(centers=centers, epsilon=0.25, source_count=21)
+    part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.3, order=np.arange(21)[::-1].copy())
+    X = np.array([[0.5, 0.61]])
+    Y = X + [0.1, 0.0]
+    assert part.cells(Y)[0] == 10 and ball_assign(part, Y)[1][0]
+    assert _Candidates(net, X, 0.6, 2, 0.1).cells(part, np.array([0]), Y)[0] == 10

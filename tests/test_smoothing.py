@@ -1016,3 +1016,21 @@ def test_loaded_without_base_serves_known_cells_only():
     assert back.evaluate(known[None, :])[0] == g.cell_labels[next(iter(g.cell_labels))]
     with pytest.raises(RuntimeError):
         back.evaluate(np.array([[300.0, 300.0]]))
+
+
+@pytest.mark.parametrize("max_draws", [0, -5])
+def test_smooth_exact_rejects_max_draws_below_one(max_draws):
+    # a cap below one would draw nothing and label every cell by the fallback
+    task = two_discs_task()
+    part = sample_cube_partition(2, 1.0, np.random.default_rng(61))
+    with pytest.raises(ValueError, match="max_draws"):
+        smooth_exact(task.ground_truth_classifier(), part, task, 5, np.random.default_rng(62), max_draws=max_draws)
+
+
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("with_task", [False, True])
+def test_gaussian_smoothing_rejects_sigma_that_is_not_positive_and_finite(sigma, with_task):
+    task = two_discs_task()
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        gaussian_smoothing(task.ground_truth_classifier(), sigma=sigma, n=10, rng=np.random.default_rng(63),
+                           task=task if with_task else None)
