@@ -30,10 +30,8 @@ import numpy as np
 
 from .geometry import _unit_rows, greedy_net
 from .partitions import (
-    BallCarvingPartition,
     _Candidates,
     _contained,
-    _probe_view,
     resample_ball_carving,
     sample_ball_carving,
     sample_cube_partition,
@@ -115,25 +113,18 @@ def _probes(clf, X, move: float):
     probes Y[i] within move of X[rows[i]], and guided the partition's guided
     rounds as functions of the rows attacked.
 
-    A carving-smoothed classifier reads all of them from one `_probe_view`
-    of its carving and labels the cells it gets by the table lookup of
+    A partition-smoothed classifier reads all of them from its partition's
+    one `_probe_view` and labels the cells it gets by the table lookup of
     evaluate (`_label_cells`), so it asks the base classifier what evaluate
-    would ask, in the same order. Its guided rounds push out of the assigned
-    ball, then toward the second-nearest center, as guided_directions does.
+    would ask, in the same order. On a carving that takes the tree path the
+    view is one `_Candidates` pass over X, whose kNN query runs only for
+    rows with fewer than 2 centers within 2R. A plain classifier is called
+    on X and on every probe, with no certificate and no guided rounds.
     """
-    part = getattr(clf, "partition", None)
-    if isinstance(clf, SmoothedClassifier) and isinstance(part, BallCarvingPartition):
-        cells, off, margins, cells_at, second = _probe_view(part, X, move)
-        centers = part.net.centers
-        guided = [lambda rows: _unit_rows(X[rows] - centers[cells[rows]]),
-                  lambda rows: _unit_rows(centers[second(rows)] - X[rows])]
+    if isinstance(clf, SmoothedClassifier):
+        cells, off, margins, cells_at, guided = clf.partition._probe_view(X, move)
         return clf._label_cells(cells), (off, margins), lambda rows, Y: clf._label_cells(cells_at(rows, Y)), guided
-    pred = predict_labels(clf, X)
-    label = lambda rows, Y: predict_labels(clf, Y)
-    if part is None:
-        return pred, None, label, []
-    margins, off = part.margins(X)
-    return pred, (off, margins), label, [lambda rows, fn=fn: fn(X[rows]) for fn in part.guided_directions()]
+    return clf(X), None, lambda rows, Y: clf(Y), []
 
 
 def adversarial_risk_curve(
@@ -148,15 +139,19 @@ def adversarial_risk_curve(
     """Robustness reports at several radii over one shared evaluation sample.
 
     Sharing the sample makes ar_upper nondecreasing in eps by construction.
-    The sample's labels and certificate are computed once for all radii.
-    For a carving-smoothed classifier whose carving takes the KD-tree path
-    (dimension <= 4, at least 64 points), one neighbour pass over the sample
-    serves them and every probe round; above dimension 4 one carving call
-    gives the labels and margins together (`_probes`). Radii must be finite
-    and >= 0.
+    The sample's labels and certificate are computed once for all radii,
+    from the partition's one probe view (`_probes`). For a carving-smoothed
+    classifier whose carving takes the KD-tree path (dimension <= 4, at
+    least 64 points), one neighbour pass over the sample serves them and
+    every probe round, and its kNN query runs only for rows with fewer than
+    2 centers within 2R; above dimension 4 one carving call gives the labels
+    and margins together. Radii must be finite and >= 0, attack_trials an
+    integer >= 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not (isinstance(attack_trials, (int, np.integer)) and attack_trials >= 0):
+        raise ValueError(f"attack_trials must be an integer >= 0, got {attack_trials!r}")
     eps_list = [float(e) for e in epsilons]
     if not all(0 <= e < math.inf for e in eps_list):
         raise ValueError("epsilons must be finite and >= 0")

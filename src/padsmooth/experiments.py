@@ -371,9 +371,15 @@ def _run_circles_manifold(cfg: dict, seed: int) -> ExperimentOutput:
     rows, checks = [], []
     eps = cfg["epsilon_eval"]
     reps = cfg["replicates"]
+    ambients = _ints(cfg["ambient_list"])
+    # the gap z compares two dimensions' replicate means and spreads
+    if len(set(ambients)) < 2:
+        raise ValueError(f"ambient_list must be at least two distinct dimensions, got {ambients}")
+    if reps < 2:
+        raise ValueError(f"replicates must be >= 2, got {reps}")
     n_each = cfg["n"] // reps
     per_ambient = {}
-    for d in _ints(cfg["ambient_list"]):
+    for d in ambients:
         task = intersecting_circles_task(d)
         f = task.ground_truth_classifier()
         src, _ = task.sample(rngmod.stream(seed, rngmod.TASK_STREAM, d), cfg["net_source"])
@@ -551,6 +557,8 @@ def _run_oblivious_game(cfg: dict, seed: int) -> ExperimentOutput:
     eps = cfg["epsilon"]
     rates = []
     ks = _ints(cfg["k_list"])
+    if len(set(ks)) < 2:  # the exponent fit needs two refresh intervals
+        raise ValueError(f"k_list must be at least two distinct refresh intervals, got {ks}")
     for k in ks:
         adv = _make_adversary(cfg["adversary"], task, f)
         res = oblivious_game_simulate(task, f, eps, k, cfg["rounds"], adv,

@@ -20,9 +20,10 @@ Two families:
 Both classes answer the same calls: cells(points), margins(points) ->
 (margins, off_support), anchor(cells), to_dict(), the text form of a cell
 key (key_to_text / key_from_text), the cells of cell_labels keys
-(key_cells) and guided_directions() for the probe attack. The module
-functions cells_of, certificate_margins and padding_certificate forward to
-them for either family.
+(key_cells) and _probe_view(X, move), the probe attack's one view of the
+partition on its sample: cells, certificate, the cells of probes and the
+guided rounds. The module functions cells_of, certificate_margins and
+padding_certificate forward to them for either family.
 
 The certificate is exact for cube cells and sound-but-conservative for
 carved cells (they may say Cut for a ball that is in fact contained, never
@@ -35,15 +36,16 @@ margins lowered by a rounding slack of 2 (d + 4) R eps_machine so they
 never exceed the exact ones, and off support the nearest center, the
 earlier in carving order on ties. Callers differ only in how they find
 candidate (point, center) pairs: a KD-tree over the net for batches of at
-least 64 points in dimension <= 4, every center for one point, else a
-filter of one Gram product per row tile within a forward-error band that
-stops a captured row at its first capture (`_gram_decide`); the query
-game and the probe attack take a fixed point set's pairs once
-(`_Candidates`). The Gram filter is one lift of points
-and centers less the net's first center (`_gram_lift`), in float32 when
-every band is below R^2 / 16, else in float64; its precision changes only
-which pairs are proposed. All of them return the same bits, and none meets
-a float64 square that overflows: `as_points` bounds every coordinate.
+least 64 points in dimension <= 4 (`_Candidates`, whose kNN query runs only
+for rows with fewer than k centers within reach), every center for one
+point, else a filter of one Gram product per row tile within a
+forward-error band that stops a captured row at its first capture
+(`_gram_decide`). The query game and the probe attack keep a fixed point
+set's `_Candidates` for all their rounds. The Gram filter is one lift of
+points and centers less the net's first center (`_gram_lift`), in float32
+when every band is below R^2 / 16, else in float64; its precision changes
+only which pairs are proposed. All of them return the same bits, and none
+meets a float64 square that overflows: `as_points` bounds every coordinate.
 
 The Monte-Carlo estimators (estimate_paddedness, estimate_lipschitz_constant)
 draw a fresh partition and point or pair per trial, in the order of a
@@ -190,21 +192,23 @@ class CubePartition:
         d integers."""
         return _integer_cells(keys, (self.dim,), f"cube cell keys must be tuples of {self.dim} integers")
 
-    def guided_directions(self) -> list:
-        """Certificate-guided attack rounds: one push along the axis of each
-        point's nearest cell face, toward that face."""
+    def _probe_view(self, points, move: float):
+        """What the probe attack reads of the lattice on its sample X:
+        (cells, off_support, margins, cells_at, guided). cells_at(rows, Y)
+        is cells(Y) for any probes Y, and the one guided round pushes X[rows]
+        along the axis of each point's nearest cell face, toward that face."""
+        X = _points_of(self, points)
+        margins, off = self.margins(X)
 
-        def nearest_face(X):
-            u = (X - self.shift) % self.width
-            two_sided = np.minimum(u, self.width - u)
-            j = np.argmin(two_sided, axis=1)
-            rows = np.arange(len(X))
-            sign = np.where(u[rows, j] <= self.width - u[rows, j], -1.0, 1.0)
-            D = np.zeros_like(X)
-            D[rows, j] = sign
+        def nearest_face(rows):
+            u = (X[rows] - self.shift) % self.width
+            j = np.argmin(np.minimum(u, self.width - u), axis=1)
+            at = np.arange(len(rows))
+            D = np.zeros_like(u)
+            D[at, j] = np.where(u[at, j] <= self.width - u[at, j], -1.0, 1.0)
             return D
 
-        return [nearest_face]
+        return self.cells(X), off, margins, lambda rows, Y: self.cells(Y), [nearest_face]
 
 
 def _lattice_cells(pts, shift, width) -> Array:
@@ -383,18 +387,33 @@ class BallCarvingPartition:
             raise ValueError(what)
         return cells
 
-    def guided_directions(self) -> list:
-        """Certificate-guided attack rounds: out of the assigned ball, then
-        toward the second-nearest center (`_second_nearest_gram`)."""
+    def _probe_view(self, points, move: float):
+        """What the probe attack reads of the carving on its sample X, whose
+        probes lie within `move` of it: (cells, off_support, margins,
+        cells_at, guided). The first three are ball_assign(self, X);
+        cells_at(rows, Y) is cells(Y) for points Y[i] within move of
+        X[rows[i]]; the guided rounds push X[rows] out of its assigned ball,
+        then toward its second-nearest center, the second in order of
+        (direct distance, center index).
+
+        Where ball_assign would take X down the tree path, X's candidate
+        pairs are taken once (`_Candidates`, reach 2R, k = 2) and decide all
+        of them, so a probe round needs no neighbour search. Elsewhere X is
+        one ball_assign, each batch of probes another, and the second
+        centers come from the Gram filter (`_second_nearest_gram`).
+        """
+        X = _points_of(self, points)
+        if _tree_batch(self, len(X)):
+            pairs = _Candidates(self.net, X, 2.0 * self.radius, 2, move)
+            cells, off, margins = pairs.assign(self)
+            cells_at, second = lambda rows, Y: pairs.cells(self, rows, _points_of(self, Y)), pairs.second
+        else:
+            cells, off, margins = ball_assign(self, X)
+            cells_at, second = lambda rows, Y: self.cells(Y), lambda rows: _second_nearest_gram(self.net, X[rows])
         centers = self.net.centers
-
-        def away(X):
-            return _unit_rows(X - centers[self.cells(X)])
-
-        def toward_second(X):
-            return _unit_rows(centers[_second_nearest_gram(self.net, _points_of(self, X))] - X)
-
-        return [away, toward_second]
+        guided = [lambda rows: _unit_rows(X[rows] - centers[cells[rows]]),
+                  lambda rows: _unit_rows(centers[second(rows)] - X[rows])]
+        return cells, off, margins, cells_at, guided
 
 
 def sample_ball_carving(net: EpsilonNet, epsilon: float, rng: np.random.Generator) -> BallCarvingPartition:
@@ -424,14 +443,19 @@ def ball_assign(part: BallCarvingPartition, points):
       margins: (n,) float certificate margins (0.0 off support).
 
     Batches of at least 64 points in dimension <= 4 take their candidate
-    centers from the net's KD-tree (`_ball_assign_tree`), everything else
-    from `_ball_assign_dense` (every center for one point, else a Gram
-    filter). All hand them to `_decide`, so all return the same bits.
+    centers from the net's KD-tree, 4096 points at a time so the pairs held
+    at once stay bounded: `_Candidates` with reach 2R and k = 1, whose kNN
+    query runs only for the off-support rows with no center within 2R.
+    Everything else goes to `_ball_assign_dense` (every center for one
+    point, else a Gram filter). All hand their pairs to `_decide`, so all
+    return the same bits.
     """
     pts = _points_of(part, points)
-    if _tree_batch(part, len(pts)):
-        return _ball_assign_tree(part, pts)
-    return _ball_assign_dense(part, pts)
+    if not _tree_batch(part, len(pts)):
+        return _ball_assign_dense(part, pts)
+    blocks = [_Candidates(part.net, pts[i : i + 4096], 2.0 * part.radius, 1).assign(part)
+              for i in range(0, len(pts), 4096)]
+    return tuple(np.concatenate(a) for a in zip(*blocks))
 
 
 def _tree_batch(part: BallCarvingPartition, n: int) -> bool:
@@ -523,33 +547,6 @@ def _gram_decide(tiles, R, band, d: int, distances):
         found.append((row[kept] + j, col[kept], last))
     row, col, last = map(np.concatenate, zip(*found))
     return _decide(row, row.searchsorted(np.arange(len(last))), distances(row, col), col, R, d, len(last), count)
-
-
-def _ball_assign_tree(part: BallCarvingPartition, pts: Array):
-    """ball_assign over the centers the net's KD-tree finds within 2R of a
-    point, widened by `_search_radius`: only they can capture it or bind its
-    margin min(R - d(x, u), d(x, w) - R), as a farther earlier w has
-    d(x, w) - R > R >= R - d(x, u). An off-support point with no center
-    within 2R takes its nearest centers from a second query within its
-    nearest-neighbour distance. Points go 4096 at a time.
-    """
-    if not len(pts):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), np.empty(0)
-    net, R, ranks = part.net, part.radius, part.ranks
-    count = len(net)
-    reach = _search_radius(2.0 * R, pts, net.centers)
-    out = []
-    for i in range(0, len(pts), 4096):
-        blk = pts[i : i + 4096]
-        row, starts, dist, cand = _tree_pairs(net, blk, reach)
-        pos, off, margins = _decide(row, starts, dist, ranks[cand], R, part.dim, len(blk), count)
-        lost = (off & (np.bincount(row[dist <= 2.0 * R], minlength=len(blk)) == 0)).nonzero()[0]
-        if lost.size:
-            far = blk[lost]
-            row, starts, dist, cand = _tree_pairs(net, far, _search_radius(net.tree.query(far)[0], far, net.centers))
-            pos[lost] = _first_capture(row, starts, dist, ranks[cand], R, len(far), count)[0]
-        out.append((part.order[pos], off, margins))
-    return tuple(np.concatenate(a) for a in zip(*out))
 
 
 def _tree_pairs(net: EpsilonNet, X: Array, r):
@@ -673,6 +670,8 @@ class _Candidates:
     center within max(reach, d_k(x)) + 2 move of each point x, d_k(x) its
     distance to its k-th nearest center, widened by `_search_radius` for
     points up to `move` from X (`_tree_pairs`), with their direct distances.
+    One pair query at reach + 2 move serves every row with k centers within
+    reach; the kNN query and a second pair query run only for the others.
 
     Every center that can capture a point y within move of x lies within
     R + move of x, and y's nearest centers within d_1(x) + 2 move. So with
@@ -681,17 +680,26 @@ class _Candidates:
     `_first_capture`. The query game keeps its pool fixed and changes the
     carving; the probe attack keeps the carving fixed and moves the points.
     With reach 2R they hold every earlier center within 2R too, so
-    `assign` gives X's margins, and with k = 2 its second-nearest centers
-    (`second`).
+    `assign` gives X's margins (ball_assign's tree path), and with k = 2 its
+    second-nearest centers (`second`).
     """
 
     def __init__(self, net: EpsilonNet, X: Array, reach: float, k: int, move: float = 0.0):
-        near = net.tree.query(X, k=[min(k, len(net))])[0][:, 0]
-        r = _search_radius(np.maximum(reach, near) + 2.0 * move, np.abs(X) + move, net.centers)
-        self.net, self.n = net, len(X)
-        self.row, self.starts, self.dist, self.cand = _tree_pairs(net, X, r)
-        self.sizes = np.bincount(self.row, minlength=self.n)
+        row, _, dist, cand = _tree_pairs(net, X, _search_radius(reach + 2.0 * move, np.abs(X) + move, net.centers))
+        lost = np.bincount(row[dist <= reach], minlength=len(X)) < k
+        if lost.any():  # their pairs make way for those of a query at d_k(x)
+            far = lost.nonzero()[0]
+            near = net.tree.query(X[far], k=[min(k, len(net))])[0][:, 0]
+            r = _search_radius(np.maximum(reach, near) + 2.0 * move, np.abs(X[far]) + move, net.centers)
+            more_row, _, more_dist, more_cand = _tree_pairs(net, X[far], r)
+            keep = ~lost[row]
+            by = np.argsort(np.concatenate([row[keep], far[more_row]]), kind="stable")
+            row, dist, cand = (np.concatenate([a[keep], b])[by] for a, b in
+                               ((row, far[more_row]), (dist, more_dist), (cand, more_cand)))
+        self.net, self.n, self.row, self.dist, self.cand = net, len(X), row, dist, cand
+        self.sizes = np.bincount(row, minlength=self.n)
         self.begin = np.cumsum(self.sizes) - self.sizes
+        self.starts = self.begin[self.sizes > 0]
 
     def _of(self, rows):
         """(row, starts, pairs, n) of the pairs of X[rows], renumbered
@@ -721,27 +729,6 @@ class _Candidates:
         """Second-nearest centers of X[rows] (`_second_nearest`), for k = 2."""
         row, starts, pairs, _ = self._of(rows)
         return _second_nearest(row, starts, self.dist[pairs], self.cand[pairs])
-
-
-def _probe_view(part: BallCarvingPartition, points, move: float):
-    """What the probe attack reads of a carving on its sample X, whose probes
-    lie within `move` of it: (cells, off_support, margins, cells_at, second).
-    The first three are ball_assign(part, X); cells_at(rows, Y) is
-    part.cells(Y) for points Y[i] within move of X[rows[i]], and
-    second(rows) the second-nearest centers of X[rows].
-
-    Where ball_assign would take X down the tree path, X's candidate pairs
-    are taken once (`_Candidates`, reach 2R, k = 2) and decide all of them,
-    so a probe round needs no neighbour search. Elsewhere X is one
-    ball_assign, each batch of probes another, and second proposes by the
-    Gram filter (`_second_nearest_gram`).
-    """
-    X = _points_of(part, points)
-    if _tree_batch(part, len(X)):
-        pairs = _Candidates(part.net, X, 2.0 * part.radius, 2, move)
-        return (*pairs.assign(part), lambda rows, Y: pairs.cells(part, rows, _points_of(part, Y)), pairs.second)
-    return (*ball_assign(part, X), lambda rows, Y: part.cells(Y),
-            lambda rows: _second_nearest_gram(part.net, X[rows]))
 
 
 def ball_cell_member(part: BallCarvingPartition, cell: int, points) -> Array:

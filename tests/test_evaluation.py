@@ -30,6 +30,7 @@ from padsmooth.geometry import EpsilonNet, _unit_rows, greedy_net
 from padsmooth.partitions import (
     BallCarvingPartition,
     _Candidates,
+    _direct_distances,
     ball_assign,
     resample_ball_carving,
     sample_ball_carving,
@@ -166,11 +167,47 @@ def test_curve_rejects_infinite_radius():
         adversarial_risk_curve(g, task, [0.1, math.inf], 100, np.random.default_rng(22))
 
 
+@pytest.mark.parametrize("trials", [-3, 2.0, "8"])
+def test_curve_rejects_attack_trials_that_are_not_integers_at_least_zero(trials):
+    # a negative count would run no random round and be reported as given
+    task, g = make_smoothed(20)
+    with pytest.raises(ValueError, match="attack_trials must be"):
+        adversarial_risk_curve(g, task, [0.1], 100, np.random.default_rng(22), attack_trials=trials)
+    assert adversarial_risk_curve(g, task, [0.1], 100, np.random.default_rng(22), attack_trials=0)[0].attack_trials == 0
+
+
+def _guided_reference(part):
+    """The guided rounds written out point by point, as functions of the
+    points attacked. A lattice pushes along the axis of the nearest cell
+    face, toward it (the lower face on a tie). A carving pushes away from
+    the assigned center, then toward the second center in order of (direct
+    distance, index) over every center (the nearest with one center)."""
+    if isinstance(part, BallCarvingPartition):
+        centers = part.net.centers
+
+        def toward_second(Z):
+            D = _direct_distances(Z[:, None, :], centers[None, :, :])
+            second = [np.lexsort((np.arange(len(centers)), row))[min(1, len(centers) - 1)] for row in D]
+            return _unit_rows(centers[second] - Z)
+
+        return [lambda Z: _unit_rows(Z - centers[part.cells(Z)]), toward_second]
+
+    def nearest_face(Z):
+        out = np.zeros_like(Z)
+        for z, o in zip(Z, out):
+            u = (z - part.shift) % part.width
+            j = min(range(len(u)), key=lambda i: min(u[i], part.width - u[i]))
+            o[j] = -1.0 if u[j] <= part.width - u[j] else 1.0
+        return out
+
+    return [nearest_face]
+
+
 def _reference_curve(clf, task, epsilons, n, rng, attack_trials):
     """adversarial_risk_curve as a loop of whole evaluations: the sample's
     labels by clf.evaluate, its certificate by part.margins, and every
-    probe round one clf.evaluate of its probes, with the partition's
-    guided_directions."""
+    probe round one clf.evaluate of its probes, with guided rounds of its
+    own (`_guided_reference`)."""
     X, y = task.sample(rng, n)
     mis = clf.evaluate(X) != y
     part = clf.partition
@@ -181,7 +218,7 @@ def _reference_curve(clf, task, epsilons, n, rng, attack_trials):
         attacked = np.zeros(n, dtype=bool)
         alive = np.flatnonzero(~mis & ~contained)
         rounds = [lambda Z: _unit_rows(rng.standard_normal(Z.shape))] * attack_trials
-        rounds += [lambda Z: _unit_rows(Z), lambda Z: -_unit_rows(Z), *part.guided_directions()]
+        rounds += [lambda Z: _unit_rows(Z), lambda Z: -_unit_rows(Z), *_guided_reference(part)]
         for dirs in rounds if eps > 0 else []:
             if not len(alive):
                 break

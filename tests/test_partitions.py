@@ -35,7 +35,6 @@ from padsmooth.partitions import (
     _TILE,
     _Candidates,
     _ball_assign_dense,
-    _ball_assign_tree,
     _second_nearest_gram,
     _tree_pairs,
     ball_assign,
@@ -286,7 +285,7 @@ def test_ball_assign_matches_brute_force():
         assert cells[i] == c
         assert off[i] == o
         assert margins[i] == pytest.approx(brute_margin(part, X[i]), abs=1e-12)
-    for kernel in (ball_assign, _ball_assign_dense, _ball_assign_tree):  # an empty batch
+    for kernel in (ball_assign, _ball_assign_dense):  # an empty batch
         assert [a.dtype for a in kernel(part, X[:0])] == [np.int64, bool, np.float64]
 
 
@@ -305,6 +304,12 @@ def _kernel_case(d, n, seed, one_center, offset=0.0):
     far = rng.random(n) < 0.05
     X[far] += rng.standard_normal((int(far.sum()), d)) * 50.0
     return part, X
+
+
+def _tree_assign(part, X):
+    """ball_assign's tree path in any dimension and batch size: the KD-tree
+    candidate pairs with reach 2R and k = 1."""
+    return _Candidates(part.net, X, 2.0 * part.radius, 1).assign(part)
 
 
 def _direct(part, X):
@@ -333,7 +338,7 @@ def test_ball_tree_and_dense_kernels_agree(d, n, seed, one_center):
     # for bit on every point, and the dispatch returns their result
     part, X = _kernel_case(d, n, seed, one_center)
     dense = _ball_assign_dense(part, X)
-    tree = _ball_assign_tree(part, X)
+    tree = _tree_assign(part, X)
     _assert_same_bits(tree, dense)
     want_off, want, ambiguous = _direct(part, X)
     ok = ~ambiguous
@@ -354,11 +359,26 @@ def test_ball_tree_and_dense_kernels_agree(d, n, seed, one_center):
 )
 def test_ball_tree_margins_never_exceed_direct_margins(d, n, seed, one_center, offset):
     part, X = _kernel_case(d, n, seed, one_center, offset)
-    _, off, margins = _ball_assign_tree(part, X)
+    _, off, margins = _tree_assign(part, X)
     want_off, want, ambiguous = _direct(part, X)
     on = ~ambiguous & ~want_off
     assert np.array_equal(off[~ambiguous], want_off[~ambiguous])
     assert (margins[on] <= want[on]).all()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [4097, 8200])
+def test_ball_assign_tree_path_across_block_boundaries(d, n):
+    # the tree path takes 4096 points per _Candidates block: one point past
+    # a block and a third block, with far off-support points (no center
+    # within 2R, so the kNN query) in every block, give the dense bits
+    part, X = _kernel_case(d, n, 90 + d, False)
+    X[-1] += 100.0  # so the last block, one point long at n = 4097, has one
+    assert partitions._tree_batch(part, n)
+    want = _ball_assign_dense(part, X)
+    far = want[1] & (cdist(X, part.net.centers).min(axis=1) > 2.0 * part.radius)
+    assert all(far[i : i + 4096].any() for i in range(0, n, 4096))
+    _assert_same_bits(ball_assign(part, X), want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -380,7 +400,7 @@ def test_ball_kernels_capture_points_at_exactly_r(d):
     there = np.ravel_multi_index(tuple(np.minimum(base + step, 3).T), (4,) * d)
     here_first = ~inside | (part.ranks[here] < part.ranks[there])
     want = np.where(here_first, here, there)
-    for cells, off, margins in (_ball_assign_tree(part, X), _ball_assign_dense(part, X), ball_assign(part, X)):
+    for cells, off, margins in (_tree_assign(part, X), _ball_assign_dense(part, X), ball_assign(part, X)):
         assert not off.any()
         assert np.array_equal(cells, want)
         assert (margins == 0.0).all()
@@ -662,7 +682,7 @@ def test_ball_assign_in_low_dimension_where_the_tree_would_overflow(order):
     want = _direct_reference(part, X)
     assert 0 < np.count_nonzero(want[1]) < len(X)
     _assert_same_bits(ball_assign(part, X), want)
-    _assert_same_bits(_ball_assign_tree(part, X), want)
+    _assert_same_bits(_tree_assign(part, X), want)
     _assert_same_bits(_ball_assign_dense(part, X), want)
     _assert_same_bits(ball_assign(part, X[:10]), tuple(a[:10] for a in want))
 
@@ -694,7 +714,7 @@ def test_every_kernel_at_the_edge_of_the_coordinate_domain(d):
         for i, part in enumerate(parts):
             want = _direct_reference(part, X)
             assert 0 < np.count_nonzero(want[1]) < len(X)
-            _assert_same_bits(_ball_assign_tree(part, X), want)
+            _assert_same_bits(_tree_assign(part, X), want)
             _assert_same_bits(_ball_assign_dense(part, X), want)
             _assert_same_bits(_ball_assign_dense(part, X[-1:]), tuple(a[-1:] for a in want))
             _assert_same_bits(tuple(a[i] for a in trials), want)
@@ -732,7 +752,7 @@ def test_ball_dense_off_support_nearest_keeps_first_index_on_equal_roots(d):
     for order in ([1, 0], [0, 1]):
         part = BallCarvingPartition(net=net, epsilon=1.0, radius=0.5, order=np.array(order))
         for X in (np.zeros((1, d)), np.zeros((2, d))):
-            for cells, off, margins in (_ball_assign_dense(part, X), _ball_assign_tree(part, X)):
+            for cells, off, margins in (_ball_assign_dense(part, X), _tree_assign(part, X)):
                 assert off.all() and not margins.any()
                 assert (cells == order[0]).all()
             _assert_same_bits(_ball_assign_dense(part, X), _direct_reference(part, X))
@@ -979,7 +999,7 @@ def test_ball_margins_are_sound_in_exact_arithmetic(d, offset, seed):
     outputs = []
     for i, (part, X) in enumerate(zip(parts, pts)):
         outputs.append((part, X, _ball_assign_dense(part, X)))
-        outputs.append((part, X, _ball_assign_tree(part, X)))
+        outputs.append((part, X, _tree_assign(part, X)))
         outputs.append((part, X, tuple(a[i] for a in batched)))
         certs = [padding_certificate(part, x, 0.0) for x in X]
         outputs.append((part, X, (part.cells(X), np.array([c.status == OFF_SUPPORT for c in certs]),
