@@ -19,7 +19,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .evaluation import BracketingError
 from .experiments import CSV_COLUMNS, EXPERIMENTS, execute
 from .partitions import partition_from_dict
 from .smoothing import SmoothedClassifier
@@ -116,6 +115,20 @@ def _resolve_out_dir(cfg: dict, flag_out: str | None) -> Path:
     return Path("runs") / f"{cfg['experiment']}-seed{cfg['seed']}"
 
 
+def _execute(cfg: dict, out_dir: Path):
+    """execute's summary, or the exit code after printing why it failed:
+    infeasible budget for a RuntimeError (BracketingError included), config
+    error for a ValueError."""
+    try:
+        return execute(cfg["experiment"], cfg, out_dir)
+    except RuntimeError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+
 def _cmd_run(args) -> int:
     path = Path(args.config)
     try:
@@ -129,15 +142,9 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = _resolve_out_dir(cfg, args.out)
-    try:
-        summary = execute(cfg["experiment"], cfg, out_dir)
-    except (BracketingError, RuntimeError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    summary = _execute(cfg, _resolve_out_dir(cfg, args.out))
+    if isinstance(summary, int):
+        return summary
     print(f"{summary['experiment']}: {summary['rows']} rows, "
           f"{summary['checks']} checks, {len(summary['failed'])} failed -> {summary['out_dir']}")
     for name in summary["failed"]:
@@ -217,14 +224,9 @@ def _cmd_verify(args) -> int:
     saved_env = os.environ.pop(ENV_OUT, None)
     try:
         with tempfile.TemporaryDirectory(prefix="padsmooth-verify-") as tmp:
-            try:
-                execute(cfg["experiment"], cfg, Path(tmp))
-            except (BracketingError, RuntimeError) as exc:
-                print(f"infeasible: {exc}", file=sys.stderr)
-                return EXIT_INFEASIBLE
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+            code = _execute(cfg, Path(tmp))
+            if isinstance(code, int):
+                return code
             fresh = (Path(tmp) / "results.csv").read_bytes()
     finally:
         if saved_env is not None:

@@ -107,11 +107,12 @@ def _attack_directions(X, guided: list, attack_trials: int, rng: np.random.Gener
 
 
 def _probes(clf, X, move: float):
-    """What the probe attack reads of clf on its sample X: (pred, certificate,
-    label, guided). pred are the labels of X, certificate its (off_support,
-    margins) or None without a partition, label(rows, Y) the labels of
-    probes Y[i] within move of X[rows[i]], and guided the partition's guided
-    rounds as functions of the rows attacked.
+    """What the probe attack, and every certified upper bound, reads of clf
+    on its sample X: (pred, certificate, label, guided). pred are the labels
+    of X, certificate its (off_support, margins) or None without a
+    partition, label(rows, Y) the labels of probes Y[i] within move of
+    X[rows[i]], and guided the partition's guided rounds as functions of
+    the rows attacked.
 
     A partition-smoothed classifier reads all of them from its partition's
     one `_probe_view` and labels the cells it gets by the table lookup of
@@ -270,7 +271,9 @@ def competitive_ratio_experiment(
     The pipeline side pays a planted delta of base error on the spheres
     task, smooths over a cube partition, and bisects eps against the
     certificate-based AR upper bound on one fixed evaluation sample (the
-    bound is monotone there, so bisection is exact up to 2% of eps). The
+    bound is monotone there, so bisection is exact up to 2% of eps), then
+    reads the bound at the radius found on a fresh sample. Each sample
+    takes its labels and certificate from one probe view (`_probes`). The
     optimal side inflates a planted error cap: a cap of mass delta/2 grows
     to mass eta at radius (2 eta/delta)^(1/d) - 1, which upper-bounds any
     classifier's usable radius at level eta.
@@ -285,12 +288,12 @@ def competitive_ratio_experiment(
     part = sample_cube_partition(d, partition_epsilon, rng)
     g = smooth_exact(f, part, task, per_cell, rng, max_draws=max_draws)
     X, y = task.sample(rng, n)
-    mis = g.evaluate(X) != y
-    margins, off = part.margins(X)
+    pred, cert, _, _ = _probes(g, X, 0.0)
+    mis = pred != y
     risk_hat = float(mis.mean())
 
     def ar_upper(eps: float) -> float:
-        return float(np.mean(mis | ~_contained(off, margins, eps)))
+        return float(np.mean(mis | ~_contained(*cert, eps)))
 
     if risk_hat > eta:
         grid = np.linspace(0, part.width / 2, 9)
@@ -309,9 +312,8 @@ def competitive_ratio_experiment(
             hi = mid
     eps_alg = lo
     X2, y2 = task.sample(rng, n)
-    mis2 = g.evaluate(X2) != y2
-    margins2, off2 = part.margins(X2)
-    ar_fresh = float(np.mean(mis2 | ~_contained(off2, margins2, eps_alg)))
+    pred2, cert2, _, _ = _probes(g, X2, 0.0)
+    ar_fresh = float(np.mean((pred2 != y2) | ~_contained(*cert2, eps_alg)))
     if delta > 0:
         eps_opt = (2.0 * eta / delta) ** (1.0 / d) - 1.0
         ratio = eps_opt / eps_alg if eps_alg > 0 else math.inf
@@ -483,6 +485,10 @@ def oblivious_game_simulate(
         raise ValueError("epsilon must be >= 0")
     if family not in ("ball", "cube"):
         raise ValueError("family must be 'ball' or 'cube'")
+    if pool < 1:
+        raise ValueError(f"pool must be >= 1, got {pool}")
+    if family == "ball" and net_source < 1:
+        raise ValueError(f"net_source must be >= 1, got {net_source}")
     Xp, _ = task.sample(rng, pool)
     f_pool = f(Xp).astype(np.float64)
     if family == "ball":

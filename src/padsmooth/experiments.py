@@ -1,11 +1,22 @@
 """Named experiment pipelines behind the CLI.
 
-Each experiment is a pure function of (config, seed) that returns CSV rows
-plus optional JSON artifacts (serialized partitions and classifiers for
-replay). Rows follow one long-format schema so downstream plotting never
-needs experiment-specific parsing. Bound rows carry the analytic
-right-hand side in `bound` and a pass/fail verdict in `ok`; tolerance is
-three binomial standard errors unless stated in the row's metric name.
+Each experiment is a pure function of (config, seed) that fills one
+`ExperimentOutput`: CSV rows, optional JSON artifacts (serialized
+partitions and classifiers for replay) and pass/fail checks. Rows follow
+one long-format schema so downstream plotting never needs
+experiment-specific parsing. `ExperimentOutput.bound` writes a check
+together with its bound row, which carries the analytic right-hand side in
+`bound` and the verdict in `ok`, so the checks of report.json and the rows
+that carry a verdict agree one to one and in order. hard_distribution's
+`packing_size` rows are the exception: they carry a verdict (did that
+dimension pack enough points) but are not checks. Tolerance is three
+binomial standard errors unless stated in the row's metric name.
+
+The certified upper bound (misclassified, or the padding certificate does
+not contain B_eps(x)) of circles_manifold and of the competitive search
+takes a sample's labels and certificate from one pass, the probe attack's
+view of the partition (`evaluation._probes`); `certificate_margins` has
+callers only in the benchmark and the tests.
 
 All randomness descends from the config seed through fixed purpose slots,
 so reruns are byte-identical and adding experiments never shifts existing
@@ -16,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -24,9 +35,10 @@ import numpy as np
 
 from . import rng as rngmod
 from .evaluation import (
-    IdentityAdversary,
     BoundarySeekAdversary,
+    IdentityAdversary,
     ReplayAdversary,
+    _probes,
     adversarial_risk_curve,
     competitive_ratio_experiment,
     estimate_risk,
@@ -35,7 +47,6 @@ from .evaluation import (
 from .geometry import estimate_doubling_dimension, greedy_net
 from .partitions import (
     _contained,
-    certificate_margins,
     estimate_lipschitz_constant,
     estimate_paddedness,
     resample_ball_carving,
@@ -118,10 +129,6 @@ def _se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
-
-
 def _floats(text: str) -> list[float]:
     return [float(s) for s in str(text).split(",") if s.strip()]
 
@@ -130,40 +137,37 @@ def _ints(text: str) -> list[int]:
     return [int(s) for s in str(text).split(",") if s.strip()]
 
 
-def _streams(seed: int) -> dict:
-    return {
-        "task": rngmod.stream(seed, rngmod.TASK_STREAM),
-        "part": rngmod.stream(seed, rngmod.PARTITION_STREAM),
-        "smooth": rngmod.stream(seed, rngmod.SMOOTHING_STREAM),
-        "eval": rngmod.stream(seed, rngmod.EVAL_STREAM),
-        "attack": rngmod.stream(seed, rngmod.ATTACK_STREAM),
-        "game": rngmod.stream(seed, rngmod.GAME_STREAM),
-        "aux": rngmod.stream(seed, rngmod.AUX_STREAM),
-    }
-
-
-def _certified_ar(rows, checks, check, g, task, eps, n, rng, attack_trials, rhs, t, **labels):
-    """One-radius certified AR of g: appends the check ar_upper <= rhs + 3 se
-    under the name `check` and the ar_upper, ar_lower and certified_fraction
-    rows of scheme exact, with `labels` as further columns; returns the
-    report."""
-    rep = adversarial_risk_curve(g, task, [eps], n, rng, attack_trials=attack_trials)[0]
-    ok = rep.ar_upper <= rhs + 3 * _se(rep.ar_upper, n)
-    checks.append((check, ok, f"ar_upper={rep.ar_upper:.4f} <= {rhs:.4f}"))
-    labels.update(task=task.name, scheme="exact", epsilon=eps, n=n)
-    rows.append(_row("ar_upper", rep.ar_upper, **labels, t=t, lo=rep.ar_upper_lo,
-                     hi=rep.ar_upper_hi, bound=rhs, ok=_verdict(ok)))
-    rows.append(_row("ar_lower", rep.ar_lower, **labels, lo=rep.ar_lower_lo, hi=rep.ar_lower_hi))
-    rows.append(_row("certified_fraction", rep.certified_fraction, **labels,
-                     lo=rep.certified_lo, hi=rep.certified_hi))
-    return rep
-
-
-@dataclass(frozen=True)
+@dataclass
 class ExperimentOutput:
-    rows: list
-    artifacts: dict
-    checks: list
+    """The one accumulator of a run: CSV rows, JSON artifacts by file name,
+    and checks as (name, ok, detail)."""
+
+    rows: list = field(default_factory=list)
+    artifacts: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
+
+    def row(self, metric: str, value, **labels) -> None:
+        self.rows.append(_row(metric, value, **labels))
+
+    def bound(self, check: str, ok: bool, detail: str, metric: str, value, bound, **labels) -> None:
+        """Record the check `check` and its bound row: metric = value against
+        `bound`, with the check's verdict in `ok`."""
+        self.checks.append((check, ok, detail))
+        self.row(metric, value, bound=bound, ok="pass" if ok else "fail", **labels)
+
+
+def _certified_ar(out, cfg, check, g, task, eps, n, rng, rhs, t, **labels):
+    """One-radius certified AR of g at cfg's attack_trials: the check
+    ar_upper <= rhs + 3 se under the name `check` with its ar_upper row, and
+    the ar_lower and certified_fraction rows, all of scheme exact with
+    `labels` as further columns; returns the report."""
+    rep = adversarial_risk_curve(g, task, [eps], n, rng, attack_trials=cfg["attack_trials"])[0]
+    labels.update(task=task.name, scheme="exact", epsilon=eps, n=n)
+    out.bound(check, rep.ar_upper <= rhs + 3 * _se(rep.ar_upper, n), f"ar_upper={rep.ar_upper:.4f} <= {rhs:.4f}",
+              "ar_upper", rep.ar_upper, rhs, **labels, t=t, lo=rep.ar_upper_lo, hi=rep.ar_upper_hi)
+    out.row("ar_lower", rep.ar_lower, **labels, lo=rep.ar_lower_lo, hi=rep.ar_lower_hi)
+    out.row("certified_fraction", rep.certified_fraction, **labels, lo=rep.certified_lo, hi=rep.certified_hi)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -171,39 +175,30 @@ class ExperimentOutput:
 
 
 def _run_two_discs(cfg: dict, seed: int) -> ExperimentOutput:
-    st = _streams(seed)
+    eval_rng = rngmod.stream(seed, rngmod.EVAL_STREAM)
+    smooth_rng = rngmod.stream(seed, rngmod.SMOOTHING_STREAM)
     task = two_discs_task()
     f = left_disc_indicator()
     n = cfg["n"]
-    rows, checks = [], []
+    out = ExperimentOutput()
 
-    base = estimate_risk(f, task, n, st["eval"])
-    rows.append(_row("risk", base.value, task=task.name, scheme="base", d=2, n=n,
-                     lo=base.lo, hi=base.hi))
+    base = estimate_risk(f, task, n, eval_rng)
+    out.row("risk", base.value, task=task.name, scheme="base", d=2, n=n, lo=base.lo, hi=base.hi)
 
-    g_noise = gaussian_smoothing(f, cfg["sigma"], cfg["gaussian_draws"], st["smooth"])
-    rn = estimate_risk(g_noise, task, n, st["eval"])
-    ok = abs(rn.value - 0.5) <= 0.02
-    checks.append(("gaussian_risk_half", ok, f"risk={rn.value:.4f} target 0.5 +- 0.02"))
-    rows.append(_row("risk", rn.value, task=task.name, scheme="gaussian", d=2, n=n,
-                     sigma=cfg["sigma"], k=cfg["gaussian_draws"], lo=rn.lo, hi=rn.hi,
-                     bound=0.5, ok=_verdict(ok)))
+    g_noise = gaussian_smoothing(f, cfg["sigma"], cfg["gaussian_draws"], smooth_rng)
+    rn = estimate_risk(g_noise, task, n, eval_rng)
+    out.bound("gaussian_risk_half", abs(rn.value - 0.5) <= 0.02, f"risk={rn.value:.4f} target 0.5 +- 0.02",
+              "risk", rn.value, 0.5, task=task.name, scheme="gaussian", d=2, n=n, sigma=cfg["sigma"],
+              k=cfg["gaussian_draws"], lo=rn.lo, hi=rn.hi)
 
-    part = sample_cube_partition(2, cfg["partition_epsilon"], st["part"])
-    g_part = smooth_exact(f, part, task, cfg["per_cell"], st["smooth"],
-                          max_draws=cfg["max_draws"])
-    rp = estimate_risk(g_part, task, n, st["eval"])
-    ok2 = rp.value <= 0.01
-    checks.append(("partition_risk_small", ok2, f"risk={rp.value:.4f} <= 0.01"))
-    rows.append(_row("risk", rp.value, task=task.name, partition="cube", scheme="exact",
-                     d=2, epsilon=cfg["partition_epsilon"], n=n, lo=rp.lo, hi=rp.hi,
-                     bound=0.01, ok=_verdict(ok2)))
-
-    artifacts = {
-        "partition.json": part.to_dict(),
-        "classifier.json": g_part.to_dict(),
-    }
-    return ExperimentOutput(rows, artifacts, checks)
+    part = sample_cube_partition(2, cfg["partition_epsilon"], rngmod.stream(seed, rngmod.PARTITION_STREAM))
+    g_part = smooth_exact(f, part, task, cfg["per_cell"], smooth_rng, max_draws=cfg["max_draws"])
+    rp = estimate_risk(g_part, task, n, eval_rng)
+    out.bound("partition_risk_small", rp.value <= 0.01, f"risk={rp.value:.4f} <= 0.01",
+              "risk", rp.value, 0.01, task=task.name, partition="cube", scheme="exact", d=2,
+              epsilon=cfg["partition_epsilon"], n=n, lo=rp.lo, hi=rp.hi)
+    out.artifacts.update({"partition.json": part.to_dict(), "classifier.json": g_part.to_dict()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +206,7 @@ def _run_two_discs(cfg: dict, seed: int) -> ExperimentOutput:
 
 
 def _run_hard_distribution(cfg: dict, seed: int) -> ExperimentOutput:
-    rows, checks = [], []
-    st = _streams(seed)
+    out = ExperimentOutput()
     sigma = cfg["sigma"]
     min_packing = cfg["min_packing"]
     chosen = None
@@ -220,17 +214,16 @@ def _run_hard_distribution(cfg: dict, seed: int) -> ExperimentOutput:
         task = hard_distribution_task(d, sigma, rngmod.stream(seed, rngmod.TASK_STREAM, d),
                                       packing_trials=cfg["packing_trials"])
         achieved = task.metadata["packing_achieved"]
-        rows.append(_row("packing_size", achieved, task=task.name, d=d, sigma=sigma,
-                         bound=min_packing, ok=_verdict(achieved >= min_packing)))
-        rows.append(_row("packing_target", task.metadata["packing_target"], task=task.name,
-                         d=d, sigma=sigma))
+        # a verdict on the dimension grid, not a check: the largest d that packs is chosen
+        out.row("packing_size", achieved, task=task.name, d=d, sigma=sigma, bound=min_packing,
+                ok="pass" if achieved >= min_packing else "fail")
+        out.row("packing_target", task.metadata["packing_target"], task=task.name, d=d, sigma=sigma)
         f_d = central_blindspot_classifier(task)
         g_trend = gaussian_smoothing(f_d, sigma, cfg["pool"],
                                      rngmod.stream(seed, rngmod.SMOOTHING_STREAM, d), task=task)
-        r_trend = estimate_risk(g_trend, task, cfg["n_trend"],
-                                rngmod.stream(seed, rngmod.EVAL_STREAM, d))
-        rows.append(_row("risk", r_trend.value, task=task.name, scheme="conditioned-gaussian",
-                         d=d, sigma=sigma, n=cfg["n_trend"], lo=r_trend.lo, hi=r_trend.hi))
+        r_trend = estimate_risk(g_trend, task, cfg["n_trend"], rngmod.stream(seed, rngmod.EVAL_STREAM, d))
+        out.row("risk", r_trend.value, task=task.name, scheme="conditioned-gaussian", d=d, sigma=sigma,
+                n=cfg["n_trend"], lo=r_trend.lo, hi=r_trend.hi)
         if achieved >= min_packing and (chosen is None or d > chosen[0]):
             chosen = (d, task)
     if chosen is None:
@@ -239,85 +232,75 @@ def _run_hard_distribution(cfg: dict, seed: int) -> ExperimentOutput:
             f"raise packing_trials or lower min_packing")
     d, task = chosen
     n = cfg["n"]
+    eval_rng = rngmod.stream(seed, rngmod.EVAL_STREAM)
+    smooth_rng = rngmod.stream(seed, rngmod.SMOOTHING_STREAM)
     f = central_blindspot_classifier(task)
-    rows.append(_row("chosen_d", d, task=task.name, sigma=sigma))
-    rows.append(_row("blob_scale", task.metadata["eps"], task=task.name, d=d, sigma=sigma))
+    out.row("chosen_d", d, task=task.name, sigma=sigma)
+    out.row("blob_scale", task.metadata["eps"], task=task.name, d=d, sigma=sigma)
 
-    rb = estimate_risk(f, task, n, st["eval"])
+    rb = estimate_risk(f, task, n, eval_rng)
     base_bound = math.exp(-0.01 * d) + 3 * _se(rb.value, n)
-    okb = rb.value <= base_bound
-    checks.append(("base_risk_small", okb, f"risk={rb.value:.4f} <= {base_bound:.4f}"))
-    rows.append(_row("risk", rb.value, task=task.name, scheme="base", d=d, sigma=sigma,
-                     n=n, lo=rb.lo, hi=rb.hi, bound=base_bound, ok=_verdict(okb)))
+    out.bound("base_risk_small", rb.value <= base_bound, f"risk={rb.value:.4f} <= {base_bound:.4f}",
+              "risk", rb.value, base_bound, task=task.name, scheme="base", d=d, sigma=sigma, n=n,
+              lo=rb.lo, hi=rb.hi)
 
-    g_cond = gaussian_smoothing(f, sigma, cfg["pool"], st["smooth"], task=task)
-    rc = estimate_risk(g_cond, task, n, st["eval"])
-    okc = rc.value >= 0.2
-    checks.append(("conditioned_risk_blows_up", okc, f"risk={rc.value:.4f} >= 0.2"))
-    rows.append(_row("risk", rc.value, task=task.name, scheme="conditioned-gaussian", d=d,
-                     sigma=sigma, n=n, k=cfg["pool"], lo=rc.lo, hi=rc.hi, bound=0.2,
-                     ok=_verdict(okc)))
+    g_cond = gaussian_smoothing(f, sigma, cfg["pool"], smooth_rng, task=task)
+    rc = estimate_risk(g_cond, task, n, eval_rng)
+    out.bound("conditioned_risk_blows_up", rc.value >= 0.2, f"risk={rc.value:.4f} >= 0.2",
+              "risk", rc.value, 0.2, task=task.name, scheme="conditioned-gaussian", d=d, sigma=sigma,
+              n=n, k=cfg["pool"], lo=rc.lo, hi=rc.hi)
 
-    g_plain = gaussian_smoothing(f, sigma, cfg["gaussian_draws"], st["smooth"])
-    rg = estimate_risk(g_plain, task, cfg["n_trend"], st["eval"])
-    rows.append(_row("risk", rg.value, task=task.name, scheme="gaussian", d=d, sigma=sigma,
-                     n=cfg["n_trend"], k=cfg["gaussian_draws"], lo=rg.lo, hi=rg.hi))
+    g_plain = gaussian_smoothing(f, sigma, cfg["gaussian_draws"], smooth_rng)
+    rg = estimate_risk(g_plain, task, cfg["n_trend"], eval_rng)
+    out.row("risk", rg.value, task=task.name, scheme="gaussian", d=d, sigma=sigma, n=cfg["n_trend"],
+            k=cfg["gaussian_draws"], lo=rg.lo, hi=rg.hi)
 
     eps_part = cfg["partition_scale"] * task.metadata["eps"]
-    part = sample_cube_partition(d, eps_part, st["part"])
-    g_part = smooth_exact(f, part, task, cfg["per_cell"], st["smooth"],
-                          max_draws=cfg["max_draws"])
-    rp = estimate_risk(g_part, task, n, st["eval"])
+    part = sample_cube_partition(d, eps_part, rngmod.stream(seed, rngmod.PARTITION_STREAM))
+    g_part = smooth_exact(f, part, task, cfg["per_cell"], smooth_rng, max_draws=cfg["max_draws"])
+    rp = estimate_risk(g_part, task, n, eval_rng)
     part_bound = 2 * rb.value + 0.02
-    okp = rp.value <= part_bound
-    checks.append(("partition_risk_tracks_base", okp, f"risk={rp.value:.4f} <= {part_bound:.4f}"))
-    rows.append(_row("risk", rp.value, task=task.name, partition="cube", scheme="exact", d=d,
-                     epsilon=eps_part, sigma=sigma, n=n, lo=rp.lo, hi=rp.hi,
-                     bound=part_bound, ok=_verdict(okp)))
-
-    artifacts = {"partition.json": part.to_dict()}
-    return ExperimentOutput(rows, artifacts, checks)
+    out.bound("partition_risk_tracks_base", rp.value <= part_bound, f"risk={rp.value:.4f} <= {part_bound:.4f}",
+              "risk", rp.value, part_bound, task=task.name, partition="cube", scheme="exact", d=d,
+              epsilon=eps_part, sigma=sigma, n=n, lo=rp.lo, hi=rp.hi)
+    out.artifacts["partition.json"] = part.to_dict()
+    return out
 
 
 # ---------------------------------------------------------------------------
 # spheres_bounds: end-to-end certified AR bound for ball carving
 
 
-def _spheres_bound_block(rows, checks, seed, d, delta, eps_list, alpha, c_prime,
-                         net_source, n, per_cell, max_draws, attack_trials, artifacts,
-                         save_artifacts):
+def _spheres_bound_block(out, cfg, seed, size):
+    """The block of cfg's keys d, eps_list, net_source and n with suffix
+    `size` ("" for the main block, "_small" for the small one, whose last
+    carving is saved)."""
+    d, delta, alpha, n = cfg["d" + size], cfg["delta"], cfg["alpha"], cfg["n" + size]
+    eps_list = _floats(cfg["eps_list" + size])
     task = concentric_spheres_task(d)
     f = plant_error_classifier(task, delta, rngmod.stream(seed, rngmod.TASK_STREAM, d))
-    src, _ = task.sample(rngmod.stream(seed, rngmod.AUX_STREAM, d), net_source)
+    src, _ = task.sample(rngmod.stream(seed, rngmod.AUX_STREAM, d), cfg["net_source" + size])
     for j, eps in enumerate(eps_list):
         eps_part = d * eps / alpha
         net = greedy_net(src, eps_part / 4.0)
         part = sample_ball_carving(net, eps_part, rngmod.stream(seed, rngmod.PARTITION_STREAM, d, j))
-        g = smooth_exact(f, part, task, per_cell, rngmod.stream(seed, rngmod.SMOOTHING_STREAM, d, j),
-                         max_draws=max_draws)
-        rhs = 2 * task.separation(d * eps / alpha) + 2 * delta + c_prime * alpha
-        rep = _certified_ar(rows, checks, f"ball_bound_d{d}_eps{eps}", g, task, eps, n,
-                            rngmod.stream(seed, rngmod.EVAL_STREAM, d, j), attack_trials, rhs,
-                            eps_part, partition="ball", d=d, delta=delta)
-        rows.append(_row("risk", rep.risk, task=task.name, partition="ball", scheme="exact",
-                         d=d, epsilon=eps, delta=delta, n=n, lo=rep.risk_lo, hi=rep.risk_hi))
-        if save_artifacts and j == len(eps_list) - 1:
-            artifacts["partition.json"] = part.to_dict()
-            artifacts["classifier.json"] = g.to_dict()
+        g = smooth_exact(f, part, task, cfg["per_cell"], rngmod.stream(seed, rngmod.SMOOTHING_STREAM, d, j),
+                         max_draws=cfg["max_draws"])
+        rhs = 2 * task.separation(d * eps / alpha) + 2 * delta + cfg["c_prime"] * alpha
+        rep = _certified_ar(out, cfg, f"ball_bound_d{d}_eps{eps}", g, task, eps, n,
+                            rngmod.stream(seed, rngmod.EVAL_STREAM, d, j), rhs, eps_part,
+                            partition="ball", d=d, delta=delta)
+        out.row("risk", rep.risk, task=task.name, partition="ball", scheme="exact", d=d, epsilon=eps,
+                delta=delta, n=n, lo=rep.risk_lo, hi=rep.risk_hi)
+        if size == "_small" and j == len(eps_list) - 1:
+            out.artifacts.update({"partition.json": part.to_dict(), "classifier.json": g.to_dict()})
 
 
 def _run_spheres_bounds(cfg: dict, seed: int) -> ExperimentOutput:
-    rows, checks = [], []
-    artifacts: dict = {}
-    alpha = cfg["alpha"]
-    _spheres_bound_block(rows, checks, seed, cfg["d"], cfg["delta"], _floats(cfg["eps_list"]),
-                         alpha, cfg["c_prime"], cfg["net_source"], cfg["n"], cfg["per_cell"],
-                         cfg["max_draws"], cfg["attack_trials"], artifacts, save_artifacts=False)
-    _spheres_bound_block(rows, checks, seed, cfg["d_small"], cfg["delta"],
-                         _floats(cfg["eps_list_small"]), alpha, cfg["c_prime"],
-                         cfg["net_source_small"], cfg["n_small"], cfg["per_cell"],
-                         cfg["max_draws"], cfg["attack_trials"], artifacts, save_artifacts=True)
-    return ExperimentOutput(rows, artifacts, checks)
+    out = ExperimentOutput()
+    _spheres_bound_block(out, cfg, seed, "")
+    _spheres_bound_block(out, cfg, seed, "_small")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,42 +308,32 @@ def _run_spheres_bounds(cfg: dict, seed: int) -> ExperimentOutput:
 
 
 def _run_spheres_competitive(cfg: dict, seed: int) -> ExperimentOutput:
-    rows, checks = [], []
-    delta, eta = cfg["delta"], cfg["eta"]
+    out = ExperimentOutput()
+    delta, eta, n = cfg["delta"], cfg["eta"], cfg["n"]
+    labels = dict(task="concentric_spheres", delta=delta, eta=eta)
     scaled = []
     for d in _ints(cfg["d_list"]):
         res = competitive_ratio_experiment(
             d, delta, eta, rngmod.stream(seed, rngmod.EVAL_STREAM, d),
             partition_epsilon=cfg["partition_epsilon"], per_cell=cfg["per_cell"],
-            max_draws=cfg["max_draws"], n=cfg["n"])
-        scaled.append((d, res.eps_alg))
-        rows.append(_row("eps_alg", res.eps_alg, task="concentric_spheres", partition="cube",
-                         scheme="exact", d=d, epsilon=cfg["partition_epsilon"], delta=delta,
-                         eta=eta, n=cfg["n"]))
-        rows.append(_row("risk", res.risk, task="concentric_spheres", partition="cube",
-                         scheme="exact", d=d, delta=delta, eta=eta, n=cfg["n"]))
-        okf = res.ar_fresh <= eta + 3 * _se(eta, cfg["n"])
-        checks.append((f"fresh_ar_below_eta_d{d}", okf,
-                       f"ar_fresh={res.ar_fresh:.4f} <= eta={eta}"))
-        rows.append(_row("ar_fresh", res.ar_fresh, task="concentric_spheres", partition="cube",
-                         scheme="exact", d=d, delta=delta, eta=eta, n=cfg["n"],
-                         bound=eta, ok=_verdict(okf)))
+            max_draws=cfg["max_draws"], n=n)
+        scaled.append(d * res.eps_alg)
+        out.row("eps_alg", res.eps_alg, **labels, partition="cube", scheme="exact", d=d,
+                epsilon=cfg["partition_epsilon"], n=n)
+        out.row("risk", res.risk, **labels, partition="cube", scheme="exact", d=d, n=n)
+        out.bound(f"fresh_ar_below_eta_d{d}", res.ar_fresh <= eta + 3 * _se(eta, n),
+                  f"ar_fresh={res.ar_fresh:.4f} <= eta={eta}", "ar_fresh", res.ar_fresh, eta, **labels,
+                  partition="cube", scheme="exact", d=d, n=n)
         if res.applicable:
-            rows.append(_row("eps_opt_bound", res.eps_opt_bound, task="concentric_spheres",
-                             d=d, delta=delta, eta=eta))
+            out.row("eps_opt_bound", res.eps_opt_bound, **labels, d=d)
             ratio_cap = cfg["ratio_constant"] * math.log(eta / delta) / (eta - 2 * delta)
-            okr = res.ratio <= ratio_cap
-            checks.append((f"ratio_bounded_d{d}", okr, f"ratio={res.ratio:.1f} <= {ratio_cap:.1f}"))
-            rows.append(_row("competitive_ratio", res.ratio, task="concentric_spheres", d=d,
-                             delta=delta, eta=eta, bound=ratio_cap, ok=_verdict(okr)))
-    coeffs = [d * e for d, e in scaled]
-    spread = max(coeffs) / min(coeffs) if min(coeffs) > 0 else math.inf
-    oks = spread <= cfg["linear_factor"]
-    checks.append(("eps_alg_inverse_d_scaling", oks,
-                   f"spread of d*eps_alg = {spread:.2f} <= {cfg['linear_factor']}"))
-    rows.append(_row("eps_alg_d_spread", spread, task="concentric_spheres", delta=delta,
-                     eta=eta, bound=cfg["linear_factor"], ok=_verdict(oks)))
-    return ExperimentOutput(rows, {}, checks)
+            out.bound(f"ratio_bounded_d{d}", res.ratio <= ratio_cap, f"ratio={res.ratio:.1f} <= {ratio_cap:.1f}",
+                      "competitive_ratio", res.ratio, ratio_cap, **labels, d=d)
+    spread = max(scaled) / min(scaled) if min(scaled) > 0 else math.inf
+    out.bound("eps_alg_inverse_d_scaling", spread <= cfg["linear_factor"],
+              f"spread of d*eps_alg = {spread:.2f} <= {cfg['linear_factor']}",
+              "eps_alg_d_spread", spread, cfg["linear_factor"], **labels)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +341,7 @@ def _run_spheres_competitive(cfg: dict, seed: int) -> ExperimentOutput:
 
 
 def _run_circles_manifold(cfg: dict, seed: int) -> ExperimentOutput:
-    rows, checks = [], []
+    out = ExperimentOutput()
     eps = cfg["epsilon_eval"]
     reps = cfg["replicates"]
     ambients = _ints(cfg["ambient_list"])
@@ -384,38 +357,32 @@ def _run_circles_manifold(cfg: dict, seed: int) -> ExperimentOutput:
         f = task.ground_truth_classifier()
         src, _ = task.sample(rngmod.stream(seed, rngmod.TASK_STREAM, d), cfg["net_source"])
         net = greedy_net(src, cfg["partition_epsilon"] / 4.0)
-        base = sample_ball_carving(net, cfg["partition_epsilon"],
-                                   rngmod.stream(seed, rngmod.PARTITION_STREAM, d))
+        base = sample_ball_carving(net, cfg["partition_epsilon"], rngmod.stream(seed, rngmod.PARTITION_STREAM, d))
         vals = []
         events = 0
         for rep_i in range(reps):
             part = resample_ball_carving(base, rngmod.stream(seed, rngmod.PARTITION_STREAM, d, rep_i))
-            g = smooth_exact(f, part, task, cfg["per_cell"],
-                             rngmod.stream(seed, rngmod.SMOOTHING_STREAM, d, rep_i),
+            g = smooth_exact(f, part, task, cfg["per_cell"], rngmod.stream(seed, rngmod.SMOOTHING_STREAM, d, rep_i),
                              max_draws=cfg["max_draws"])
             X, y = task.sample(rngmod.stream(seed, rngmod.EVAL_STREAM, d, rep_i), n_each)
-            mis = g.evaluate(X) != y
-            margins, off = certificate_margins(part, X)
-            upper = mis | ~_contained(off, margins, eps)
+            pred, cert, _, _ = _probes(g, X, 0.0)
+            upper = (pred != y) | ~_contained(*cert, eps)
             events += int(upper.sum())
             vals.append(float(upper.mean()))
         vals_arr = np.asarray(vals)
-        per_ambient[d] = (vals_arr, events)
-        rows.append(_row("ar_upper", events / (n_each * reps), task=task.name, partition="ball",
-                         scheme="exact", d=d, epsilon=eps, n=n_each * reps, k=reps,
-                         lo=float(vals_arr.mean() - vals_arr.std(ddof=1)),
-                         hi=float(vals_arr.mean() + vals_arr.std(ddof=1))))
-        rows.append(_row("net_size", len(net.centers), task=task.name, partition="ball", d=d,
-                         epsilon=cfg["partition_epsilon"]))
+        per_ambient[d] = vals_arr
+        out.row("ar_upper", events / (n_each * reps), task=task.name, partition="ball", scheme="exact", d=d,
+                epsilon=eps, n=n_each * reps, k=reps, lo=float(vals_arr.mean() - vals_arr.std(ddof=1)),
+                hi=float(vals_arr.mean() + vals_arr.std(ddof=1)))
+        out.row("net_size", len(net.centers), task=task.name, partition="ball", d=d,
+                epsilon=cfg["partition_epsilon"])
     dims = sorted(per_ambient)
-    a, b = per_ambient[dims[0]][0], per_ambient[dims[1]][0]
+    a, b = per_ambient[dims[0]], per_ambient[dims[1]]
     va = a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b)
     z = 0.0 if va == 0 else float((a.mean() - b.mean()) / math.sqrt(va))
-    ok = abs(z) <= 3.0
-    checks.append(("ambient_independence", ok, f"|z|={abs(z):.2f} <= 3 across d={dims}"))
-    rows.append(_row("ambient_gap_z", z, task="intersecting_circles", partition="ball",
-                     epsilon=eps, n=cfg["n"], bound=3.0, ok=_verdict(ok)))
-    return ExperimentOutput(rows, {}, checks)
+    out.bound("ambient_independence", abs(z) <= 3.0, f"|z|={abs(z):.2f} <= 3 across d={dims}",
+              "ambient_gap_z", z, 3.0, task="intersecting_circles", partition="ball", epsilon=eps, n=cfg["n"])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +390,7 @@ def _run_circles_manifold(cfg: dict, seed: int) -> ExperimentOutput:
 
 
 def _run_padding_curves(cfg: dict, seed: int) -> ExperimentOutput:
-    rows, checks = [], []
+    out = ExperimentOutput()
     trials = cfg["trials"]
 
     for d in _ints(cfg["cube_d_list"]):
@@ -435,12 +402,9 @@ def _run_padding_curves(cfg: dict, seed: int) -> ExperimentOutput:
             est = estimate_paddedness(family, data, t, trials,
                                       rngmod.stream(seed, rngmod.PARTITION_STREAM, d, int(beta * 1000)))
             bound = min(1.0, 2.0 * d ** 1.5 / beta)
-            ok = est.value <= bound + 3 * _se(est.value, trials)
-            checks.append((f"cube_padding_d{d}_beta{beta:.1f}", ok,
-                           f"measured={est.value:.4f} <= {bound:.4f}"))
-            rows.append(_row("cut_probability", est.value, partition="cube", d=d, beta=beta,
-                             t=t, n=trials, lo=est.ci_low, hi=est.ci_high, bound=bound,
-                             ok=_verdict(ok)))
+            out.bound(f"cube_padding_d{d}_beta{beta:.1f}", est.value <= bound + 3 * _se(est.value, trials),
+                      f"measured={est.value:.4f} <= {bound:.4f}", "cut_probability", est.value, bound,
+                      partition="cube", d=d, beta=beta, t=t, n=trials, lo=est.ci_low, hi=est.ci_high)
 
     task = intersecting_circles_task(cfg["ambient"])
     src, _ = task.sample(rngmod.stream(seed, rngmod.TASK_STREAM), cfg["net_source"])
@@ -448,22 +412,18 @@ def _run_padding_curves(cfg: dict, seed: int) -> ExperimentOutput:
     net = greedy_net(src, eps_part / 4.0)
     base = sample_ball_carving(net, eps_part, rngmod.stream(seed, rngmod.PARTITION_STREAM))
     dd_hat = estimate_doubling_dimension(src[: cfg["dd_sample"]], eps_part)
-    rows.append(_row("doubling_dimension", dd_hat, task=task.name, epsilon=eps_part,
-                     n=cfg["dd_sample"]))
+    out.row("doubling_dimension", dd_hat, task=task.name, epsilon=eps_part, n=cfg["dd_sample"])
     sampler = lambda r: task.sample(r, 1)[0][0]
     family = lambda r: resample_ball_carving(base, r)
     for div in _ints(cfg["t_divisors"]):
         t = eps_part / div
-        est = estimate_paddedness(family, sampler, t, trials,
-                                  rngmod.stream(seed, rngmod.PARTITION_STREAM, div))
+        est = estimate_paddedness(family, sampler, t, trials, rngmod.stream(seed, rngmod.PARTITION_STREAM, div))
         bound = min(1.0, t * (8.0 * dd_hat + 4.0) / eps_part)
-        ok = est.value <= bound + 3 * _se(est.value, trials)
-        checks.append((f"ball_padding_tdiv{div}", ok,
-                       f"measured={est.value:.4f} <= {bound:.4f}"))
-        rows.append(_row("cut_probability", est.value, task=task.name, partition="ball",
-                         d=cfg["ambient"], epsilon=eps_part, t=t, n=trials,
-                         lo=est.ci_low, hi=est.ci_high, bound=bound, ok=_verdict(ok)))
-    return ExperimentOutput(rows, {}, checks)
+        out.bound(f"ball_padding_tdiv{div}", est.value <= bound + 3 * _se(est.value, trials),
+                  f"measured={est.value:.4f} <= {bound:.4f}", "cut_probability", est.value, bound,
+                  task=task.name, partition="ball", d=cfg["ambient"], epsilon=eps_part, t=t, n=trials,
+                  lo=est.ci_low, hi=est.ci_high)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +431,7 @@ def _run_padding_curves(cfg: dict, seed: int) -> ExperimentOutput:
 
 
 def _run_lipschitz_curves(cfg: dict, seed: int) -> ExperimentOutput:
-    rows, checks = [], []
+    out = ExperimentOutput()
     trials = cfg["trials"]
     dists = _floats(cfg["distances"])
 
@@ -485,22 +445,17 @@ def _run_lipschitz_curves(cfg: dict, seed: int) -> ExperimentOutput:
             return x, x + dist * v
 
         curve = estimate_lipschitz_constant(family, pair, dists, trials,
-                                            rngmod.stream(seed, rngmod.AUX_STREAM, d),
-                                            epsilon=1.0)
-        rows.append(_row("separation_slope", curve.slope, partition="cube", d=d, epsilon=1.0,
-                         n=trials))
+                                            rngmod.stream(seed, rngmod.AUX_STREAM, d), epsilon=1.0)
+        out.row("separation_slope", curve.slope, partition="cube", d=d, epsilon=1.0, n=trials)
         for dist, p, lo, hi in curve.points:
-            rows.append(_row("separation_probability", p, partition="cube", d=d, epsilon=1.0,
-                             t=dist, n=trials, lo=lo, hi=hi))
+            out.row("separation_probability", p, partition="cube", d=d, epsilon=1.0, t=dist, n=trials,
+                    lo=lo, hi=hi)
         if d == 1:
             # exact 1-D law: a width-w lattice with uniform shift splits a pair
             # at distance s with probability min(1, s/w); width = epsilon here
-            oracle_slope = 1.0
-            ok = abs(curve.slope - oracle_slope) <= cfg["slope_tolerance"]
-            checks.append(("cube_1d_slope", ok, f"slope={curve.slope:.3f} ~ {oracle_slope}"))
-            rows.append(_row("separation_slope_error", abs(curve.slope - oracle_slope),
-                             partition="cube", d=1, bound=cfg["slope_tolerance"],
-                             ok=_verdict(ok)))
+            error = abs(curve.slope - 1.0)
+            out.bound("cube_1d_slope", error <= cfg["slope_tolerance"], f"slope={curve.slope:.3f} ~ 1.0",
+                      "separation_slope_error", error, cfg["slope_tolerance"], partition="cube", d=1)
 
     eps_ball = cfg["ball_epsilon"]
     for d in _ints(cfg["ball_d_list"]):
@@ -522,122 +477,95 @@ def _run_lipschitz_curves(cfg: dict, seed: int) -> ExperimentOutput:
 
         ball_dists = [f * eps_ball for f in _floats(cfg["ball_distance_fractions"])]
         curve = estimate_lipschitz_constant(family, pair, ball_dists, trials,
-                                            rngmod.stream(seed, rngmod.AUX_STREAM, 100 + d),
-                                            epsilon=eps_ball)
-        rows.append(_row("separation_slope", curve.slope, partition="ball", d=d,
-                         epsilon=eps_ball, n=trials))
-        rows.append(_row("separation_slope_over_sqrt_d", curve.slope / math.sqrt(d),
-                         partition="ball", d=d, epsilon=eps_ball))
-        rows.append(_row("separation_slope_over_d", curve.slope / d,
-                         partition="ball", d=d, epsilon=eps_ball))
+                                            rngmod.stream(seed, rngmod.AUX_STREAM, 100 + d), epsilon=eps_ball)
+        out.row("separation_slope", curve.slope, partition="ball", d=d, epsilon=eps_ball, n=trials)
+        out.row("separation_slope_over_sqrt_d", curve.slope / math.sqrt(d), partition="ball", d=d,
+                epsilon=eps_ball)
+        out.row("separation_slope_over_d", curve.slope / d, partition="ball", d=d, epsilon=eps_ball)
         for dist, p, lo, hi in curve.points:
-            rows.append(_row("separation_probability", p, partition="ball", d=d,
-                             epsilon=eps_ball, t=dist, n=trials, lo=lo, hi=hi))
-    return ExperimentOutput(rows, {}, checks)
+            out.row("separation_probability", p, partition="ball", d=d, epsilon=eps_ball, t=dist, n=trials,
+                    lo=lo, hi=hi)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # oblivious_game: error growth with the partition refresh interval
 
 
-def _make_adversary(kind: str, task, f):
-    if kind == "identity":
-        return IdentityAdversary()
-    if kind == "boundary":
-        return BoundarySeekAdversary(task, f)
-    if kind == "replay":
-        return ReplayAdversary(task, f)
-    raise ValueError(f"unknown adversary {kind!r}")
+_ADVERSARIES = {"identity": lambda task, f: IdentityAdversary(), "boundary": BoundarySeekAdversary,
+                "replay": ReplayAdversary}
 
 
 def _run_oblivious_game(cfg: dict, seed: int) -> ExperimentOutput:
-    rows, checks = [], []
+    out = ExperimentOutput()
     task = intersecting_circles_task(cfg["ambient"])
     f = task.ground_truth_classifier()
-    eps = cfg["epsilon"]
-    rates = []
+    eps, rounds, adversary = cfg["epsilon"], cfg["rounds"], cfg["adversary"]
     ks = _ints(cfg["k_list"])
     if len(set(ks)) < 2:  # the exponent fit needs two refresh intervals
         raise ValueError(f"k_list must be at least two distinct refresh intervals, got {ks}")
+    if adversary not in _ADVERSARIES:
+        raise ValueError(f"unknown adversary {adversary!r}")
+
+    def play(k, kind, slot):
+        return oblivious_game_simulate(task, f, eps, k, rounds, _ADVERSARIES[kind](task, f),
+                                       rngmod.stream(seed, rngmod.GAME_STREAM, slot), family=cfg["family"],
+                                       partition_epsilon=cfg["partition_epsilon"], pool=cfg["pool"],
+                                       net_source=cfg["net_source"])
+
+    rates = []
     for k in ks:
-        adv = _make_adversary(cfg["adversary"], task, f)
-        res = oblivious_game_simulate(task, f, eps, k, cfg["rounds"], adv,
-                                      rngmod.stream(seed, rngmod.GAME_STREAM, k),
-                                      family=cfg["family"],
-                                      partition_epsilon=cfg["partition_epsilon"],
-                                      pool=cfg["pool"], net_source=cfg["net_source"])
+        res = play(k, adversary, k)
         rates.append(res.error_rate)
-        rows.append(_row("error_rate", res.error_rate, task=task.name,
-                         partition=cfg["family"], scheme=cfg["adversary"], d=cfg["ambient"],
-                         epsilon=eps, k=k, n=cfg["rounds"], lo=res.lo, hi=res.hi))
-        rows.append(_row("adversary_faults", res.faults, task=task.name, scheme=cfg["adversary"],
-                         k=k, n=cfg["rounds"]))
-    floor = 0.5 / cfg["rounds"]
+        out.row("error_rate", res.error_rate, task=task.name, partition=cfg["family"], scheme=adversary,
+                d=cfg["ambient"], epsilon=eps, k=k, n=rounds, lo=res.lo, hi=res.hi)
+        out.row("adversary_faults", res.faults, task=task.name, scheme=adversary, k=k, n=rounds)
     logs_k = np.log(np.asarray(ks, dtype=np.float64))
-    logs_r = np.log(np.maximum(np.asarray(rates), floor))
+    logs_r = np.log(np.maximum(np.asarray(rates), 0.5 / rounds))
     lk = logs_k - logs_k.mean()
     exponent = float(np.sum(lk * (logs_r - logs_r.mean())) / np.sum(lk * lk))
-    ok = exponent <= cfg["exponent_cap"]
-    checks.append(("error_growth_subquadratic", ok,
-                   f"fitted exponent={exponent:.3f} <= {cfg['exponent_cap']}"))
-    rows.append(_row("error_growth_exponent", exponent, task=task.name,
-                     scheme=cfg["adversary"], epsilon=eps, n=cfg["rounds"],
-                     bound=cfg["exponent_cap"], ok=_verdict(ok)))
+    out.bound("error_growth_subquadratic", exponent <= cfg["exponent_cap"],
+              f"fitted exponent={exponent:.3f} <= {cfg['exponent_cap']}", "error_growth_exponent", exponent,
+              cfg["exponent_cap"], task=task.name, scheme=adversary, epsilon=eps, n=rounds)
 
-    ident = _make_adversary("identity", task, f)
-    res_id = oblivious_game_simulate(task, f, eps, ks[-1], cfg["rounds"], ident,
-                                     rngmod.stream(seed, rngmod.GAME_STREAM, 0),
-                                     family=cfg["family"],
-                                     partition_epsilon=cfg["partition_epsilon"],
-                                     pool=cfg["pool"], net_source=cfg["net_source"])
-    rows.append(_row("error_rate", res_id.error_rate, task=task.name, partition=cfg["family"],
-                     scheme="identity", d=cfg["ambient"], epsilon=eps, k=ks[-1],
-                     n=cfg["rounds"], lo=res_id.lo, hi=res_id.hi))
-    return ExperimentOutput(rows, {}, checks)
+    res = play(ks[-1], "identity", 0)
+    out.row("error_rate", res.error_rate, task=task.name, partition=cfg["family"], scheme="identity",
+            d=cfg["ambient"], epsilon=eps, k=ks[-1], n=rounds, lo=res.lo, hi=res.hi)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # cube_theorem: end-to-end certified AR bound for the cube family
 
 
-def _cube_theorem_block(rows, checks, seed, task, d, delta, eps_list, alpha, c_prime, n,
-                        per_cell, max_draws, attack_trials, artifacts, save_artifacts):
+def _cube_theorem_block(out, cfg, seed, task, delta, eps_list):
+    d, alpha = task.dim, cfg["alpha"]
+    slot = int(delta * 1000)
     if delta == 0:
         f = task.ground_truth_classifier()
     else:
-        f = plant_error_classifier(task, delta, rngmod.stream(seed, rngmod.TASK_STREAM, d, int(delta * 1000)))
+        f = plant_error_classifier(task, delta, rngmod.stream(seed, rngmod.TASK_STREAM, d, slot))
     for j, eps in enumerate(eps_list):
         eps_part = 2.0 * d ** 1.5 * eps / alpha
-        part = sample_cube_partition(d, eps_part,
-                                     rngmod.stream(seed, rngmod.PARTITION_STREAM, d, j, int(delta * 1000)))
-        g = smooth_exact(f, part, task, per_cell,
-                         rngmod.stream(seed, rngmod.SMOOTHING_STREAM, d, j, int(delta * 1000)),
-                         max_draws=max_draws)
-        rhs = 2 * task.separation(eps_part) + 2 * delta + c_prime * alpha
-        _certified_ar(rows, checks, f"cube_bound_{task.name}_delta{delta}_eps{eps}", g, task, eps, n,
-                      rngmod.stream(seed, rngmod.EVAL_STREAM, d, j, int(delta * 1000)),
-                      attack_trials, rhs, eps_part, partition="cube", d=d, delta=delta)
-        if save_artifacts and j == 0:
-            artifacts["partition.json"] = part.to_dict()
-            artifacts["classifier.json"] = g.to_dict()
+        part = sample_cube_partition(d, eps_part, rngmod.stream(seed, rngmod.PARTITION_STREAM, d, j, slot))
+        g = smooth_exact(f, part, task, cfg["per_cell"], rngmod.stream(seed, rngmod.SMOOTHING_STREAM, d, j, slot),
+                         max_draws=cfg["max_draws"])
+        rhs = 2 * task.separation(eps_part) + 2 * delta + cfg["c_prime"] * alpha
+        _certified_ar(out, cfg, f"cube_bound_{task.name}_delta{delta}_eps{eps}", g, task, eps, cfg["n"],
+                      rngmod.stream(seed, rngmod.EVAL_STREAM, d, j, slot), rhs, eps_part,
+                      partition="cube", d=d, delta=delta)
+        if task.name == "two_discs" and delta == 0 and j == 0:
+            out.artifacts.update({"partition.json": part.to_dict(), "classifier.json": g.to_dict()})
 
 
 def _run_cube_theorem(cfg: dict, seed: int) -> ExperimentOutput:
-    rows, checks = [], []
-    artifacts: dict = {}
-    alpha, c_prime = cfg["alpha"], cfg["c_prime"]
+    out = ExperimentOutput()
     discs = two_discs_task()
     spheres = concentric_spheres_task(cfg["spheres_d"])
     for delta in _floats(cfg["delta_list"]):
-        _cube_theorem_block(rows, checks, seed, discs, 2, delta,
-                            _floats(cfg["eps_list_discs"]), alpha, c_prime, cfg["n"],
-                            cfg["per_cell"], cfg["max_draws"], cfg["attack_trials"],
-                            artifacts, save_artifacts=delta == 0)
-        _cube_theorem_block(rows, checks, seed, spheres, cfg["spheres_d"], delta,
-                            _floats(cfg["eps_list_spheres"]), alpha, c_prime, cfg["n"],
-                            cfg["per_cell"], cfg["max_draws"], cfg["attack_trials"],
-                            artifacts, save_artifacts=False)
-    return ExperimentOutput(rows, artifacts, checks)
+        _cube_theorem_block(out, cfg, seed, discs, delta, _floats(cfg["eps_list_discs"]))
+        _cube_theorem_block(out, cfg, seed, spheres, delta, _floats(cfg["eps_list_spheres"]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -241,14 +241,16 @@ def test_verify_missing_run_dir(tmp_path, capsys):
     ("max_draws", -5, "max_draws"), ("partition_epsilon", "inf", "epsilon"), ("sigma", "inf", "sigma"),
     ("ambient_list", 10, "ambient_list"), ("ambient_list", "10,10", "ambient_list"),
     ("replicates", 1, "replicates"), ("k_list", 2, "k_list"), ("k_list", "4,4", "k_list"),
-    ("attack_trials", -3, "attack_trials"),
+    ("attack_trials", -3, "attack_trials"), ("pool", 0, "pool"), ("net_source", 0, "net_source"),
 ])
 def test_run_invalid_argument_exits_2_with_one_error_line(key, value, name, tmp_path, capsys):
     # each fails where it enters: smooth_exact, sample_cube_partition and
     # gaussian_smoothing (two_discs), the circles_manifold and
-    # oblivious_game runners before any work, and adversarial_risk_curve
-    # (cube_theorem's first call) name the argument, and nothing is written
+    # oblivious_game runners before any work, oblivious_game_simulate before
+    # any draw, and adversarial_risk_curve (cube_theorem's first call) name
+    # the argument, and nothing is written
     experiment = {"ambient_list": "circles_manifold", "replicates": "circles_manifold", "k_list": "oblivious_game",
+                  "pool": "oblivious_game", "net_source": "oblivious_game",
                   "attack_trials": "cube_theorem"}.get(key, "two_discs")
     cfg = write_config(tmp_path / "c.txt", experiment=experiment, seed=1, **{key: value})
     out = tmp_path / "o"

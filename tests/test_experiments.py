@@ -1,6 +1,7 @@
 """Row formatting, the experiment registry, and the execute() writer."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from padsmooth.experiments import (
 )
 from padsmooth.smoothing import SmoothedClassifier
 from padsmooth.tasks import two_discs_task
+
+REDUCED = json.loads((Path(__file__).parent / "acceptance_config.json").read_text())["determinism_overrides"]
 
 
 def test_fmt_is_repr_exact_for_floats():
@@ -135,3 +138,14 @@ def test_cube_theorem_writes_replayable_artifacts(tmp_path, monkeypatch):
     assert back.cell_labels == saved.cell_labels
     X, _ = task.sample(np.random.default_rng(3), 2000)
     assert np.array_equal(back.evaluate(X), saved.evaluate(X))
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_every_check_has_its_bound_row(name, tmp_path):
+    # in report.json the checks' verdicts, in order, are the ok column of the
+    # rows that carry one; packing_size rows carry a verdict but are no check
+    execute(name, {"seed": 11, **REDUCED[name]}, tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    judged = [r for r in report["rows"] if r["ok"] and r["metric"] != "packing_size"]
+    assert report["checks"] and all(r["bound"] != "" for r in judged)
+    assert [c["ok"] for c in report["checks"]] == [r["ok"] == "pass" for r in judged]

@@ -16,15 +16,17 @@ Every round runs each experiment through the `--one` form of both
 checkouts, one after the other, the parent first in even rounds and the
 change first in odd ones, so a drift of the machine's speed falls on both
 sides alike. Outputs go to OUT_DIR/parent/<experiment> and
-OUT_DIR/change/<experiment> (the last round's; compare them with `diff -r`).
-One line per experiment gives each side's median in-process seconds over
-the rounds and whether every round's results.csv sha256 agreed across the
-two sides; then the sums of the medians. Exits 1 if a run fails or a
-hash differs.
+OUT_DIR/change/<experiment>, emptied before each run, so they hold the last
+round's. After each run every file there is hashed (sha256), which works
+with any checkout's `--one` form. One line per experiment gives each side's
+median in-process seconds over the rounds and whether every output file
+agreed across the two sides in every round; then the sums of the medians.
+Exits 1 if a run fails or a file differs.
 """
 
 import hashlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,6 +58,12 @@ def one(checkout: Path, name: str, out_dir: Path) -> dict | None:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def file_digests(out_dir: Path) -> dict:
+    """sha256 of every file under out_dir, by path relative to it."""
+    return {str(path.relative_to(out_dir)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+
 def compare(parent: Path, change: Path, out: Path, rounds: int, names) -> int:
     sides = {"parent": parent.resolve(), "change": change.resolve()}
     seconds = {(side, name): [] for side in sides for name in names}
@@ -65,18 +73,19 @@ def compare(parent: Path, change: Path, out: Path, rounds: int, names) -> int:
         for name in names:
             digests = {}
             for side in order:
+                shutil.rmtree(out / side / name, ignore_errors=True)
                 result = one(sides[side], name, out / side / name)
                 if result is None:
                     return 1
                 seconds[side, name].append(result["seconds"])
-                digests[side] = result["sha256"]
+                digests[side] = file_digests(out / side / name)
             agreed[name] &= digests["parent"] == digests["change"]
         print(f"round {r + 1} of {rounds} done", file=sys.stderr, flush=True)
     medians = {key: statistics.median(v) for key, v in seconds.items()}
-    print(f"{'experiment':20s} {'parent s':>9s} {'change s':>9s}  sha256")
+    print(f"{'experiment':20s} {'parent s':>9s} {'change s':>9s}  output files")
     for name in names:
         print(f"{name:20s} {medians['parent', name]:9.2f} {medians['change', name]:9.2f}  "
-              f"{'equal in every round' if agreed[name] else 'DIFFERENT'}")
+              f"{'all equal in every round' if agreed[name] else 'DIFFERENT'}")
     totals = [sum(medians[side, name] for name in names) for side in sides]
     print(f"{'total of medians':20s} {totals[0]:9.2f} {totals[1]:9.2f}")
     return 0 if all(agreed.values()) else 1
